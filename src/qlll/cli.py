@@ -6,7 +6,8 @@ content hash, and the tolerance table, so a fixed command line reproduces
 byte-identical output.  Time series can be emitted as CSV instead.
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a requested
-check fails or the instance is infeasible.
+check fails or the instance is infeasible, 3 when an internal invariant
+fails (the one-line message carries the measured value).
 """
 
 import argparse
@@ -60,6 +61,7 @@ from .witness import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
+EXIT_INVARIANT = 3  # an internal invariant failed (RuntimeError)
 
 
 class CliError(Exception):
@@ -456,8 +458,10 @@ def _cmd_witness(cfg: RunConfig):
     intersects = label_intersection(graph)
     tree = build_witness_tree(log, entry, intersects)
     prefix = tuple(labels[: entry + 1])
-    dag = build_resample_dag(prefix, intersects)
-    prob = dag_probability(dag, prefix)
+    dag = prob = None
+    if len(prefix) <= config.DAG_VERTEX_CAP:
+        dag = build_resample_dag(prefix, intersects)
+        prob = dag_probability(dag, prefix)
     cert = find_certificate(inst)
     proper = tree.is_proper()
     gw = None
@@ -469,13 +473,18 @@ def _cmd_witness(cfg: RunConfig):
         "labels": labels,
         "tree": tree.to_dict(),
         "tree_proper": proper,
-        "dag": dag.to_dict(),
-        "dag_sequence_probability": float(prob),
+        "dag": None if dag is None else dag.to_dict(),
+        "dag_sequence_probability": None if prob is None else float(prob),
         "dag_sequence_probability_exact": (
             str(prob) if isinstance(prob, Fraction) else None
         ),
         "galton_watson": gw,
     }
+    if dag is None:
+        result["dag_skipped"] = (
+            f"the prefix has {len(prefix)} violations; the resample DAG is "
+            f"capped at {config.DAG_VERTEX_CAP} vertices"
+        )
     return EXIT_OK, instance_digest(inst), result, None
 
 
@@ -786,6 +795,9 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except RuntimeError as exc:
+        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_INVARIANT
     if cfg.output_path is not None:
         try:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:

@@ -3,12 +3,16 @@
 The process measures a uniformly chosen bad-event projector each step.  For a
 fixed instance the unnormalized state reached when the first few violations
 come out in a prescribed order is an exact linear-algebra object: a sum of a
-geometric operator series.  This module computes those operators densely and
-checks every operator identity and inequality the analysis rests on.
+geometric operator series.  This module computes those operators on dense
+D x D operators and checks every operator identity and inequality the
+analysis rests on.
 
 All routes here are exact up to series truncation at 1e-12; nothing is
-sampled.  Dense superoperators are quadratically bigger than states, so the
-whole module is gated on a small dimension budget (D <= 64 by default).
+sampled.  The channels apply each event on its own qudits, so the series
+run on any instance within the density budget (D <= 2048 by default).
+Dense superoperators are quadratically bigger than states: the matrix forms,
+the resolvent route and the lemma suite are gated on a small dimension
+budget (D <= 64 by default).
 
 Conventions: channels act on D x D operators; their matrix forms act on
 column-stacked vectors.  The continue channel averages the complement
@@ -29,13 +33,17 @@ from . import config
 from .instance import QlllInstance, intersection_graph, spectral_report
 from .tensor import (
     HilbertShape,
+    LocalPlan,
     conjugation_superoperator,
     devectorize,
     embed,
+    is_hermitian,
     make_rng,
     min_slack,
     partial_trace,
     pseudoinverse,
+    refill_mixed,
+    sandwich_local,
     vectorize,
 )
 from .witness import build_partial_resample_dag, build_resample_dag, dag_probability, label_intersection
@@ -103,70 +111,100 @@ def _outcome(op: np.ndarray, provenance: tuple) -> OutcomeOperator:
 
 
 class ChannelSet:
-    """The per-id channels of one process step, as cheap callables.
+    """The per-id channels of one process step, applied locally.
 
-    Matrix forms are built on demand; the callables cost O(m D^3) per
-    application, which is what the series evaluators use.
+    Every sandwich and refresh acts on its event's qudits only, at
+    O(D^2 d^k) per application for a k-local event; no dense embedded
+    projector is kept.  Dense matrix forms are built on demand within the
+    superoperator budget.  The halting operators of all ids come from one
+    shared continue series on first request and are kept.
     """
 
     def __init__(self, inst: QlllInstance):
-        inst.shape.check_budget(config.SUPEROP_BUDGET_D)
+        inst.shape.check_budget(config.DENSITY_BUDGET_D)
         self.instance = inst
         self.shape = inst.shape
         self.m = inst.m
-        D = inst.shape.dim
-        self._proj = [inst.embedded(i) for i in range(inst.m)]
-        self._comp = [np.eye(D) - p for p in self._proj]
+        n, d = inst.shape.n, inst.shape.d
+        self._plans = [LocalPlan(n, d, p.qudits) for p in inst.projectors]
+        self._local = [p.local_matrix for p in inst.projectors]
+        self._local_comp = [np.eye(len(p)) - p for p in self._local]
+        self._halting = None
 
     def measure(self, i: int, op: np.ndarray) -> np.ndarray:
-        p = self._proj[i]
-        return p @ op @ p
+        p = self._local[i]
+        return sandwich_local(p, op, p, self._plans[i])
 
     def complement(self, i: int, op: np.ndarray) -> np.ndarray:
-        c = self._comp[i]
-        return c @ op @ c
+        c = self._local_comp[i]
+        return sandwich_local(c, op, c, self._plans[i])
 
     def continue_step(self, op: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(op, dtype=complex))
-        for c in self._comp:
-            out += c @ op @ c
+        out = np.zeros(op.shape, dtype=complex)
+        for i in range(self.m):
+            out += self.complement(i, op)
         return out / self.m
 
     def refresh(self, i: int, op: np.ndarray) -> np.ndarray:
-        return self.refresh_set((i,), op)
+        return self._refill(self._plans[i], op)
 
     def refresh_set(self, ids, op: np.ndarray) -> np.ndarray:
         """Trace out the union of the listed supports, refill maximally mixed."""
         qudits = sorted({q for i in ids for q in self.instance.projectors[i].qudits})
-        n, d = self.shape.n, self.shape.d
-        D = self.shape.dim
-        if len(qudits) == n:
-            return np.trace(op) * np.eye(D) / D
-        rest = [q for q in range(n) if q not in qudits]
-        reduced = partial_trace(op, qudits, self.shape)
-        return embed(reduced, rest, self.shape) / d ** len(qudits)
+        return self._refill(LocalPlan(self.shape.n, self.shape.d, qudits), op)
+
+    def _refill(self, plan: LocalPlan, op: np.ndarray) -> np.ndarray:
+        return refill_mixed(partial_trace(op, plan.qudits, self.shape), plan)
 
     def patch(self, i: int, op: np.ndarray) -> np.ndarray:
         """Absorb one id's violation: keep the satisfied branch, resample the rest."""
         return self.complement(i, op) + self.refresh(i, self.measure(i, op))
 
+    def halting_operators(self) -> list:
+        """Halting operator of every id, from one run of the continue series.
+
+        Each id's sum stops at its own first negligible increment, so it
+        equals the sum a series for that id alone would return.
+        """
+        if self._halting is None:
+            D = self.shape.dim
+            sums = _series_sums(
+                {f"id {a}": (lambda s, a=a: self.measure(a, s) / self.m)
+                 for a in range(self.m)},
+                self.continue_step,
+                np.eye(D) / D,
+                "halting operators",
+            )
+            self._halting = [
+                _outcome(sums[f"id {a}"], ("halt", a)) for a in range(self.m)
+            ]
+        return self._halting
+
     # dense matrix forms
 
+    def _embedded(self, i: int) -> np.ndarray:
+        self.shape.check_budget(config.SUPEROP_BUDGET_D)
+        p = self.instance.projectors[i]
+        return embed(p.local_matrix, p.qudits, self.shape)
+
     def measure_superoperator(self, i: int) -> Superoperator:
-        p = self._proj[i]
+        p = self._embedded(i)
         return Superoperator(self.shape, conjugation_superoperator(p, p))
 
     def continue_superoperator(self) -> Superoperator:
-        mat = sum(conjugation_superoperator(c, c) for c in self._comp) / self.m
+        eye = np.eye(self.shape.dim)
+        comps = [eye - self._embedded(i) for i in range(self.m)]
+        mat = sum(conjugation_superoperator(c, c) for c in comps) / self.m
         return Superoperator(self.shape, mat)
 
     def refresh_superoperator(self, i: int) -> Superoperator:
+        self.shape.check_budget(config.SUPEROP_BUDGET_D)
         return Superoperator(
             self.shape, _channel_matrix(lambda op: self.refresh(i, op), self.shape)
         )
 
     def patch_superoperator(self, i: int) -> Superoperator:
-        c = self._comp[i]
+        c = np.eye(self.shape.dim) - self._embedded(i)
         mat = conjugation_superoperator(c, c) + (
             self.refresh_superoperator(i).matrix
             @ self.measure_superoperator(i).matrix
@@ -190,31 +228,55 @@ def build_channels(inst: QlllInstance) -> ChannelSet:
     return ChannelSet(inst)
 
 
-def _trace_norm(op: np.ndarray) -> float:
-    herm = (op + op.conj().T) / 2
-    return float(np.abs(np.linalg.eigvalsh(herm)).sum())
+class SeriesStartError(ValueError):
+    """An operator series was started from an operator that is not
+    Hermitian positive semidefinite."""
 
 
-def _sandwich_series(pick, step, start, context: str) -> np.ndarray:
-    """Sum pick(step^t(start)) over t >= 0.
+def _check_series_start(start: np.ndarray, context: str) -> None:
+    if not is_hermitian(start):
+        raise SeriesStartError(f"{context}: series start is not Hermitian")
+    lo = float(np.linalg.eigvalsh((start + start.conj().T) / 2)[0])
+    if lo < -OUTCOME_PSD_TOL:
+        raise SeriesStartError(
+            f"{context}: series start has eigenvalue {lo:.3e} < 0"
+        )
 
-    pick must annihilate the fixed points of step for the increments to decay;
+
+def _series_sums(picks: dict, step, start, context: str) -> dict:
+    """Sum pick(step^t(start)) over t >= 0 for every pick, on one shared run
+    of iterates step^t(start).
+
+    Every pick and step is a CP map and the start is checked Hermitian PSD,
+    so every increment is PSD and its trace is its trace norm: each sum stops
+    at its own first increment with trace below the series tolerance.  pick
+    must annihilate the fixed points of step for the increments to decay;
     every caller sandwiches with a measurement, which does exactly that.
     """
     s = np.asarray(start, dtype=complex)
-    acc = np.zeros_like(s)
-    term = None
+    _check_series_start(s, context)
+    acc = {key: np.zeros_like(s) for key in picks}
+    last = {}
+    open_keys = list(picks)
     for _ in range(config.SERIES_MAX_TERMS):
-        term = pick(s)
-        acc = acc + term
-        if _trace_norm(term) < config.SERIES_TRACE_TOL:
+        for key in open_keys:
+            term = picks[key](s)
+            acc[key] += term
+            last[key] = float(term.trace().real)
+        open_keys = [key for key in open_keys if last[key] >= config.SERIES_TRACE_TOL]
+        if not open_keys:
             return acc
         s = step(s)
+    still = "; ".join(f"{key}: last increment trace {last[key]:.3e}" for key in open_keys)
     raise RuntimeError(
         f"{context}: operator series did not converge within "
-        f"{config.SERIES_MAX_TERMS} terms; last increment trace norm "
-        f"{_trace_norm(term):.3e}"
+        f"{config.SERIES_MAX_TERMS} terms ({still})"
     )
+
+
+def _sandwich_series(pick, step, start, context: str) -> np.ndarray:
+    """Sum pick(step^t(start)) over t >= 0; see :func:`_series_sums`."""
+    return _series_sums({"series": pick}, step, start, context)["series"]
 
 
 def _check_id(inst: QlllInstance, a: int) -> int:
@@ -234,14 +296,7 @@ def halting_operator(
     """
     a = _check_id(inst, a)
     ch = channels if channels is not None else build_channels(inst)
-    D = inst.shape.dim
-    acc = _sandwich_series(
-        lambda s: ch.measure(a, s) / inst.m,
-        ch.continue_step,
-        np.eye(D) / D,
-        f"halting operator for id {a}",
-    )
-    return _outcome(acc, ("halt", a))
+    return ch.halting_operators()[a]
 
 
 def halting_operator_resolvent(
@@ -253,6 +308,7 @@ def halting_operator_resolvent(
     channel's fixed space, which the measurement sandwich annihilates anyway.
     """
     a = _check_id(inst, a)
+    inst.shape.check_budget(config.SUPEROP_BUDGET_D)
     ch = channels if channels is not None else build_channels(inst)
     D = inst.shape.dim
     t_mat = ch.continue_superoperator().matrix

@@ -32,49 +32,15 @@ import numpy as np
 from . import config
 from .instance import QlllInstance
 from .logs import ExecutionLog
-from .tensor import kernel_projector, make_rng, spawn_rng
+from .tensor import LocalPlan, kernel_projector, make_rng, spawn_rng
 from .witness import WitnessTree
 
 NORM_TOL = 1e-10
 
 
-class _LocalPlan:
-    """Axis bookkeeping for applying a k-local operator to flat states."""
-
-    def __init__(self, n: int, d: int, qudits: tuple):
-        rest = tuple(q for q in range(n) if q not in qudits)
-        self.k = len(qudits)
-        self.d = d
-        self.dk = d ** self.k
-        self.rest_dim = d ** (n - self.k)
-        self.fwd = tuple(qudits) + rest
-        self.inv = tuple(int(i) for i in np.argsort(self.fwd))
-        self.tensor = (d,) * n
-        self.local_powers = d ** np.arange(self.k - 1, -1, -1)
-
-    def to_front(self, state: np.ndarray) -> np.ndarray:
-        """Reshape a flat state to (dk, rest) with the event's qudits leading."""
-        arr = state.reshape(self.tensor).transpose(self.fwd)
-        return arr.reshape(self.dk, self.rest_dim)
-
-    def from_front(self, block: np.ndarray) -> np.ndarray:
-        return block.reshape(self.tensor).transpose(self.inv).reshape(-1)
-
-    def to_front_batch(self, states: np.ndarray) -> np.ndarray:
-        b = states.shape[0]
-        axes = (0,) + tuple(a + 1 for a in self.fwd)
-        arr = states.reshape((b,) + self.tensor).transpose(axes)
-        return arr.reshape(b, self.dk, self.rest_dim)
-
-    def from_front_batch(self, blocks: np.ndarray) -> np.ndarray:
-        b = blocks.shape[0]
-        axes = (0,) + tuple(a + 1 for a in self.inv)
-        return blocks.reshape((b,) + self.tensor).transpose(axes).reshape(b, -1)
-
-
 def _plans(inst: QlllInstance) -> list:
     n, d = inst.shape.n, inst.shape.d
-    return [_LocalPlan(n, d, p.qudits) for p in inst.projectors]
+    return [LocalPlan(n, d, p.qudits) for p in inst.projectors]
 
 
 def _random_basis_state(rng, n: int, d: int) -> np.ndarray:
@@ -85,7 +51,7 @@ def _random_basis_state(rng, n: int, d: int) -> np.ndarray:
     return state
 
 
-def _resample_front(post: np.ndarray, plan: _LocalPlan, rng) -> np.ndarray:
+def _resample_front(post: np.ndarray, plan: LocalPlan, rng) -> np.ndarray:
     """Collapse the leading (event) axis in the basis, then refill it fresh.
 
     post is a normalised (dk, rest) block.  Returns the new block.

@@ -11,6 +11,7 @@ Conventions, fixed project-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,107 @@ def partial_trace(op: np.ndarray, traced_qudits, shape: HilbertShape) -> np.ndar
         remaining -= 1
     dim = d ** remaining
     return tensor.reshape(dim, dim)
+
+
+class LocalPlan:
+    """Axis bookkeeping for applying a k-local operator on the register.
+
+    States reshape to (d^k, rest) blocks with the listed qudits leading, in
+    the order given.  Operators reshape to (d^k, rest * rest * d^k) blocks:
+    the listed qudits lead the row index and trail the column index, so a
+    local matrix acts on either side through one contiguous matrix product.
+    The remaining qudits keep register order on both sides.
+    """
+
+    def __init__(self, n: int, d: int, qudits: tuple):
+        self.qudits = tuple(qudits)
+        self.n = n
+        rest = tuple(q for q in range(n) if q not in self.qudits)
+        self.k = len(self.qudits)
+        self.d = d
+        self.dim = d ** n
+        self.dk = d ** self.k
+        self.rest_dim = d ** (n - self.k)
+        self.fwd = self.qudits + rest
+        self.inv = tuple(int(i) for i in np.argsort(self.fwd))
+        self.tensor = (d,) * n
+        self.local_powers = d ** np.arange(self.k - 1, -1, -1)
+
+    def to_front(self, state: np.ndarray) -> np.ndarray:
+        """Reshape a flat state to (dk, rest) with the event's qudits leading."""
+        arr = state.reshape(self.tensor).transpose(self.fwd)
+        return arr.reshape(self.dk, self.rest_dim)
+
+    def from_front(self, block: np.ndarray) -> np.ndarray:
+        return block.reshape(self.tensor).transpose(self.inv).reshape(-1)
+
+    def to_front_batch(self, states: np.ndarray) -> np.ndarray:
+        b = states.shape[0]
+        axes = (0,) + tuple(a + 1 for a in self.fwd)
+        arr = states.reshape((b,) + self.tensor).transpose(axes)
+        return arr.reshape(b, self.dk, self.rest_dim)
+
+    def from_front_batch(self, blocks: np.ndarray) -> np.ndarray:
+        b = blocks.shape[0]
+        axes = (0,) + tuple(a + 1 for a in self.inv)
+        return blocks.reshape((b,) + self.tensor).transpose(axes).reshape(b, -1)
+
+    # operator layout, built on first use: state-only plans stay cheap
+    @cached_property
+    def _op_perms(self):
+        n = self.n
+        rest = self.fwd[self.k:]
+        fwd = self.fwd + tuple(n + q for q in rest + self.qudits)
+        inv = tuple(int(i) for i in np.argsort(fwd))
+        return _merged_transpose(fwd, self.d), _merged_transpose(inv, self.d)
+
+    def op_to_local(self, op: np.ndarray) -> np.ndarray:
+        """Reshape a D x D operator to its (dk, rest * rest * dk) block."""
+        shape, axes = self._op_perms[0]
+        return np.asarray(op).reshape(shape).transpose(axes).reshape(self.dk, -1)
+
+    def op_from_local(self, block: np.ndarray) -> np.ndarray:
+        shape, axes = self._op_perms[1]
+        return block.reshape(shape).transpose(axes).reshape(self.dim, self.dim)
+
+
+def _merged_transpose(perm, size: int):
+    """Reshape and axis order equal to ``transpose(perm)`` on a tensor whose
+    axes all have length ``size``, with axes that stay adjacent merged.
+
+    Fewer, longer axes make the copy behind the transpose much cheaper.
+    """
+    runs = []
+    for a in perm:
+        if runs and runs[-1][-1] + 1 == a:
+            runs[-1].append(a)
+        else:
+            runs.append([a])
+    by_source = sorted(range(len(runs)), key=lambda i: runs[i][0])
+    shape = tuple(size ** len(runs[i]) for i in by_source)
+    where = {r: j for j, r in enumerate(by_source)}
+    return shape, tuple(where[i] for i in range(len(runs)))
+
+
+def sandwich_local(left: np.ndarray, op: np.ndarray, right: np.ndarray,
+                   plan: LocalPlan) -> np.ndarray:
+    """L op R for d^k x d^k matrices L, R acting on the plan's qudits.
+
+    Equal to embed(L) @ op @ embed(R) at O(D^2 d^k) cost instead of O(D^3).
+    """
+    block = left @ plan.op_to_local(op)
+    block = block.reshape(-1, plan.dk) @ right
+    return plan.op_from_local(block)
+
+
+def refill_mixed(reduced: np.ndarray, plan: LocalPlan) -> np.ndarray:
+    """reduced on the remaining qudits (register order), tensored with the
+    maximally mixed state on the plan's qudits, as a D x D operator."""
+    r = plan.rest_dim
+    block = np.zeros((plan.dk, r, r, plan.dk), dtype=complex)
+    diag = np.arange(plan.dk)
+    block[diag, :, :, diag] = np.asarray(reduced).reshape(r, r) / plan.dk
+    return plan.op_from_local(block)
 
 
 def vectorize(op: np.ndarray) -> np.ndarray:

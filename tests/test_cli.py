@@ -185,6 +185,61 @@ def test_witness_on_handwritten_log(tmp_path, capsys):
     assert result["galton_watson"] is None  # this family has no certificate
 
 
+def _cyclic_log(tmp_path, count):
+    log_path = tmp_path / "long_log.json"
+    entries = [[step, step % 3] for step in range(count)]
+    log_path.write_text(
+        json.dumps({"entries": entries, "total_steps": count, "seed": None})
+    )
+    return str(log_path)
+
+
+def test_witness_default_entry_past_dag_cap(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, diag3())
+    log_path = _cyclic_log(tmp_path, 25)
+    code, out, err = run_cli(
+        ["witness", "--instance", inst_path, "--log", log_path], capsys
+    )
+    assert code == 0, err
+    result = last_json(out)["result"]
+    assert result["entry"] == 24
+    assert result["tree"]["labels"][0] == 0  # label of entry 24
+    assert result["dag"] is None
+    assert result["dag_sequence_probability"] is None
+    assert result["dag_sequence_probability_exact"] is None
+    assert "25 violations" in result["dag_skipped"]
+
+
+def test_witness_dag_at_the_cap_is_reported(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, diag3())
+    log_path = _cyclic_log(tmp_path, 25)
+    code, out, _ = run_cli(
+        ["witness", "--instance", inst_path, "--log", log_path, "--entry", "19"],
+        capsys,
+    )
+    assert code == 0
+    result = last_json(out)["result"]
+    assert len(result["dag"]["labels"]) == 20
+    assert 0.0 < result["dag_sequence_probability"] <= 1.0
+    assert "dag_skipped" not in result
+
+
+def test_invariant_failure_exits_three(tmp_path, capsys, monkeypatch):
+    from qlll import config
+
+    monkeypatch.setattr(config, "SERIES_MAX_TERMS", 1)
+    path = write_instance(tmp_path, disjoint_pair())
+    code, out, err = run_cli(["oracle", "--instance", path, "--halting", "0"], capsys)
+    assert code == cli.EXIT_INVARIANT == 3
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: halting operators:")
+    assert "did not converge within 1 terms" in lines[0]
+    # the measured value: the last increment trace of the open ids
+    assert "id 0: last increment trace 2.500e-01" in lines[0]
+
+
 def test_witness_galton_watson_value(tmp_path, capsys):
     inst_path = write_instance(tmp_path, disjoint_pair())
     log_path = tmp_path / "log.json"

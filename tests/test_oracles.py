@@ -140,10 +140,26 @@ def test_patch_is_trace_preserving():
 
 
 def test_channel_budget_rejected():
+    # D = 128: the local channels run, the matrix forms and the resolvent
+    # stop at the superoperator budget
     events = [([q], Q1) for q in range(7)]
     inst = QlllInstance.build(7, 2, events)
-    with pytest.raises(ValueError):
-        build_channels(inst)
+    ch = build_channels(inst)
+    rho = np.eye(inst.shape.dim) / inst.shape.dim
+    assert abs(np.trace(ch.patch(0, rho)) - 1) < 1e-12
+    for form in (
+        lambda: ch.measure_superoperator(0),
+        lambda: ch.continue_superoperator(),
+        lambda: ch.refresh_superoperator(0),
+        lambda: ch.patch_superoperator(0),
+        lambda: halting_operator_resolvent(inst, 0, ch),
+    ):
+        with pytest.raises(ValueError, match="budget 64"):
+            form()
+    # D = 4096 is past the density budget
+    wide = QlllInstance.build(12, 2, [([q], Q1) for q in range(12)])
+    with pytest.raises(ValueError, match="budget 2048"):
+        build_channels(wide)
 
 
 def test_halting_single_projector_equality():
