@@ -77,7 +77,7 @@ from .quantum import (
     run_quantum_solver,
     run_trajectory_batch,
 )
-from .tensor import HilbertShape, make_rng, spawn_rng
+from .tensor import HilbertShape, make_rng
 from .witness import (
     ResampleDag,
     WitnessTree,

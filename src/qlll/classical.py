@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 
 from . import config
-from .instance import IntersectionGraph, LovaszCertificate
+from .instance import IntersectionGraph, LovaszCertificate, support_graph
 from .logs import ExecutionLog
 from .tensor import make_rng
+from .witness import expected_violations_bound
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,7 @@ def event_probability(inst: ClassicalInstance, i: int) -> float:
 
 
 def classical_intersection_graph(inst: ClassicalInstance) -> IntersectionGraph:
-    subsets = [set(ev.vars) for ev in inst.events]
-    neigh = tuple(
-        frozenset(j for j in range(inst.m) if j != i and subsets[i] & subsets[j])
-        for i in range(inst.m)
-    )
-    return IntersectionGraph(neigh)
+    return support_graph(ev.vars for ev in inst.events)
 
 
 @dataclass(frozen=True)
@@ -130,8 +126,8 @@ def solve_classical(
 def expected_resamples_bound(
     inst: ClassicalInstance, cert: LovaszCertificate
 ) -> float:
-    """Sum of x_i/(1-x_i) after verifying the certificate really covers the
-    event probabilities."""
+    """expected_violations_bound after verifying the certificate really
+    covers the event probabilities."""
     if len(cert.x) != inst.m:
         raise ValueError("certificate length does not match the instance")
     for i in range(inst.m):
@@ -141,9 +137,7 @@ def expected_resamples_bound(
             raise ValueError(
                 f"certificate does not cover event {i}: {p} > {budget}"
             )
-    if any(v >= 1.0 for v in cert.x):
-        raise ValueError("bound requires every x strictly below 1")
-    return sum(v / (1.0 - v) for v in cert.x)
+    return expected_violations_bound(cert)
 
 
 def instance_from_dimacs(text: str) -> ClassicalInstance:

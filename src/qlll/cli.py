@@ -17,7 +17,6 @@ import math
 import re
 import secrets
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -250,27 +249,15 @@ def _cmd_solve_quantum(cfg: RunConfig):
     inst = _load_instance(cfg.instance_path)
     if cfg.trajectories < 1:
         raise CliError("--trajectories must be positive")
-    jobs = cfg.options["jobs"]
-    if jobs < 1:
-        raise CliError("--jobs must be positive")
     steps = (
         cfg.max_steps
         if cfg.max_steps is not None
         else config.QUANTUM_STEPS_PER_PROJECTOR * inst.m
     )
-    child_seeds = [
-        int(s) for s in make_rng(cfg.seed).integers(0, 2**63 - 1, size=cfg.trajectories)
+    child_seeds = make_rng(cfg.seed).integers(0, 2**63 - 1, size=cfg.trajectories)
+    trajectories = [
+        run_quantum_solver(inst, int(s), max_steps=steps) for s in child_seeds
     ]
-
-    def run_one(child_seed):
-        return run_quantum_solver(inst, child_seed, max_steps=steps)
-
-    if jobs == 1:
-        trajectories = [run_one(s) for s in child_seeds]
-    else:
-        # map() keeps input order, so the report is independent of scheduling
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trajectories = list(pool.map(run_one, child_seeds))
 
     save_path = cfg.options["save_log"]
     if save_path is not None:
@@ -670,8 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", type=int, default=1)
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--save-log", default=None, metavar="FILE")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads; the report does not depend on this")
 
     p = sub.add_parser(
         "converge", parents=[common],
@@ -753,7 +738,7 @@ def parse_args(argv=None) -> RunConfig:
     seed = secrets.randbelow(2**32) if seed_was_random else ns.seed
     options = {}
     for key in (
-        "cnf", "max_resamples", "save_log", "jobs", "samples", "runs",
+        "cnf", "max_resamples", "save_log", "samples", "runs",
         "halting", "sequence", "cp_identities", "shortclaim",
         "log", "log_index", "entry", "a", "tree", "mode", "budget",
     ):

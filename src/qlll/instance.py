@@ -147,13 +147,27 @@ class IntersectionGraph:
         return self.neighbors[i] | {i}
 
 
+def support_graph(supports) -> IntersectionGraph:
+    """Events adjacent when their supports (qudits or variables) overlap.
+
+    Works from an element -> events index, so the cost grows with the
+    number of adjacent pairs rather than with all m^2 pairs.
+    """
+    supports = [tuple(s) for s in supports]
+    holders = {}
+    for i, sup in enumerate(supports):
+        for q in sup:
+            holders.setdefault(q, []).append(i)
+    # ids enter each set in increasing order, which fixes its iteration
+    # order and with it the rounding of products taken over a neighbourhood
+    return IntersectionGraph(tuple(
+        frozenset(sorted({j for q in sup for j in holders[q]} - {i}))
+        for i, sup in enumerate(supports)
+    ))
+
+
 def intersection_graph(inst: QlllInstance) -> IntersectionGraph:
-    subsets = [set(p.qudits) for p in inst.projectors]
-    neigh = tuple(
-        frozenset(j for j in range(inst.m) if j != i and subsets[i] & subsets[j])
-        for i in range(inst.m)
-    )
-    return IntersectionGraph(neigh)
+    return support_graph(p.qudits for p in inst.projectors)
 
 
 def relative_dimension(p: Projector, shape: HilbertShape) -> float:

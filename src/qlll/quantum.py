@@ -8,18 +8,27 @@ in the computational basis and then overwritten with fresh uniform basis
 values.  Averaged over trajectories this implements the trace-out-and-refill
 channel on the event's support.
 
+One collapse-and-refill step, _refill_rows, serves every engine.  The block
+step _measure_rows measures one event on a set of rows of a (B, D) state
+array and refills the violated rows through it.
+
 Entry points:
 
-- run_quantum_solver: one trajectory, scalar reference implementation.
-- run_trajectory_batch: many trajectories at once on (B, D) state arrays.
+- run_quantum_solver: one trajectory, scalar reference implementation with a
+  per-trajectory seed, log and optional outcome trace.  Its satisfied branch
+  is a scalar fast path; its violated branch refills through _refill_rows.
+- run_exact_solver: cyclic-order solver for commuting families that succeeds
+  once every event in a row comes out satisfied; scalar, like the above.
+- run_trajectory_batch: many trajectories at once on the block step.
   Statistically equivalent to the scalar path but consumes randomness in a
   different order, so individual trajectories differ for the same seed.
-- tau_check: witness-tree pass/fail experiment (resample the vertex support,
-  then measure the transposed projector, deepest vertices first).
 - run_converger: run for a uniformly random number of steps and average
-  violation probabilities and ground-space overlap over samples.
-- run_exact_solver: cyclic-order solver for commuting families that succeeds
-  once every event in a row comes out satisfied.
+  violation probabilities and ground-space overlap over samples.  Samples
+  run as rows of the block step, each stopping at its own time, and draw
+  from one random stream per call.
+- tau_check: witness-tree pass/fail experiment (resample the vertex support,
+  then measure the transposed projector, deepest vertices first).  Samples
+  run as rows that visit the vertices together, from one stream per call.
 """
 
 from __future__ import annotations
@@ -32,41 +41,94 @@ import numpy as np
 from . import config
 from .instance import QlllInstance
 from .logs import ExecutionLog
-from .tensor import LocalPlan, kernel_projector, make_rng, spawn_rng
+from .tensor import LocalPlan, kernel_projector, make_rng
 from .witness import WitnessTree
 
 NORM_TOL = 1e-10
 
 
-def _plans(inst: QlllInstance) -> list:
+def _events(inst: QlllInstance):
+    """Per-event axis plans and local projector matrices."""
     n, d = inst.shape.n, inst.shape.d
-    return [LocalPlan(n, d, p.qudits) for p in inst.projectors]
+    plans = [LocalPlan(n, d, p.qudits) for p in inst.projectors]
+    return plans, [p.local_matrix for p in inst.projectors]
 
 
-def _random_basis_state(rng, n: int, d: int) -> np.ndarray:
-    digits = rng.integers(0, d, size=n)
+def _basis_states(rng, B: int, n: int, d: int) -> np.ndarray:
+    """B uniformly random computational basis states as a (B, d^n) array."""
+    digits = rng.integers(0, d, size=(B, n))
     powers = d ** np.arange(n - 1, -1, -1)
-    state = np.zeros(d ** n, dtype=complex)
-    state[int(digits @ powers)] = 1.0
-    return state
+    states = np.zeros((B, d ** n), dtype=complex)
+    states[np.arange(B), digits @ powers] = 1.0
+    return states
 
 
-def _resample_front(post: np.ndarray, plan: LocalPlan, rng) -> np.ndarray:
-    """Collapse the leading (event) axis in the basis, then refill it fresh.
+def _refill_rows(post: np.ndarray, plan: LocalPlan, rng) -> np.ndarray:
+    """Collapse the event axis of each row in the basis, then refill it fresh.
 
-    post is a normalised (dk, rest) block.  Returns the new block.
+    post is a (B, dk, rest) stack of normalised blocks with the event's
+    qudits leading.  Returns the new stack.
     """
-    probs = (np.abs(post) ** 2).sum(axis=1)
-    total = probs.sum()
-    cum = np.cumsum(probs)
-    s = int(np.searchsorted(cum, rng.random() * total, side="right"))
-    s = min(s, plan.dk - 1)
-    row = post[s] / math.sqrt(probs[s])
-    digits = rng.integers(0, plan.d, size=plan.k)
-    fresh = int(digits @ plan.local_powers)
+    B = post.shape[0]
+    probs = (np.abs(post) ** 2).sum(axis=2)
+    cum = np.cumsum(probs, axis=1)
+    draws = rng.random(B) * cum[:, -1]
+    s = np.minimum((cum <= draws[:, None]).sum(axis=1), plan.dk - 1)
+    picked = np.arange(B)
+    row = post[picked, s, :] / np.sqrt(probs[picked, s])[:, None]
+    fresh = rng.integers(0, plan.d, size=(B, plan.k)) @ plan.local_powers
     out = np.zeros_like(post)
-    out[fresh] = row
+    out[picked, fresh, :] = row
     return out
+
+
+def _check_outcome(prob: float) -> None:
+    """Raise before renormalising by a vanishing outcome probability."""
+    if prob < 1e-28:
+        raise RuntimeError(
+            f"measurement outcome with vanishing probability {prob:.3e}"
+        )
+
+
+def _measure_rows(states, rows, plan: LocalPlan, local, rng) -> np.ndarray:
+    """Measure one event on states[rows] in place; returns the violated mask.
+
+    Satisfied rows are renormalised; violated rows are collapsed and refilled
+    on the event's qudits.
+    """
+    arr = plan.to_front_batch(states[rows])
+    proj = np.matmul(local, arr)
+    amp = np.clip((np.abs(proj) ** 2).sum(axis=(1, 2)), 0.0, 1.0)
+    hit = rng.random(rows.size) < amp
+    sat = ~hit
+    if sat.any():
+        remainder = 1.0 - amp[sat]
+        _check_outcome(float(remainder.min()))
+        keep = (arr[sat] - proj[sat]) / np.sqrt(remainder)[:, None, None]
+        states[rows[sat]] = plan.from_front_batch(keep)
+    if hit.any():
+        post = proj[hit] / np.sqrt(amp[hit])[:, None, None]
+        states[rows[hit]] = plan.from_front_batch(_refill_rows(post, plan, rng))
+    return hit
+
+
+def _event_weights(states, plans, locals_) -> np.ndarray:
+    """(B, m) array of |P_i psi|^2 for every row psi of states."""
+    out = np.empty((states.shape[0], len(plans)))
+    for i, (plan, local) in enumerate(zip(plans, locals_)):
+        proj = np.matmul(local, plan.to_front_batch(states))
+        out[:, i] = (np.abs(proj) ** 2).sum(axis=(1, 2))
+    return out
+
+
+def _kernel_weight(states, plans, locals_) -> np.ndarray:
+    """Squared norm of every row after projecting out each event in turn;
+    for a commuting family this is the overlap with the common kernel."""
+    cur = states
+    for plan, local in zip(plans, locals_):
+        arr = plan.to_front_batch(cur)
+        cur = plan.from_front_batch(arr - np.matmul(local, arr))
+    return (np.abs(cur) ** 2).sum(axis=1)
 
 
 def _measure_and_patch(state, plan, local, rng):
@@ -78,19 +140,27 @@ def _measure_and_patch(state, plan, local, rng):
     proj = local @ arr
     amp = min(max(float(np.vdot(proj, proj).real), 0.0), 1.0)
     if rng.random() < amp:
-        post = proj / math.sqrt(amp)
-        return True, plan.from_front(_resample_front(post, plan, rng))
+        post = proj[None] / math.sqrt(amp)
+        return True, plan.from_front(_refill_rows(post, plan, rng)[0])
     remainder = 1.0 - amp
-    if remainder < 1e-28:
-        raise RuntimeError("measurement outcome with vanishing probability")
+    _check_outcome(remainder)
     post = (arr - proj) / math.sqrt(remainder)
     return False, plan.from_front(post)
 
 
-def _check_norm(state: np.ndarray) -> None:
-    drift = abs(float(np.vdot(state, state).real) - 1.0)
+def _check_norm(states: np.ndarray) -> None:
+    """Raise when the state, or any row of a batch, is off unit norm."""
+    if states.ndim == 1:
+        drift = abs(float(np.vdot(states, states).real) - 1.0)
+    else:
+        drift = float(np.abs((np.abs(states) ** 2).sum(axis=1) - 1.0).max())
     if drift > NORM_TOL:
         raise RuntimeError(f"state norm drifted by {drift:.3e}")
+
+
+def _chunk_rows(dim: int) -> int:
+    """Rows per block that keep a (rows, dim) array within the batch budget."""
+    return max(1, config.BATCH_STATE_ENTRIES // dim)
 
 
 @dataclass(frozen=True)
@@ -120,9 +190,8 @@ def run_quantum_solver(
     if max_steps is None:
         max_steps = config.QUANTUM_STEPS_PER_PROJECTOR * m
     rng = make_rng(seed)
-    plans = _plans(inst)
-    locals_ = [p.local_matrix for p in inst.projectors]
-    state = _random_basis_state(rng, inst.shape.n, inst.shape.d)
+    plans, locals_ = _events(inst)
+    state = _basis_states(rng, 1, inst.shape.n, inst.shape.d)[0]
     entries = []
     trace = [] if record_outcomes else None
     steps_done = 0
@@ -157,7 +226,6 @@ class TrajectoryBatch:
     violations: np.ndarray
     first_labels: np.ndarray | None
     horizon_violations: dict
-    states: np.ndarray | None
     seed: int
     n_traj: int
     max_steps: int
@@ -172,8 +240,6 @@ def run_trajectory_batch(
     record_first: int = 0,
     stop_after_violations: int | None = None,
     horizons: tuple = (),
-    keep_states: bool = False,
-    freeze_settled: bool = True,
 ) -> TrajectoryBatch:
     """Run many trajectories at once on a (n_traj, D) amplitude array.
 
@@ -196,83 +262,44 @@ def run_trajectory_batch(
 
     m = inst.m
     rng = make_rng(seed)
-    d, n = shape.d, shape.n
     violations = np.zeros(n_traj, dtype=np.int64)
-    first = (
-        np.full((n_traj, record_first), -1, dtype=np.int16) if record_first else None
-    )
+    first = None
+    if record_first:
+        # signed, wide enough for the largest id m - 1 and the -1 padding
+        dtype = np.promote_types(np.int16, np.min_scalar_type(-max(m, 1)))
+        first = np.full((n_traj, record_first), -1, dtype=dtype)
     horizon_set = set(horizons)
     snapshots = {}
     if 0 in horizon_set:
         snapshots[0] = violations.copy()
 
-    digits = rng.integers(0, d, size=(n_traj, n))
-    powers = d ** np.arange(n - 1, -1, -1)
-    states = np.zeros((n_traj, shape.dim), dtype=complex)
-    states[np.arange(n_traj), digits @ powers] = 1.0
-
-    plans = _plans(inst)
-    locals_ = [p.local_matrix for p in inst.projectors]
-    active = np.ones(n_traj, dtype=bool)
-    if m == 0:
-        active[:] = False
+    states = _basis_states(rng, n_traj, shape.n, shape.d)
+    plans, locals_ = _events(inst)
+    active = np.full(n_traj, m > 0)
 
     for step in range(max_steps):
         if not active.any():
             break
         ids = rng.integers(0, m, size=n_traj)
         act_idx = np.flatnonzero(active)
+        act_ids = ids[act_idx]
         for i in range(m):
-            rows = act_idx[ids[act_idx] == i]
+            rows = act_idx[act_ids == i]
             if rows.size == 0:
                 continue
-            plan, local = plans[i], locals_[i]
-            arr = plan.to_front_batch(states[rows])
-            proj = np.matmul(local, arr)
-            amp = np.clip((np.abs(proj) ** 2).sum(axis=(1, 2)), 0.0, 1.0)
-            hit = rng.random(rows.size) < amp
+            vrows = rows[_measure_rows(states, rows, plans[i], locals_[i], rng)]
+            if first is not None:
+                slot = violations[vrows]
+                fill = slot < record_first
+                first[vrows[fill], slot[fill]] = i
+            violations[vrows] += 1
+            if stop_after_violations is not None:
+                done = violations[vrows] >= stop_after_violations
+                active[vrows[done]] = False
 
-            sat = ~hit
-            if sat.any():
-                denom = np.sqrt(np.maximum(1.0 - amp[sat], 1e-300))
-                keep = (arr[sat] - proj[sat]) / denom[:, None, None]
-                states[rows[sat]] = plan.from_front_batch(keep)
-
-            if hit.any():
-                post = proj[hit] / np.sqrt(amp[hit])[:, None, None]
-                probs = (np.abs(post) ** 2).sum(axis=2)
-                cum = np.cumsum(probs, axis=1)
-                draws = rng.random(post.shape[0]) * cum[:, -1]
-                s = np.minimum((cum <= draws[:, None]).sum(axis=1), plan.dk - 1)
-                picked = np.arange(post.shape[0])
-                row = post[picked, s, :] / np.sqrt(probs[picked, s])[:, None]
-                fresh_digits = rng.integers(0, d, size=(post.shape[0], plan.k))
-                fresh = fresh_digits @ plan.local_powers
-                out = np.zeros_like(post)
-                out[picked, fresh, :] = row
-                states[rows[hit]] = plan.from_front_batch(out)
-
-                vrows = rows[hit]
-                if first is not None:
-                    slot = violations[vrows]
-                    fill = slot < record_first
-                    first[vrows[fill], slot[fill]] = i
-                violations[vrows] += 1
-                if stop_after_violations is not None:
-                    done = violations[vrows] >= stop_after_violations
-                    active[vrows[done]] = False
-
-        if (
-            freeze_settled
-            and (step + 1) % config.BATCH_FREEZE_EVERY == 0
-            and active.any()
-        ):
+        if (step + 1) % config.BATCH_FREEZE_EVERY == 0 and active.any():
             act = np.flatnonzero(active)
-            weight = np.zeros(act.size)
-            for i in range(m):
-                arr = plans[i].to_front_batch(states[act])
-                proj = np.matmul(locals_[i], arr)
-                weight += (np.abs(proj) ** 2).sum(axis=(1, 2))
+            weight = _event_weights(states[act], plans, locals_).sum(axis=1)
             active[act[weight < config.BATCH_FREEZE_TOL]] = False
 
         if (step + 1) in horizon_set:
@@ -282,16 +309,11 @@ def run_trajectory_batch(
         if h not in snapshots:
             snapshots[h] = violations.copy()
 
-    sample = states[: min(n_traj, 64)]
-    norms = (np.abs(sample) ** 2).sum(axis=1)
-    if np.abs(norms - 1.0).max() > NORM_TOL:
-        raise RuntimeError("batch state norms drifted")
-
+    _check_norm(states)
     return TrajectoryBatch(
         violations=violations,
         first_labels=first,
         horizon_violations=snapshots,
-        states=states if keep_states else None,
         seed=seed,
         n_traj=n_traj,
         max_steps=max_steps,
@@ -317,28 +339,29 @@ def tau_check(
             raise ValueError(f"tree label {lab} outside instance range")
     depths = tree.depths()
     order = sorted(range(len(tree.labels)), key=lambda v: (-depths[v], v))
-    plans = _plans(inst)
-    transposed = [p.local_matrix.T for p in inst.projectors]
+    plans, locals_ = _events(inst)
+    transposed = [local.T for local in locals_]
 
     rng = make_rng(seed)
+    n, d = inst.shape.n, inst.shape.d
+    chunk = _chunk_rows(inst.shape.dim)
     passes = 0
-    for _ in range(samples):
-        state = _random_basis_state(rng, inst.shape.n, inst.shape.d)
-        ok = True
+    for lo in range(0, samples, chunk):
+        states = _basis_states(rng, min(chunk, samples - lo), n, d)
+        live = np.arange(states.shape[0])
         for v in order:
+            if live.size == 0:
+                break
             lab = tree.labels[v]
             plan = plans[lab]
-            arr = plan.to_front(state)
-            arr = _resample_front(arr, plan, rng)
-            proj = transposed[lab] @ arr
-            amp = min(max(float(np.vdot(proj, proj).real), 0.0), 1.0)
-            if rng.random() < amp:
-                state = plan.from_front(proj / math.sqrt(amp))
-            else:
-                ok = False
-                break
-        if ok:
-            passes += 1
+            arr = _refill_rows(plan.to_front_batch(states[live]), plan, rng)
+            proj = np.matmul(transposed[lab], arr)
+            amp = np.clip((np.abs(proj) ** 2).sum(axis=(1, 2)), 0.0, 1.0)
+            hit = rng.random(live.size) < amp
+            live = live[hit]
+            post = proj[hit] / np.sqrt(amp[hit])[:, None, None]
+            states[live] = plan.from_front_batch(post)
+        passes += live.size
     return passes / samples
 
 
@@ -354,27 +377,16 @@ class ConvergerResult:
 
 
 def _ground_overlap_fn(inst: QlllInstance, plans, locals_):
-    """Returns state -> overlap with the common kernel of all events."""
+    """Returns states -> per-row overlap with the common kernel of all events."""
     if inst.is_commuting():
-        def overlap(state):
-            cur = state
-            for plan, local in zip(plans, locals_):
-                arr = plan.to_front(cur)
-                cur = plan.from_front(arr - local @ arr)
-            return float(np.vdot(cur, cur).real)
-
-        return overlap
+        return lambda states: _kernel_weight(states, plans, locals_)
 
     inst.shape.check_budget(config.DENSITY_BUDGET_D)
     total = np.zeros((inst.shape.dim, inst.shape.dim), dtype=complex)
     for i in range(inst.m):
         total += inst.embedded(i)
     p0 = kernel_projector(total)
-
-    def overlap(state):
-        return float(np.vdot(state, p0 @ state).real)
-
-    return overlap
+    return lambda states: (states.conj() * (states @ p0.T)).sum(axis=1).real
 
 
 def run_converger(
@@ -392,27 +404,26 @@ def run_converger(
     if samples < 1:
         raise ValueError("samples must be positive")
     m = inst.m
-    plans = _plans(inst)
-    locals_ = [p.local_matrix for p in inst.projectors]
+    plans, locals_ = _events(inst)
     overlap = _ground_overlap_fn(inst, plans, locals_)
 
-    master = make_rng(seed)
-    taus = master.integers(0, t + 1, size=samples)
+    rng = make_rng(seed)
+    taus = rng.integers(0, t + 1, size=samples)
+    chunk = _chunk_rows(inst.shape.dim)
     acc = np.zeros(m)
     acc_ground = 0.0
-    for idx in range(samples):
-        rng = spawn_rng(seed, idx)
-        state = _random_basis_state(rng, inst.shape.n, inst.shape.d)
-        for _ in range(int(taus[idx])):
-            if m == 0:
-                break
-            i = int(rng.integers(0, m))
-            _, state = _measure_and_patch(state, plans[i], locals_[i], rng)
-        for i in range(m):
-            arr = plans[i].to_front(state)
-            proj = locals_[i] @ arr
-            acc[i] += float(np.vdot(proj, proj).real)
-        acc_ground += overlap(state)
+    for lo in range(0, samples, chunk):
+        tau = taus[lo:lo + chunk]
+        states = _basis_states(rng, tau.size, inst.shape.n, inst.shape.d)
+        for step in range(int(tau.max()) if m else 0):
+            live = np.flatnonzero(tau > step)
+            ids = rng.integers(0, m, size=live.size)
+            for i in range(m):
+                rows = live[ids == i]
+                if rows.size:
+                    _measure_rows(states, rows, plans[i], locals_[i], rng)
+        acc += _event_weights(states, plans, locals_).sum(axis=0)
+        acc_ground += float(overlap(states).sum())
     return ConvergerResult(
         mean_violation_prob=np.clip(acc / samples, 0.0, 1.0),
         ground_overlap=min(max(acc_ground / samples, 0.0), 1.0),
@@ -469,10 +480,9 @@ def run_exact_solver(
     if not inst.is_commuting():
         raise ValueError("the exact solver requires a commuting family")
 
-    plans = _plans(inst)
-    locals_ = [p.local_matrix for p in inst.projectors]
+    plans, locals_ = _events(inst)
     rng = make_rng(seed)
-    state = _random_basis_state(rng, inst.shape.n, inst.shape.d)
+    state = _basis_states(rng, 1, inst.shape.n, inst.shape.d)[0]
     cap = cfg.iteration_cap(m)
     entries = []
     consecutive = 0
@@ -491,11 +501,7 @@ def run_exact_solver(
         it += 1
     success = consecutive == m
     if success and m > 0:
-        cur = state
-        for plan, local in zip(plans, locals_):
-            arr = plan.to_front(cur)
-            cur = plan.from_front(arr - local @ arr)
-        if float(np.vdot(cur, cur).real) < 1.0 - 1e-8:
+        if _kernel_weight(state[None], plans, locals_)[0] < 1.0 - 1e-8:
             raise RuntimeError("successful run left the common kernel")
     log = ExecutionLog(tuple(entries), total_steps=it, seed=seed)
     return ExactRunResult(success, Trajectory(state, log, None, seed))

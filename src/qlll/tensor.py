@@ -137,7 +137,7 @@ class LocalPlan:
     def from_front_batch(self, blocks: np.ndarray) -> np.ndarray:
         b = blocks.shape[0]
         axes = (0,) + tuple(a + 1 for a in self.inv)
-        return blocks.reshape((b,) + self.tensor).transpose(axes).reshape(b, -1)
+        return blocks.reshape((b,) + self.tensor).transpose(axes).reshape(b, self.dim)
 
     # operator layout, built on first use: state-only plans stay cheap
     @cached_property
@@ -269,9 +269,3 @@ def kernel_projector(op: np.ndarray, tol: float = config.KERNEL_EIG_TOL) -> np.n
 def make_rng(seed) -> np.random.Generator:
     """Counter-based generator; one seed fixes the whole stream."""
     return np.random.Generator(np.random.Philox(seed))
-
-
-def spawn_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent per-trajectory stream, stable under any scheduling order."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(seq))

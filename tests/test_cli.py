@@ -127,17 +127,6 @@ def test_solve_quantum_deterministic(tmp_path, capsys):
     assert out2 == out
 
 
-def test_solve_quantum_jobs_match(tmp_path, capsys):
-    path = write_instance(tmp_path, disjoint_pair())
-    base = [
-        "solve-quantum", "--instance", path, "--seed", "11",
-        "--trajectories", "4", "--max-steps", "30",
-    ]
-    _, serial, _ = run_cli(base + ["--jobs", "1"], capsys)
-    _, threaded, _ = run_cli(base + ["--jobs", "3"], capsys)
-    assert serial == threaded
-
-
 def test_save_log_then_witness(tmp_path, capsys):
     inst_path = write_instance(tmp_path, diag3())
     log_path = str(tmp_path / "runs.json")

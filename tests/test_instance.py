@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlll.instance import (
     IntersectionGraph,
@@ -18,6 +20,7 @@ from qlll.instance import (
     random_rank_projector,
     relative_dimension,
     spectral_report,
+    support_graph,
     symmetric_condition,
 )
 from qlll.tensor import HilbertShape, kernel_projector, make_rng
@@ -365,6 +368,25 @@ def test_digest_sensitive_to_content():
     a = counterexample_events(0.25)
     b = counterexample_events(0.26)
     assert instance_digest(a) != instance_digest(b)
+
+
+def _pairwise_neighbors(supports):
+    sets = [set(s) for s in supports]
+    return tuple(
+        frozenset(j for j in range(len(sets)) if j != i and sets[i] & sets[j])
+        for i in range(len(sets))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=4, unique=True),
+                max_size=12))
+def test_support_graph_matches_pairwise(supports):
+    got = support_graph(supports).neighbors
+    want = _pairwise_neighbors(supports)
+    assert got == want
+    # same iteration order too, so products over a neighbourhood round alike
+    assert [list(s) for s in got] == [list(s) for s in want]
 
 
 def test_intersection_graph_type():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from qlll import bench
 from qlll.instance import QlllInstance, basis_projector, intersection_graph
 from qlll.quantum import (
     ExactSolverConfig,
+    _check_norm,
     run_converger,
     run_exact_solver,
     run_quantum_solver,
@@ -27,6 +29,24 @@ def disjoint_pair():
 def zero_instance():
     z = np.zeros((2, 2))
     return QlllInstance.build(2, 2, [([0], z), ([1], z)])
+
+
+def entangled_chain():
+    """Three non-commuting events on three qubits with a one-dimensional
+    common kernel: a Bell-type state on (0, 1), |+>|1> on (1, 2), |+> on 2."""
+    s = 1 / np.sqrt(2)
+    bell = np.outer([0, s, s, 0], [0, s, s, 0])
+    plus = np.full((2, 2), 0.5)
+    plus_one = np.kron(plus, np.diag([0.0, 1.0]))
+    return QlllInstance.build(3, 2, [((0, 1), bell), ((1, 2), plus_one), ((2,), plus)])
+
+
+def basis_chain():
+    """Commuting counterpart: |11> on (0, 1) and (1, 2), |0> on 2."""
+    p11 = basis_projector(4, [3])
+    return QlllInstance.build(
+        3, 2, [((0, 1), p11), ((1, 2), p11), ((2,), basis_projector(2, [0]))]
+    )
 
 
 def test_zero_projectors_empty_log():
@@ -92,6 +112,26 @@ def test_commuting_satisfied_stays_satisfied():
                 last_ok[pid] = True
 
 
+# outcome traces recorded before the block step existed: the scalar stream
+# (draw order and arithmetic) must not change
+PINNED_TRACES = {
+    0: ("010122220212102110202200022201111001212112022200",
+        "....xxxx.x.x...................................."),
+    3: ("002210020112021212122222102000111010221101112122",
+        "x.xxx..x..............................x........."),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_TRACES))
+def test_scalar_outcome_stream_is_pinned(seed):
+    traj = run_quantum_solver(
+        entangled_chain(), seed=seed, max_steps=48, record_outcomes=True
+    )
+    ids = "".join(str(i) for i, _ in traj.outcome_trace)
+    hits = "".join("x" if hit else "." for _, hit in traj.outcome_trace)
+    assert (ids, hits) == PINNED_TRACES[seed]
+
+
 def test_budget_rejected():
     big = QlllInstance.build(16, 2, [([0], Q1)])
     with pytest.raises(ValueError):
@@ -133,6 +173,29 @@ def test_batch_first_labels():
     fresh = batch.violations == 0
     if fresh.any():
         assert (batch.first_labels[fresh] == -1).all()
+
+
+def test_batch_first_labels_hold_large_ids():
+    # ids above 32767 used to wrap negative in an int16 array
+    m = 2 ** 15 + 1
+    inst = QlllInstance.build(8, 2, [((i % 8,), Q1) for i in range(m)])
+    batch = run_trajectory_batch(
+        inst, seed=3, n_traj=64, max_steps=200, record_first=1,
+        stop_after_violations=1,
+    )
+    first = batch.first_labels
+    assert np.iinfo(first.dtype).max >= m - 1
+    assert (batch.violations == 1).all()
+    assert (first >= 0).all() and (first < m).all()
+
+
+def test_batch_norm_check_covers_every_row():
+    states = np.zeros((100, 4), dtype=complex)
+    states[:, 0] = 1.0
+    _check_norm(states)
+    states[99, 0] = 1.001
+    with pytest.raises(RuntimeError, match="drifted by 2.00"):
+        _check_norm(states)
 
 
 def test_batch_mean_bound_single_projector():
@@ -194,6 +257,32 @@ def test_converger_ground_overlap_pair():
     result = run_converger(inst, seed=11, t=16, samples=4000)
     assert result.ground_overlap >= 1 - eps - 3 * np.sqrt(eps / 4000)
     assert result.samples == 4000 and result.t == 16
+
+
+@pytest.mark.parametrize("make", [basis_chain, entangled_chain])
+def test_converger_matches_channel_average(make):
+    # tau uniform on 0..t: the converger estimates the mean over tau of the
+    # averaged channel applied tau times to I/D
+    inst = make()
+    t, samples = 8, 4000
+    dim = inst.shape.dim
+    series = bench.cp_map_iterate(inst, np.eye(dim) / dim, t)
+    result = run_converger(inst, seed=21, t=t, samples=samples)
+    sigma = 0.5 / np.sqrt(samples)  # conservative for [0, 1] observables
+    expect = series.violation_probs.mean(axis=0)
+    assert np.abs(result.mean_violation_prob - expect).max() < 3 * sigma
+    assert abs(result.ground_overlap - series.ground_overlap.mean()) < 3 * sigma
+
+
+def test_converger_and_tau_check_deterministic_in_seed():
+    inst = entangled_chain()
+    a = run_converger(inst, seed=4, t=6, samples=300)
+    b = run_converger(inst, seed=4, t=6, samples=300)
+    assert np.array_equal(a.mean_violation_prob, b.mean_violation_prob)
+    assert a.ground_overlap == b.ground_overlap
+    tree = tree_from_nested((1, ((0, ()),)))
+    rates = {tau_check(tree, inst, seed=s, samples=500) for s in (5, 5, 5)}
+    assert len(rates) == 1
 
 
 def test_exact_solver_single_projector():

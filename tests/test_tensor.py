@@ -237,9 +237,4 @@ def test_rng_streams_are_deterministic_and_independent():
     a = make_rng(5).random(4)
     b = make_rng(5).random(4)
     assert np.allclose(a, b)
-    from qlll.tensor import spawn_rng
-
-    t0 = spawn_rng(5, 0).random(4)
-    t1 = spawn_rng(5, 1).random(4)
-    assert not np.allclose(t0, t1)
-    assert np.allclose(t0, spawn_rng(5, 0).random(4))
+    assert not np.allclose(a, make_rng(6).random(4))
