@@ -95,6 +95,16 @@ class ConvergenceSeries:
                 raise ValueError("recorded probabilities must lie in [0, 1]")
 
 
+def _readout(inst: QlllInstance, p0, rho) -> tuple:
+    """tr(p0 rho) and the array of tr(P_i rho) over the events.
+
+    tr(A rho) = <A, rho> for Hermitian A: elementwise, no matrix product.
+    """
+    ground = float(np.vdot(p0, rho).real)
+    viols = np.array([np.vdot(inst.embedded(i), rho).real for i in range(inst.m)])
+    return ground, viols
+
+
 def cp_map_iterate(
     inst: QlllInstance, rho0, t_max: int
 ) -> ConvergenceSeries:
@@ -109,16 +119,8 @@ def cp_map_iterate(
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     rho = _check_density(rho0, inst.shape.dim)
-    rep = spectral_report(inst)
-    projs = [inst.embedded(i) for i in range(inst.m)]
-
-    # tr(A rho) = <A, rho> for Hermitian A: elementwise, no matrix product
-    def snapshot(state):
-        ground = float(np.vdot(rep.p0, state).real)
-        viols = [float(np.vdot(p, state).real) for p in projs]
-        return ground, viols
-
-    ground, viols = snapshot(rho)
+    p0 = spectral_report(inst).p0
+    ground, viols = _readout(inst, p0, rho)
     overlaps = [ground]
     rows = [viols]
     for _ in range(t_max):
@@ -126,7 +128,7 @@ def cp_map_iterate(
         for i in range(inst.m):
             nxt += chans.patch(i, rho)
         rho = nxt / inst.m
-        ground, viols = snapshot(rho)
+        ground, viols = _readout(inst, p0, rho)
         if ground < overlaps[-1] - OVERLAP_MONOTONE_TOL:
             raise RuntimeError(
                 f"ground overlap decreased from {overlaps[-1]} to {ground}"
@@ -460,12 +462,10 @@ def convergence_metrics(rho, inst: QlllInstance) -> dict:
     """
     rho = _check_density(rho, inst.shape.dim)
     rep = spectral_report(inst)
-    viols = np.array(
-        [float(np.trace(inst.embedded(i) @ rho).real) for i in range(inst.m)]
-    )
+    ground, viols = _readout(inst, rep.p0, rho)
     weak = float(viols.max())
-    strong = 1.0 - float(np.trace(rep.p0 @ rho).real)
-    gap = rep.delta if rep.ground_dim > 0 else rep.ground_energy
+    strong = 1.0 - ground
+    gap = rep.gap
     if gap >= config.GAP_VACUOUS_TOL:
         ceiling = float(viols.mean()) / gap
         if strong > ceiling + METRIC_SLACK_TOL:
@@ -477,10 +477,10 @@ def convergence_metrics(rho, inst: QlllInstance) -> dict:
 
 
 def certified_commuting_corpus(
-    count: int, seed, *, epsilon: float = 0.0, max_qudits: int = 3,
-    max_events: int = 4,
+    count: int, seed, *, epsilon: float = 0.0, max_events: int = 4
 ):
-    """Random diagonal-event instances paired with verified certificates.
+    """Random diagonal-event instances on two or three qubits, paired with
+    verified certificates.
 
     Draws are retried until the fixed-point search certifies the instance,
     so every returned pair passes check_lovasz at the requested epsilon.
@@ -494,7 +494,7 @@ def certified_commuting_corpus(
         attempts += 1
         if attempts > 200 * count:
             raise RuntimeError("corpus generation keeps failing certification")
-        n = int(rng.integers(2, max_qudits + 1))
+        n = int(rng.integers(2, 4))
         m = int(rng.integers(2, max_events + 1))
         events = []
         for _ in range(m):
@@ -514,18 +514,17 @@ def certified_commuting_corpus(
     return out
 
 
-def random_instance_corpus(
-    count: int, seed, *, max_qudits: int = 3, max_events: int = 5
-):
+def random_instance_corpus(count: int, seed):
     """Mixed bag for bound sweeps: alternating diagonal-event instances and
-    dense random-projector ones, on at most max_qudits qubits."""
+    dense random-projector ones, with two or three qubits and one to five
+    events."""
     if count < 1:
         raise ValueError("count must be positive")
     rng = make_rng(seed)
     out = []
     for idx in range(count):
-        n = int(rng.integers(2, max_qudits + 1))
-        m = int(rng.integers(1, max_events + 1))
+        n = int(rng.integers(2, 4))
+        m = int(rng.integers(1, 6))
         events = []
         for _ in range(m):
             k = int(rng.integers(1, min(2, n) + 1))

@@ -39,7 +39,6 @@ from .oracles import (
     first_violation_gap_bound,
     halting_operator,
     halting_operator_resolvent,
-    process_gap,
     sequence_operator,
     shortclaim_suite,
     verify_cp_identities,
@@ -219,7 +218,7 @@ def _cmd_gap(cfg: RunConfig):
         "delta": rep.delta,
         "ground_dim": rep.ground_dim,
         "ground_energy": rep.ground_energy,
-        "process_gap": process_gap(inst),
+        "process_gap": rep.gap,
     }
     return EXIT_OK, instance_digest(inst), result, None
 
@@ -565,7 +564,7 @@ def _cmd_cpmap(cfg: RunConfig):
             raise CliError("provide --t or --epsilon")
         if not 0.0 < cfg.epsilon < 1.0:
             raise CliError("--epsilon must lie strictly between 0 and 1")
-        gap = process_gap(inst)
+        gap = spectral_report(inst).gap
         if gap < config.GAP_VACUOUS_TOL:
             raise CliError(
                 "the averaged violation weight has no usable gap; give --t explicitly"

@@ -4,7 +4,9 @@ An instance is a list of local projectors, each marking the *bad* subspace of
 the qudits it acts on.  This module owns the intersection structure between
 events, relative dimensions, Lovasz-condition checking with the epsilon
 strengthening, certificate search, and the spectral summary (gap, kernel
-projector) used by the convergence analyses.
+projector) used by the convergence analyses.  spectral_report is the only
+place the averaged Hamiltonian and its kernel projector are built; the summary
+is computed once per instance, kept on it and shared read-only by every caller.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ class QlllInstance:
         self.shape = shape
         self.projectors = tuple(projectors)
         self._embedded = {}
+        self._spectral = None
         self._commuting = None
         for i, p in enumerate(self.projectors):
             if p.id != i:
@@ -288,10 +291,22 @@ class SpectralReport:
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
 
+    @property
+    def gap(self) -> float:
+        """Least average violation weight over states outside the good space:
+        the gap when that space is nonempty, else the bottom of the spectrum."""
+        return self.delta if self.ground_dim > 0 else self.ground_energy
+
 
 def spectral_report(inst: QlllInstance) -> SpectralReport:
     """Eigenvalues of H, the gap to the second distinct level, and the
-    projector onto the zero eigenspace (the good subspace, when it exists)."""
+    projector onto the zero eigenspace (the good subspace, when it exists).
+
+    Computed on the first call and kept on the instance; its arrays are
+    read-only because every caller shares them.
+    """
+    if inst._spectral is not None:
+        return inst._spectral
     if inst.m == 0:
         raise ValueError("spectral report needs at least one projector")
     inst.shape.check_budget(config.DENSITY_BUDGET_D)
@@ -316,13 +331,16 @@ def spectral_report(inst: QlllInstance) -> SpectralReport:
             if np.abs(inst.embedded(i) @ p0).max() > 1e-8:
                 raise RuntimeError("kernel projector is not annihilated by every event")
     if (
-        inst.commutation_status == "commuting"
-        and ground_dim
+        ground_dim
         and np.abs(ev - 1.0 / inst.m).min() < config.EIG_DISTINCT_TOL
         and abs(delta - 1.0 / inst.m) > 1e-8
+        and inst.is_commuting()
     ):
         raise RuntimeError("commuting instance should have gap 1/m here")
-    return SpectralReport(ev, delta, ground_dim, p0)
+    ev.setflags(write=False)
+    p0.setflags(write=False)
+    inst._spectral = SpectralReport(ev, delta, ground_dim, p0)
+    return inst._spectral
 
 
 def basis_projector(dim: int, states) -> np.ndarray:

@@ -139,10 +139,13 @@ class ChannelSet:
         c = self._local_comp[i]
         return sandwich_local(c, op, c, self._plans[i])
 
-    def continue_step(self, op: np.ndarray) -> np.ndarray:
+    def continue_step(self, op: np.ndarray, absorbed: frozenset = frozenset()) -> np.ndarray:
+        """One step that did not end the stage: ids in ``absorbed`` are
+        patched (a violation resamples them and the process goes on), the
+        rest contribute their satisfied branch."""
         out = np.zeros(op.shape, dtype=complex)
         for i in range(self.m):
-            out += self.complement(i, op)
+            out += self.patch(i, op) if i in absorbed else self.complement(i, op)
         return out / self.m
 
     def refresh(self, i: int, op: np.ndarray) -> np.ndarray:
@@ -319,16 +322,15 @@ def halting_operator_resolvent(
 
 
 def sequence_operator(
-    inst: QlllInstance,
-    ids,
-    channels: ChannelSet | None = None,
-    limit: int = config.SEQUENCE_MAX_LEN,
+    inst: QlllInstance, ids, channels: ChannelSet | None = None
 ) -> OutcomeOperator:
     """Unnormalized state after the first ``len(ids)`` violations are exactly
     ``ids`` in order, each followed by its resampling refresh."""
     ids = tuple(_check_id(inst, a) for a in ids)
-    if len(ids) > limit:
-        raise ValueError(f"sequence of {len(ids)} ids exceeds the cap {limit}")
+    if len(ids) > config.SEQUENCE_MAX_LEN:
+        raise ValueError(
+            f"sequence of {len(ids)} ids exceeds the cap {config.SEQUENCE_MAX_LEN}"
+        )
     ch = channels if channels is not None else build_channels(inst)
     D = inst.shape.dim
     state = np.eye(D, dtype=complex) / D
@@ -357,10 +359,11 @@ def _report_entry(lemma, *, passed, residual=None, slack_min=None, seeds=(), ski
     return entry
 
 
-def _disjoint_groups(inst: QlllInstance, max_size: int = 3):
+def _disjoint_groups(inst: QlllInstance):
+    """Every group of one to three mutually disjoint events."""
     graph = intersection_graph(inst)
     groups = [(i,) for i in range(inst.m)]
-    for size in range(2, max_size + 1):
+    for size in (2, 3):
         for combo in combinations(range(inst.m), size):
             if all(b not in graph.gamma(a) for a, b in combinations(combo, 2)):
                 groups.append(combo)
@@ -488,8 +491,7 @@ def process_gap(inst: QlllInstance) -> float:
     With a nonempty good subspace this is the spectral gap; without one it is
     the bottom of the spectrum.
     """
-    rep = spectral_report(inst)
-    return rep.delta if rep.ground_dim > 0 else rep.ground_energy
+    return spectral_report(inst).gap
 
 
 def first_violation_gap_bound(
@@ -641,17 +643,9 @@ def partial_dag_channel_bound(inst: QlllInstance, relevant_ids, irrelevant_sets)
     m = inst.m
     state = np.eye(D, dtype=complex) / D
     for i, a in enumerate(ids):
-        gap = sets[i]
-
-        def cont(s, gap=gap):
-            out = np.zeros_like(s)
-            for j in range(m):
-                out += ch.patch(j, s) if j in gap else ch.complement(j, s)
-            return out / m
-
         acc = _sandwich_series(
             lambda s: ch.measure(a, s) / m,
-            cont,
+            lambda s: ch.continue_step(s, sets[i]),
             state,
             f"partial sequence {ids} stage {i}",
         )
@@ -700,17 +694,13 @@ def traced_continuation_bound(inst: QlllInstance, set_ids, gap_ids) -> dict:
     p = np.eye(D, dtype=complex)
     for i in ids:
         p = p @ inst.embedded(i)
-    gap_set = frozenset(gap)
-
-    def cont(s):
-        out = np.zeros_like(s)
-        for j in range(m):
-            out += ch.patch(j, s) if j in gap_set else ch.complement(j, s)
-        return out / m
-
+    absorbed = frozenset(gap)
     eye = np.eye(D) / D
     acc = _sandwich_series(
-        lambda s: p @ s @ p / m, cont, eye, f"traced bound {ids}"
+        lambda s: p @ s @ p / m,
+        lambda s: ch.continue_step(s, absorbed),
+        eye,
+        f"traced bound {ids}",
     )
     rhs = p @ eye @ p / k
     qudits = sorted({q for x in gap for q in inst.projectors[x].qudits})

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .instance import QlllInstance
+from .instance import QlllInstance, spectral_report
 from .logs import ExecutionLog
-from .tensor import LocalPlan, kernel_projector, make_rng
+from .tensor import LocalPlan, make_rng
 from .witness import WitnessTree
 
 NORM_TOL = 1e-10
@@ -182,7 +182,6 @@ def run_quantum_solver(
     seed: int,
     max_steps: int | None = None,
     record_outcomes: bool = False,
-    stop_after_violations: int | None = None,
 ) -> Trajectory:
     """Run one trajectory of the uniform measure-and-resample process."""
     inst.shape.check_budget(config.state_budget_d())
@@ -194,23 +193,16 @@ def run_quantum_solver(
     state = _basis_states(rng, 1, inst.shape.n, inst.shape.d)[0]
     entries = []
     trace = [] if record_outcomes else None
-    steps_done = 0
-    if m > 0:
-        for step in range(max_steps):
-            i = int(rng.integers(0, m))
-            violated, state = _measure_and_patch(state, plans[i], locals_[i], rng)
-            _check_norm(state)
-            if trace is not None:
-                trace.append((i, violated))
-            if violated:
-                entries.append((step, i))
-            steps_done = step + 1
-            if (
-                stop_after_violations is not None
-                and len(entries) >= stop_after_violations
-            ):
-                break
-    log = ExecutionLog(tuple(entries), total_steps=steps_done, seed=seed)
+    steps = max_steps if m > 0 else 0
+    for step in range(steps):
+        i = int(rng.integers(0, m))
+        violated, state = _measure_and_patch(state, plans[i], locals_[i], rng)
+        _check_norm(state)
+        if trace is not None:
+            trace.append((i, violated))
+        if violated:
+            entries.append((step, i))
+    log = ExecutionLog(tuple(entries), total_steps=steps, seed=seed)
     return Trajectory(state, log, tuple(trace) if trace is not None else None, seed)
 
 
@@ -283,10 +275,8 @@ def run_trajectory_batch(
         ids = rng.integers(0, m, size=n_traj)
         act_idx = np.flatnonzero(active)
         act_ids = ids[act_idx]
-        for i in range(m):
+        for i in np.unique(act_ids):
             rows = act_idx[act_ids == i]
-            if rows.size == 0:
-                continue
             vrows = rows[_measure_rows(states, rows, plans[i], locals_[i], rng)]
             if first is not None:
                 slot = violations[vrows]
@@ -380,12 +370,7 @@ def _ground_overlap_fn(inst: QlllInstance, plans, locals_):
     """Returns states -> per-row overlap with the common kernel of all events."""
     if inst.is_commuting():
         return lambda states: _kernel_weight(states, plans, locals_)
-
-    inst.shape.check_budget(config.DENSITY_BUDGET_D)
-    total = np.zeros((inst.shape.dim, inst.shape.dim), dtype=complex)
-    for i in range(inst.m):
-        total += inst.embedded(i)
-    p0 = kernel_projector(total)
+    p0 = spectral_report(inst).p0
     return lambda states: (states.conj() * (states @ p0.T)).sum(axis=1).real
 
 
@@ -418,10 +403,8 @@ def run_converger(
         for step in range(int(tau.max()) if m else 0):
             live = np.flatnonzero(tau > step)
             ids = rng.integers(0, m, size=live.size)
-            for i in range(m):
-                rows = live[ids == i]
-                if rows.size:
-                    _measure_rows(states, rows, plans[i], locals_[i], rng)
+            for i in np.unique(ids):
+                _measure_rows(states, live[ids == i], plans[i], locals_[i], rng)
         acc += _event_weights(states, plans, locals_).sum(axis=0)
         acc_ground += float(overlap(states).sum())
     return ConvergerResult(

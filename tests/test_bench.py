@@ -360,6 +360,25 @@ def test_metrics_maximally_mixed():
     assert abs(out["strong"] - (1.0 - 0.25)) < 1e-12  # ground space is 2 of 8
 
 
+def test_metrics_match_dense_trace_reference():
+    # three random rank-1 2-local events on three qubits (rank 2 each on the
+    # register): a kernel of dimension at least 2, and no two events commute
+    rng = make_rng(57)
+    inst = QlllInstance.build(3, 2, [
+        (sup, random_rank_projector(4, 1, rng)) for sup in ((0, 1), (1, 2), (0, 2))
+    ])
+    assert not inst.is_commuting()
+    p0 = spectral_report(inst).p0
+    assert spectral_report(inst).ground_dim >= 2
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    out = bench.convergence_metrics(rho, inst)
+    viols = [np.trace(inst.embedded(i) @ rho).real for i in range(inst.m)]
+    assert abs(out["weak"] - max(viols)) < 1e-12
+    assert abs(out["strong"] - (1.0 - np.trace(p0 @ rho).real)) < 1e-12
+
+
 def test_metrics_reject_bad_density():
     inst = single_event()
     with pytest.raises(ValueError):

@@ -120,9 +120,12 @@ def test_local_patch_and_continue_match_dense(case):
         p = inst.embedded(i)
         c = np.eye(D) - p
         cont += c @ op @ c / inst.m
-        want = c @ op @ c + dense_refresh(p @ op @ p, proj.qudits, inst.shape)
-        assert np.abs(ch.patch(i, op) - want).max() < TOL
+        refreshed = dense_refresh(p @ op @ p, proj.qudits, inst.shape)
+        assert np.abs(ch.patch(i, op) - (c @ op @ c + refreshed)).max() < TOL
     assert np.abs(ch.continue_step(op) - cont).max() < TOL
+    # absorbing the last id adds its refreshed violated branch to the step
+    absorbed = ch.continue_step(op, frozenset({inst.m - 1}))
+    assert np.abs(absorbed - (cont + refreshed / inst.m)).max() < TOL
 
 
 def test_local_channels_match_matrix_forms():

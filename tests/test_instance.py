@@ -284,6 +284,15 @@ def test_spectral_report_p0_annihilated():
         assert np.abs(inst.embedded(i) @ rep.p0).max() < 1e-8
 
 
+def test_spectral_report_is_kept_and_read_only():
+    inst = bad_event_pair()
+    rep = spectral_report(inst)
+    assert spectral_report(inst) is rep
+    for arr in (rep.p0, rep.eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_spectral_gap_variational_form():
     # random states orthogonal to the kernel average at least delta violation
     inst = bad_event_pair()

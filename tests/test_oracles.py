@@ -6,6 +6,7 @@ from qlll.instance import (
     basis_projector,
     intersection_graph,
     random_rank_projector,
+    spectral_report,
 )
 from qlll.oracles import (
     OutcomeOperator,
@@ -14,6 +15,7 @@ from qlll.oracles import (
     halting_operator,
     halting_operator_resolvent,
     partial_dag_channel_bound,
+    process_gap,
     sequence_operator,
     shortclaim_suite,
     traced_continuation_bound,
@@ -322,6 +324,19 @@ def test_gap_bound_vacuous_for_zero_projector():
     assert report["gap_bound"]["vacuous"]
     assert report["gap_bound"]["pass"] is None
     assert report["dimension_bound"]["pass"]
+
+
+@pytest.mark.parametrize("build, gap, ground_dim", [
+    # both basis states of one qubit are bad: no kernel, H = I/2
+    (lambda: QlllInstance.build(1, 2, [([0], Q0), ([0], Q1)]), 0.5, 0),
+    (diag3, 1.0 / 3.0, 2),
+], ids=["frustrated", "unfrustrated"])
+def test_process_gap_reads_the_spectral_report(build, gap, ground_dim):
+    inst = build()
+    rep = spectral_report(inst)
+    assert rep.ground_dim == ground_dim
+    assert process_gap(inst) == rep.gap
+    assert abs(rep.gap - gap) < 1e-12
 
 
 def test_shortclaim_single_basis_projector():
