@@ -34,6 +34,7 @@ from .instance import QlllInstance, intersection_graph, spectral_report
 from .tensor import (
     HilbertShape,
     LocalPlan,
+    LocalPlans,
     conjugation_superoperator,
     devectorize,
     embed,
@@ -115,7 +116,8 @@ class ChannelSet:
 
     Every sandwich and refresh acts on its event's qudits only, at
     O(D^2 d^k) per application for a k-local event; no dense embedded
-    projector is kept.  Dense matrix forms are built on demand within the
+    projector is kept.  Events that share a support share one layout,
+    built on first use.  Dense matrix forms are built on demand within the
     superoperator budget.  The halting operators of all ids come from one
     shared continue series on first request and are kept.
     """
@@ -125,19 +127,22 @@ class ChannelSet:
         self.instance = inst
         self.shape = inst.shape
         self.m = inst.m
-        n, d = inst.shape.n, inst.shape.d
-        self._plans = [LocalPlan(n, d, p.qudits) for p in inst.projectors]
+        self._layouts = LocalPlans(inst.shape.n, inst.shape.d)
         self._local = [p.local_matrix for p in inst.projectors]
         self._local_comp = [np.eye(len(p)) - p for p in self._local]
+        self._halting_sums = None
         self._halting = None
+
+    def _plan(self, i: int) -> LocalPlan:
+        return self._layouts[self.instance.projectors[i].qudits]
 
     def measure(self, i: int, op: np.ndarray) -> np.ndarray:
         p = self._local[i]
-        return sandwich_local(p, op, p, self._plans[i])
+        return sandwich_local(p, op, p, self._plan(i))
 
     def complement(self, i: int, op: np.ndarray) -> np.ndarray:
         c = self._local_comp[i]
-        return sandwich_local(c, op, c, self._plans[i])
+        return sandwich_local(c, op, c, self._plan(i))
 
     def continue_step(self, op: np.ndarray, absorbed: frozenset = frozenset()) -> np.ndarray:
         """One step that did not end the stage: ids in ``absorbed`` are
@@ -149,12 +154,12 @@ class ChannelSet:
         return out / self.m
 
     def refresh(self, i: int, op: np.ndarray) -> np.ndarray:
-        return self._refill(self._plans[i], op)
+        return self._refill(self._plan(i), op)
 
     def refresh_set(self, ids, op: np.ndarray) -> np.ndarray:
         """Trace out the union of the listed supports, refill maximally mixed."""
         qudits = sorted({q for i in ids for q in self.instance.projectors[i].qudits})
-        return self._refill(LocalPlan(self.shape.n, self.shape.d, qudits), op)
+        return self._refill(self._layouts[tuple(qudits)], op)
 
     def _refill(self, plan: LocalPlan, op: np.ndarray) -> np.ndarray:
         return refill_mixed(partial_trace(op, plan.qudits, self.shape), plan)
@@ -163,13 +168,13 @@ class ChannelSet:
         """Absorb one id's violation: keep the satisfied branch, resample the rest."""
         return self.complement(i, op) + self.refresh(i, self.measure(i, op))
 
-    def halting_operators(self) -> list:
-        """Halting operator of every id, from one run of the continue series.
+    def halting_sums(self) -> list:
+        """Every id's halting series sum, from one run of the continue series.
 
         Each id's sum stops at its own first negligible increment, so it
         equals the sum a series for that id alone would return.
         """
-        if self._halting is None:
+        if self._halting_sums is None:
             D = self.shape.dim
             sums = _series_sums(
                 {f"id {a}": (lambda s, a=a: self.measure(a, s) / self.m)
@@ -178,8 +183,14 @@ class ChannelSet:
                 np.eye(D) / D,
                 "halting operators",
             )
+            self._halting_sums = [sums[f"id {a}"] for a in range(self.m)]
+        return self._halting_sums
+
+    def halting_operators(self) -> list:
+        """Halting operator of every id, from halting_sums; kept."""
+        if self._halting is None:
             self._halting = [
-                _outcome(sums[f"id {a}"], ("halt", a)) for a in range(self.m)
+                _outcome(op, ("halt", a)) for a, op in enumerate(self.halting_sums())
             ]
         return self._halting
 
@@ -325,7 +336,11 @@ def sequence_operator(
     inst: QlllInstance, ids, channels: ChannelSet | None = None
 ) -> OutcomeOperator:
     """Unnormalized state after the first ``len(ids)`` violations are exactly
-    ``ids`` in order, each followed by its resampling refresh."""
+    ``ids`` in order, each followed by its resampling refresh.
+
+    Stage 0 starts from I/D, so its sum is the halting series sum of
+    ids[0], read from the channel set's one shared halting pass.
+    """
     ids = tuple(_check_id(inst, a) for a in ids)
     if len(ids) > config.SEQUENCE_MAX_LEN:
         raise ValueError(
@@ -335,12 +350,15 @@ def sequence_operator(
     D = inst.shape.dim
     state = np.eye(D, dtype=complex) / D
     for pos, a in enumerate(ids):
-        acc = _sandwich_series(
-            lambda s: ch.measure(a, s) / inst.m,
-            ch.continue_step,
-            state,
-            f"sequence {ids} stage {pos}",
-        )
+        if pos == 0:
+            acc = ch.halting_sums()[a]
+        else:
+            acc = _sandwich_series(
+                lambda s: ch.measure(a, s) / inst.m,
+                ch.continue_step,
+                state,
+                f"sequence {ids} stage {pos}",
+            )
         state = ch.refresh(a, acc)
     return _outcome(state, ("sequence",) + ids)
 

@@ -10,7 +10,24 @@ channel on the event's support.
 
 One collapse-and-refill step, _refill_rows, serves every engine.  The block
 step _measure_rows measures one event on a set of rows of a (B, D) state
-array and refills the violated rows through it.
+array and refills the violated rows through it.  It costs what its rows need:
+
+- layout: a block of rows is laid out with the event's qudits leading across
+  the whole block, as a (d^k, B * rest) matrix (tensor.LocalPlan), so one
+  2-D matrix product applies the event to every row.  Events that share a
+  support share one layout, built on first use.
+- factor: each event is measured through its range factor V (d^k x rank,
+  P = V V^dag), built the first time its id is drawn and checked against P
+  at 1e-12.  A row's weight is |V^dag psi|^2, read only from the amplitudes
+  on the local basis states where V is nonzero; P psi = V (V^dag psi) is
+  formed only for rows that change.
+- zero-weight rule: a satisfied row of weight exactly 0 already equals
+  (I - P) psi / sqrt(1 - 0) and is not written back.
+- live rows: run_trajectory_batch keeps an index of the rows still running,
+  draws one id per live row each step and groups the rows by id with one
+  stable argsort; rows leave the index when they reach
+  stop_after_violations or when the freeze sweep (one product per distinct
+  support) finds their total bad-event weight negligible.
 
 Entry points:
 
@@ -35,23 +52,98 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import config
 from .instance import QlllInstance, spectral_report
 from .logs import ExecutionLog
-from .tensor import LocalPlan, make_rng
+from .tensor import LocalPlan, LocalPlans, make_rng
 from .witness import WitnessTree
 
 NORM_TOL = 1e-10
 
 
-def _events(inst: QlllInstance):
-    """Per-event axis plans and local projector matrices."""
-    n, d = inst.shape.n, inst.shape.d
-    plans = [LocalPlan(n, d, p.qudits) for p in inst.projectors]
-    return plans, [p.local_matrix for p in inst.projectors]
+def _nonzero_states(a: np.ndarray):
+    """Local basis states where the square matrix a has a nonzero row or
+    column, or None when that is all of them."""
+    nz = a != 0
+    keep = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+    return None if keep.size == a.shape[0] else keep
+
+
+class _Factor(NamedTuple):
+    """An event's range factor v (d^k x rank, P = v v^dag), the local basis
+    states keep where v is nonzero (None: all of them), and vh = v^dag on
+    those states only, so a weight reads only the amplitudes there."""
+
+    v: np.ndarray
+    vh: np.ndarray
+    keep: np.ndarray | None
+
+
+def _range_factor(proj) -> _Factor:
+    """The projector's range factor, checked against its matrix at 1e-12.
+
+    The eigendecomposition runs on the nonzero rows and columns of P only,
+    so v is exactly zero elsewhere and a state with no amplitude on P's
+    nonzero states has weight exactly 0.
+    """
+    p = proj.local_matrix
+    keep = _nonzero_states(p)
+    evals, evecs = np.linalg.eigh(p if keep is None else p[np.ix_(keep, keep)])
+    vk = evecs[:, evals > 0.5]
+    v = vk
+    if keep is not None:
+        v = np.zeros((p.shape[0], vk.shape[1]), dtype=complex)
+        v[keep] = vk
+    drift = float(np.abs(v @ v.conj().T - p).max(initial=0.0))
+    if drift > 1e-12:
+        raise ValueError(
+            f"projector {proj.id}: range factor misses the matrix by {drift:.3e}"
+        )
+    return _Factor(np.ascontiguousarray(v), np.ascontiguousarray(vk.conj().T), keep)
+
+
+class _Events:
+    """Layouts and range factors of an instance's events, built on first use:
+    one LocalPlan per distinct support, one factor per id drawn."""
+
+    def __init__(self, inst: QlllInstance):
+        self.projectors = inst.projectors
+        self.m = inst.m
+        self.layouts = LocalPlans(inst.shape.n, inst.shape.d)
+        self._factors = {}
+        self._support_sums = None
+
+    def plan(self, i: int) -> LocalPlan:
+        return self.layouts[self.projectors[i].qudits]
+
+    def local(self, i: int) -> np.ndarray:
+        return self.projectors[i].local_matrix
+
+    def factor(self, i: int) -> _Factor:
+        f = self._factors.get(i)
+        if f is None:
+            f = self._factors[i] = _range_factor(self.projectors[i])
+        return f
+
+    def support_sums(self) -> list:
+        """(plan, keep, H) for each distinct support: H is the sum of the
+        local matrices of its events, restricted to its nonzero states keep
+        (None: all), so a total weight takes one product per support."""
+        if self._support_sums is None:
+            sums = {}
+            for p in self.projectors:
+                sums[p.qudits] = sums.get(p.qudits, 0) + p.local_matrix
+            self._support_sums = []
+            for qudits, h in sums.items():
+                keep = _nonzero_states(h)
+                if keep is not None:
+                    h = h[np.ix_(keep, keep)]
+                self._support_sums.append((self.layouts[qudits], keep, h))
+        return self._support_sums
 
 
 def _basis_states(rng, B: int, n: int, d: int) -> np.ndarray:
@@ -66,19 +158,19 @@ def _basis_states(rng, B: int, n: int, d: int) -> np.ndarray:
 def _refill_rows(post: np.ndarray, plan: LocalPlan, rng) -> np.ndarray:
     """Collapse the event axis of each row in the basis, then refill it fresh.
 
-    post is a (B, dk, rest) stack of normalised blocks with the event's
+    post is a (dk, B, rest) stack of B normalised blocks with the event's
     qudits leading.  Returns the new stack.
     """
-    B = post.shape[0]
+    B = post.shape[1]
     probs = (np.abs(post) ** 2).sum(axis=2)
-    cum = np.cumsum(probs, axis=1)
-    draws = rng.random(B) * cum[:, -1]
-    s = np.minimum((cum <= draws[:, None]).sum(axis=1), plan.dk - 1)
+    cum = np.cumsum(probs, axis=0)
+    draws = rng.random(B) * cum[-1]
+    s = np.minimum((cum <= draws).sum(axis=0), plan.dk - 1)
     picked = np.arange(B)
-    row = post[picked, s, :] / np.sqrt(probs[picked, s])[:, None]
+    row = post[s, picked, :] / np.sqrt(probs[s, picked])[:, None]
     fresh = rng.integers(0, plan.d, size=(B, plan.k)) @ plan.local_powers
     out = np.zeros_like(post)
-    out[picked, fresh, :] = row
+    out[fresh, picked, :] = row
     return out
 
 
@@ -90,44 +182,87 @@ def _check_outcome(prob: float) -> None:
         )
 
 
-def _measure_rows(states, rows, plan: LocalPlan, local, rng) -> np.ndarray:
+def _row_weights(c: np.ndarray, B: int, rest: int) -> np.ndarray:
+    """Squared norm per row of a (r, B * rest) block."""
+    f = c.view(np.float64)
+    return (f * f).reshape(c.shape[0], B, 2 * rest).sum(axis=(0, 2))
+
+
+def _measure_rows(states, rows, plan: LocalPlan, factor: _Factor, rng) -> np.ndarray:
     """Measure one event on states[rows] in place; returns the violated mask.
 
-    Satisfied rows are renormalised; violated rows are collapsed and refilled
-    on the event's qudits.
+    A row's weight is w = |V^dag psi|^2 with P = V V^dag, read from the
+    amplitudes on the states where V is nonzero.  Satisfied rows become
+    (I - P) psi / sqrt(1 - w), except rows of weight exactly 0, which
+    already are and are not written back; violated rows become
+    P psi / sqrt(w), built from V^dag psi, and are collapsed and refilled on
+    the event's qudits.
     """
-    arr = plan.to_front_batch(states[rows])
-    proj = np.matmul(local, arr)
-    amp = np.clip((np.abs(proj) ** 2).sum(axis=(1, 2)), 0.0, 1.0)
-    hit = rng.random(rows.size) < amp
-    sat = ~hit
-    if sat.any():
-        remainder = 1.0 - amp[sat]
+    B, dk, rest = rows.size, plan.dk, plan.rest_dim
+    x = plan.gather(states, rows, factor.keep)
+    c = factor.vh @ x
+    w = np.minimum(_row_weights(c, B, rest), 1.0)
+    hit = rng.random(B) < w
+    c = c.reshape(c.shape[0], B, rest)
+    sat = np.flatnonzero(~hit & (w > 0.0))
+    if sat.size:
+        remainder = 1.0 - w[sat]
         _check_outcome(float(remainder.min()))
-        keep = (arr[sat] - proj[sat]) / np.sqrt(remainder)[:, None, None]
-        states[rows[sat]] = plan.from_front_batch(keep)
-    if hit.any():
-        post = proj[hit] / np.sqrt(amp[hit])[:, None, None]
-        states[rows[hit]] = plan.from_front_batch(_refill_rows(post, plan, rng))
+        if factor.keep is None:
+            block = x.reshape(dk, B, rest)[:, sat]
+        else:
+            block = plan.gather(states, rows[sat]).reshape(dk, sat.size, rest)
+        block -= (factor.v @ c[:, sat].reshape(c.shape[0], -1)).reshape(block.shape)
+        block /= np.sqrt(remainder)[:, None]
+        states[rows[sat]] = plan.from_front(block.reshape(dk, -1))
+    vio = np.flatnonzero(hit)
+    if vio.size:
+        post = (factor.v @ c[:, vio].reshape(c.shape[0], -1)).reshape(dk, vio.size, rest)
+        post /= np.sqrt(w[vio])[:, None]
+        states[rows[vio]] = plan.from_front(_refill_rows(post, plan, rng).reshape(dk, -1))
     return hit
 
 
-def _event_weights(states, plans, locals_) -> np.ndarray:
+def _groups(ids: np.ndarray):
+    """(id, positions) for each distinct id in increasing id order, from one
+    stable argsort; the positions of one id stay in increasing order."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    cuts = (np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [ids.size]):
+        yield int(sorted_ids[lo]), order[lo:hi]
+
+
+def _event_weights(states, events: _Events) -> np.ndarray:
     """(B, m) array of |P_i psi|^2 for every row psi of states."""
-    out = np.empty((states.shape[0], len(plans)))
-    for i, (plan, local) in enumerate(zip(plans, locals_)):
-        proj = np.matmul(local, plan.to_front_batch(states))
-        out[:, i] = (np.abs(proj) ** 2).sum(axis=(1, 2))
+    rows = np.arange(states.shape[0])
+    out = np.empty((rows.size, events.m))
+    for i in range(events.m):
+        plan, f = events.plan(i), events.factor(i)
+        c = f.vh @ plan.gather(states, rows, f.keep)
+        out[:, i] = _row_weights(c, rows.size, plan.rest_dim)
     return out
 
 
-def _kernel_weight(states, plans, locals_) -> np.ndarray:
+def _total_weight(states, rows, events: _Events) -> np.ndarray:
+    """sum_i <psi|P_i|psi> for every row psi of states[rows], one product
+    per distinct support."""
+    total = np.zeros(rows.size)
+    for plan, keep, h in events.support_sums():
+        y = plan.gather(states, rows, keep)
+        quad = (y.conj() * (h @ y)).real
+        total += quad.reshape(y.shape[0], rows.size, plan.rest_dim).sum(axis=(0, 2))
+    return total
+
+
+def _kernel_weight(states, events: _Events) -> np.ndarray:
     """Squared norm of every row after projecting out each event in turn;
     for a commuting family this is the overlap with the common kernel."""
     cur = states
-    for plan, local in zip(plans, locals_):
-        arr = plan.to_front_batch(cur)
-        cur = plan.from_front_batch(arr - np.matmul(local, arr))
+    for i in range(events.m):
+        plan = events.plan(i)
+        x = plan.to_front(cur)
+        cur = plan.from_front(x - events.local(i) @ x)
     return (np.abs(cur) ** 2).sum(axis=1)
 
 
@@ -136,16 +271,17 @@ def _measure_and_patch(state, plan, local, rng):
 
     Returns (violated, new flat state).
     """
-    arr = plan.to_front(state)
+    arr = plan.to_front(state[None])
     proj = local @ arr
     amp = min(max(float(np.vdot(proj, proj).real), 0.0), 1.0)
     if rng.random() < amp:
-        post = proj[None] / math.sqrt(amp)
-        return True, plan.from_front(_refill_rows(post, plan, rng)[0])
+        post = proj[:, None, :] / math.sqrt(amp)
+        block = _refill_rows(post, plan, rng).reshape(plan.dk, -1)
+        return True, plan.from_front(block)[0]
     remainder = 1.0 - amp
     _check_outcome(remainder)
     post = (arr - proj) / math.sqrt(remainder)
-    return False, plan.from_front(post)
+    return False, plan.from_front(post)[0]
 
 
 def _check_norm(states: np.ndarray) -> None:
@@ -189,14 +325,14 @@ def run_quantum_solver(
     if max_steps is None:
         max_steps = config.QUANTUM_STEPS_PER_PROJECTOR * m
     rng = make_rng(seed)
-    plans, locals_ = _events(inst)
+    events = _Events(inst)
     state = _basis_states(rng, 1, inst.shape.n, inst.shape.d)[0]
     entries = []
     trace = [] if record_outcomes else None
     steps = max_steps if m > 0 else 0
     for step in range(steps):
         i = int(rng.integers(0, m))
-        violated, state = _measure_and_patch(state, plans[i], locals_[i], rng)
+        violated, state = _measure_and_patch(state, events.plan(i), events.local(i), rng)
         _check_norm(state)
         if trace is not None:
             trace.append((i, violated))
@@ -236,8 +372,9 @@ def run_trajectory_batch(
     """Run many trajectories at once on a (n_traj, D) amplitude array.
 
     Rows that reached stop_after_violations, or whose total bad-event weight
-    has dropped to (numerical) zero, are frozen and skipped; frozen rows keep
-    their counts, which makes long horizons cheap on converging instances.
+    has dropped to (numerical) zero, are frozen: they leave the live-row index
+    and keep their counts, which makes long horizons cheap on converging
+    instances.  Each step draws one id per live row.
     """
     shape = inst.shape
     shape.check_budget(config.state_budget_d())
@@ -248,6 +385,8 @@ def run_trajectory_batch(
             f"batch of {n_traj} states of dimension {shape.dim} exceeds the "
             f"{config.BATCH_STATE_ENTRIES} amplitude budget; split into chunks"
         )
+    if stop_after_violations is not None and stop_after_violations < 1:
+        raise ValueError("stop_after_violations must be positive")
     for h in horizons:
         if not 0 <= h <= max_steps:
             raise ValueError(f"horizon {h} outside [0, {max_steps}]")
@@ -266,32 +405,26 @@ def run_trajectory_batch(
         snapshots[0] = violations.copy()
 
     states = _basis_states(rng, n_traj, shape.n, shape.d)
-    plans, locals_ = _events(inst)
-    active = np.full(n_traj, m > 0)
+    events = _Events(inst)
+    live = np.arange(n_traj if m > 0 else 0)
 
     for step in range(max_steps):
-        if not active.any():
+        if live.size == 0:
             break
-        ids = rng.integers(0, m, size=n_traj)
-        act_idx = np.flatnonzero(active)
-        act_ids = ids[act_idx]
-        for i in np.unique(act_ids):
-            rows = act_idx[act_ids == i]
-            vrows = rows[_measure_rows(states, rows, plans[i], locals_[i], rng)]
+        ids = rng.integers(0, m, size=live.size)
+        for i, at in _groups(ids):
+            rows = live[at]
+            vrows = rows[_measure_rows(states, rows, events.plan(i), events.factor(i), rng)]
             if first is not None:
                 slot = violations[vrows]
                 fill = slot < record_first
                 first[vrows[fill], slot[fill]] = i
             violations[vrows] += 1
-            if stop_after_violations is not None:
-                done = violations[vrows] >= stop_after_violations
-                active[vrows[done]] = False
-
-        if (step + 1) % config.BATCH_FREEZE_EVERY == 0 and active.any():
-            act = np.flatnonzero(active)
-            weight = _event_weights(states[act], plans, locals_).sum(axis=1)
-            active[act[weight < config.BATCH_FREEZE_TOL]] = False
-
+        if stop_after_violations is not None:
+            live = live[violations[live] < stop_after_violations]
+        if (step + 1) % config.BATCH_FREEZE_EVERY == 0 and live.size:
+            weight = _total_weight(states, live, events)
+            live = live[weight >= config.BATCH_FREEZE_TOL]
         if (step + 1) in horizon_set:
             snapshots[step + 1] = violations.copy()
 
@@ -329,8 +462,7 @@ def tau_check(
             raise ValueError(f"tree label {lab} outside instance range")
     depths = tree.depths()
     order = sorted(range(len(tree.labels)), key=lambda v: (-depths[v], v))
-    plans, locals_ = _events(inst)
-    transposed = [local.T for local in locals_]
+    events = _Events(inst)
 
     rng = make_rng(seed)
     n, d = inst.shape.n, inst.shape.d
@@ -340,17 +472,23 @@ def tau_check(
         states = _basis_states(rng, min(chunk, samples - lo), n, d)
         live = np.arange(states.shape[0])
         for v in order:
+            lab = tree.labels[v]
+            plan = events.plan(lab)
+            # P^T = conj(V) V^T: measure through V^T, project with conj(V)
+            factor = events.factor(lab).v
+            B = live.size
+            x = _refill_rows(plan.to_front(states[live]).reshape(plan.dk, B, -1), plan, rng)
+            c = factor.T @ x.reshape(plan.dk, -1)
+            w = np.minimum(_row_weights(c, B, plan.rest_dim), 1.0)
+            hit = rng.random(B) < w
+            live = live[hit]
             if live.size == 0:
                 break
-            lab = tree.labels[v]
-            plan = plans[lab]
-            arr = _refill_rows(plan.to_front_batch(states[live]), plan, rng)
-            proj = np.matmul(transposed[lab], arr)
-            amp = np.clip((np.abs(proj) ** 2).sum(axis=(1, 2)), 0.0, 1.0)
-            hit = rng.random(live.size) < amp
-            live = live[hit]
-            post = proj[hit] / np.sqrt(amp[hit])[:, None, None]
-            states[live] = plan.from_front_batch(post)
+            r = factor.shape[1]
+            c = c.reshape(r, B, plan.rest_dim)[:, hit].reshape(r, -1)
+            post = (factor.conj() @ c).reshape(plan.dk, -1, plan.rest_dim)
+            post /= np.sqrt(w[hit])[:, None]
+            states[live] = plan.from_front(post.reshape(plan.dk, -1))
         passes += live.size
     return passes / samples
 
@@ -366,10 +504,10 @@ class ConvergerResult:
     seed: int
 
 
-def _ground_overlap_fn(inst: QlllInstance, plans, locals_):
+def _ground_overlap_fn(inst: QlllInstance, events: _Events):
     """Returns states -> per-row overlap with the common kernel of all events."""
     if inst.is_commuting():
-        return lambda states: _kernel_weight(states, plans, locals_)
+        return lambda states: _kernel_weight(states, events)
     p0 = spectral_report(inst).p0
     return lambda states: (states.conj() * (states @ p0.T)).sum(axis=1).real
 
@@ -389,8 +527,8 @@ def run_converger(
     if samples < 1:
         raise ValueError("samples must be positive")
     m = inst.m
-    plans, locals_ = _events(inst)
-    overlap = _ground_overlap_fn(inst, plans, locals_)
+    events = _Events(inst)
+    overlap = _ground_overlap_fn(inst, events)
 
     rng = make_rng(seed)
     taus = rng.integers(0, t + 1, size=samples)
@@ -403,9 +541,9 @@ def run_converger(
         for step in range(int(tau.max()) if m else 0):
             live = np.flatnonzero(tau > step)
             ids = rng.integers(0, m, size=live.size)
-            for i in np.unique(ids):
-                _measure_rows(states, live[ids == i], plans[i], locals_[i], rng)
-        acc += _event_weights(states, plans, locals_).sum(axis=0)
+            for i, at in _groups(ids):
+                _measure_rows(states, live[at], events.plan(i), events.factor(i), rng)
+        acc += _event_weights(states, events).sum(axis=0)
         acc_ground += float(overlap(states).sum())
     return ConvergerResult(
         mean_violation_prob=np.clip(acc / samples, 0.0, 1.0),
@@ -463,7 +601,7 @@ def run_exact_solver(
     if not inst.is_commuting():
         raise ValueError("the exact solver requires a commuting family")
 
-    plans, locals_ = _events(inst)
+    events = _Events(inst)
     rng = make_rng(seed)
     state = _basis_states(rng, 1, inst.shape.n, inst.shape.d)[0]
     cap = cfg.iteration_cap(m)
@@ -474,7 +612,7 @@ def run_exact_solver(
         if consecutive == m:
             break
         i = cfg.fixed_order[it % m] if m else 0
-        violated, state = _measure_and_patch(state, plans[i], locals_[i], rng)
+        violated, state = _measure_and_patch(state, events.plan(i), events.local(i), rng)
         _check_norm(state)
         if violated:
             entries.append((it, i))
@@ -484,7 +622,7 @@ def run_exact_solver(
         it += 1
     success = consecutive == m
     if success and m > 0:
-        if _kernel_weight(state[None], plans, locals_)[0] < 1.0 - 1e-8:
+        if _kernel_weight(state[None], events)[0] < 1.0 - 1e-8:
             raise RuntimeError("successful run left the common kernel")
     log = ExecutionLog(tuple(entries), total_steps=it, seed=seed)
     return ExactRunResult(success, Trajectory(state, log, None, seed))

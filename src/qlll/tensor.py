@@ -10,6 +10,7 @@ Conventions, fixed project-wide:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,11 +100,13 @@ def partial_trace(op: np.ndarray, traced_qudits, shape: HilbertShape) -> np.ndar
 class LocalPlan:
     """Axis bookkeeping for applying a k-local operator on the register.
 
-    States reshape to (d^k, rest) blocks with the listed qudits leading, in
-    the order given.  Operators reshape to (d^k, rest * rest * d^k) blocks:
-    the listed qudits lead the row index and trail the column index, so a
-    local matrix acts on either side through one contiguous matrix product.
-    The remaining qudits keep register order on both sides.
+    A block of B state rows reshapes to a (d^k, B * rest) matrix: the listed
+    qudits lead, in the order given, then the row, then the remaining qudits
+    in register order, so one matrix product applies a local operator to
+    every row.  Operators reshape to (d^k, rest * rest * d^k) blocks: the
+    listed qudits lead the row index and trail the column index, so a local
+    matrix acts on either side through one contiguous matrix product.  The
+    remaining qudits keep register order on both sides.
     """
 
     def __init__(self, n: int, d: int, qudits: tuple):
@@ -116,28 +119,38 @@ class LocalPlan:
         self.dk = d ** self.k
         self.rest_dim = d ** (n - self.k)
         self.fwd = self.qudits + rest
-        self.inv = tuple(int(i) for i in np.argsort(self.fwd))
-        self.tensor = (d,) * n
         self.local_powers = d ** np.arange(self.k - 1, -1, -1)
+        # rows tensor: axis 0 is the row (length inferred), axes 1..n the qudits
+        perm = tuple(q + 1 for q in self.qudits) + (0,) + tuple(q + 1 for q in rest)
+        shape, axes = self._rows_fwd = _merged_transpose(perm, (-1,) + (d,) * n)
+        # the same merged axes, moved back
+        self._rows_inv = (
+            tuple(shape[a] for a in axes),
+            tuple(sorted(range(len(axes)), key=axes.__getitem__)),
+        )
 
-    def to_front(self, state: np.ndarray) -> np.ndarray:
-        """Reshape a flat state to (dk, rest) with the event's qudits leading."""
-        arr = state.reshape(self.tensor).transpose(self.fwd)
-        return arr.reshape(self.dk, self.rest_dim)
+    def to_front(self, states: np.ndarray) -> np.ndarray:
+        """Reshape (B, D) state rows to their (dk, B * rest) block."""
+        shape, axes = self._rows_fwd
+        return states.reshape(shape).transpose(axes).reshape(self.dk, -1)
 
     def from_front(self, block: np.ndarray) -> np.ndarray:
-        return block.reshape(self.tensor).transpose(self.inv).reshape(-1)
+        """Inverse of to_front: a (dk, B * rest) block back to (B, D) rows."""
+        shape, axes = self._rows_inv
+        return block.reshape(shape).transpose(axes).reshape(-1, self.dim)
 
-    def to_front_batch(self, states: np.ndarray) -> np.ndarray:
-        b = states.shape[0]
-        axes = (0,) + tuple(a + 1 for a in self.fwd)
-        arr = states.reshape((b,) + self.tensor).transpose(axes)
-        return arr.reshape(b, self.dk, self.rest_dim)
+    @cached_property
+    def index(self) -> np.ndarray:
+        """(dk, rest) register positions of the front block's entries."""
+        return self.to_front(np.arange(self.dim)[None])
 
-    def from_front_batch(self, blocks: np.ndarray) -> np.ndarray:
-        b = blocks.shape[0]
-        axes = (0,) + tuple(a + 1 for a in self.inv)
-        return blocks.reshape((b,) + self.tensor).transpose(axes).reshape(b, self.dim)
+    def gather(self, states: np.ndarray, rows: np.ndarray, local=None) -> np.ndarray:
+        """The front block of states[rows] restricted to the listed local
+        basis states, (len(local), B * rest); the whole block when None."""
+        if local is None:
+            return self.to_front(states[rows])
+        at = self.index[local][:, None, :]
+        return states[rows[None, :, None], at].reshape(len(local), rows.size * self.rest_dim)
 
     # operator layout, built on first use: state-only plans stay cheap
     @cached_property
@@ -146,7 +159,8 @@ class LocalPlan:
         rest = self.fwd[self.k:]
         fwd = self.fwd + tuple(n + q for q in rest + self.qudits)
         inv = tuple(int(i) for i in np.argsort(fwd))
-        return _merged_transpose(fwd, self.d), _merged_transpose(inv, self.d)
+        sizes = (self.d,) * (2 * n)
+        return _merged_transpose(fwd, sizes), _merged_transpose(inv, sizes)
 
     def op_to_local(self, op: np.ndarray) -> np.ndarray:
         """Reshape a D x D operator to its (dk, rest * rest * dk) block."""
@@ -158,11 +172,26 @@ class LocalPlan:
         return block.reshape(shape).transpose(axes).reshape(self.dim, self.dim)
 
 
-def _merged_transpose(perm, size: int):
-    """Reshape and axis order equal to ``transpose(perm)`` on a tensor whose
-    axes all have length ``size``, with axes that stay adjacent merged.
+class LocalPlans(dict):
+    """One LocalPlan per distinct support (a tuple of qudits) of an n-qudit
+    register, built on first lookup."""
 
-    Fewer, longer axes make the copy behind the transpose much cheaper.
+    def __init__(self, n: int, d: int):
+        super().__init__()
+        self.n = n
+        self.d = d
+
+    def __missing__(self, qudits: tuple) -> LocalPlan:
+        plan = self[qudits] = LocalPlan(self.n, self.d, qudits)
+        return plan
+
+
+def _merged_transpose(perm, sizes):
+    """Reshape and axis order equal to ``transpose(perm)`` on a tensor with
+    axis lengths ``sizes``, with axes that stay adjacent merged.
+
+    Fewer, longer axes make the copy behind the transpose much cheaper.  One
+    length may be -1 for numpy to infer; the merged axis holding it is -1.
     """
     runs = []
     for a in perm:
@@ -171,7 +200,7 @@ def _merged_transpose(perm, size: int):
         else:
             runs.append([a])
     by_source = sorted(range(len(runs)), key=lambda i: runs[i][0])
-    shape = tuple(size ** len(runs[i]) for i in by_source)
+    shape = tuple(max(-1, math.prod(sizes[a] for a in runs[i])) for i in by_source)
     where = {r: j for j, r in enumerate(by_source)}
     return shape, tuple(where[i] for i in range(len(runs)))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qlll import bench
+from qlll import bench, tensor
 from qlll.instance import QlllInstance, basis_projector, intersection_graph
 from qlll.quantum import (
     ExactSolverConfig,
@@ -187,6 +187,25 @@ def test_batch_first_labels_hold_large_ids():
     assert np.iinfo(first.dtype).max >= m - 1
     assert (batch.violations == 1).all()
     assert (first >= 0).all() and (first < m).all()
+
+
+def test_batch_builds_one_layout_per_support(monkeypatch):
+    # 2^15 + 1 events on 8 distinct supports: layouts are keyed by support
+    built = []
+    init = tensor.LocalPlan.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tensor.LocalPlan, "__init__", counting)
+    m = 2 ** 15 + 1
+    inst = QlllInstance.build(8, 2, [((i % 8,), Q1) for i in range(m)])
+    run_trajectory_batch(
+        inst, seed=3, n_traj=64, max_steps=200, record_first=1,
+        stop_after_violations=1,
+    )
+    assert 0 < len(built) <= 8
 
 
 def test_batch_norm_check_covers_every_row():
