@@ -35,6 +35,7 @@ from .classical import (
     instance_from_dimacs,
     solve_classical,
 )
+from .errors import InvariantError
 from .instance import (
     LovaszCertificate,
     QlllInstance,

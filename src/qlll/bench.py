@@ -21,6 +21,7 @@ from .classical import (
     expected_resamples_bound,
     instance_from_dimacs,
 )
+from .errors import InvariantError
 from .instance import (
     LovaszCertificate,
     QlllInstance,
@@ -106,14 +107,16 @@ def _readout(inst: QlllInstance, p0, rho) -> tuple:
 
 
 def cp_map_iterate(
-    inst: QlllInstance, rho0, t_max: int
+    inst: QlllInstance, rho0, t_max: int, stop_overlap: float | None = None
 ) -> ConvergenceSeries:
     """Iterate the average of the per-event patch channels, exactly.
 
     One application measures a uniformly chosen event, keeps the satisfied
     branch, and replaces the violated branch's qudits with the maximally
     mixed state.  The ground overlap never decreases along the iteration;
-    a decrease past the tolerance raises RuntimeError.
+    a decrease past the tolerance raises InvariantError.  With
+    ``stop_overlap`` the iteration ends early, at the first iterate whose
+    ground overlap is at least that value.
     """
     chans = build_channels(inst)
     if t_max < 0:
@@ -124,19 +127,22 @@ def cp_map_iterate(
     overlaps = [ground]
     rows = [viols]
     for _ in range(t_max):
+        if stop_overlap is not None and ground >= stop_overlap:
+            break
         nxt = np.zeros_like(rho)
         for i in range(inst.m):
             nxt += chans.patch(i, rho)
         rho = nxt / inst.m
         ground, viols = _readout(inst, p0, rho)
         if ground < overlaps[-1] - OVERLAP_MONOTONE_TOL:
-            raise RuntimeError(
-                f"ground overlap decreased from {overlaps[-1]} to {ground}"
+            raise InvariantError(
+                f"ground overlap decreased from {overlaps[-1]} to {ground}",
+                overlaps[-1] - ground,
             )
         overlaps.append(ground)
         rows.append(viols)
     return ConvergenceSeries(
-        np.arange(t_max + 1), np.array(overlaps), np.array(rows), rho
+        np.arange(len(overlaps)), np.array(overlaps), np.array(rows), rho
     )
 
 

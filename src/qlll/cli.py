@@ -59,7 +59,7 @@ from .witness import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
-EXIT_INVARIANT = 3  # an internal invariant failed (RuntimeError)
+EXIT_INVARIANT = 3  # an internal invariant failed (InvariantError, any RuntimeError)
 
 
 class CliError(Exception):
@@ -571,19 +571,24 @@ def _cmd_cpmap(cfg: RunConfig):
             )
         t = math.ceil(inst.m / (gap * (gap + 1.0) * cfg.epsilon))
     dim = inst.shape.dim
-    series = bench.cp_map_iterate(inst, np.eye(dim) / dim, t)
+    target = None if cfg.epsilon is None else 1.0 - cfg.epsilon - 1e-12
+    # with --epsilon alone, stop at the first iterate that reaches the target
+    stop = target if cfg.t is None else None
+    series = bench.cp_map_iterate(inst, np.eye(dim) / dim, t, stop_overlap=stop)
     final = float(series.ground_overlap[-1])
     reached = None
     code = EXIT_OK
-    if cfg.epsilon is not None:
-        reached = final >= 1.0 - cfg.epsilon - 1e-12
+    if target is not None:
+        reached = final >= target
         if not reached:
             code = EXIT_CHECK_FAILED
     if cfg.output_format == "csv":
         return code, None, None, bench.series_to_csv(series)
     worst = [float(np.max(row)) for row in series.violation_probs]
-    result = {
-        "t_max": t,
+    result = {"t_max": t}
+    if stop is not None:
+        result["t_reached"] = int(series.steps[-1]) if reached else None
+    result.update({
         "epsilon": cfg.epsilon,
         "reached": reached,
         "final_ground_overlap": final,
@@ -593,7 +598,7 @@ def _cmd_cpmap(cfg: RunConfig):
             "ground_overlap": series.ground_overlap,
             "worst_violation_prob": worst,
         },
-    }
+    })
     return code, instance_digest(inst), result, None
 
 
@@ -722,7 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, metavar="FILE")
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None,
-                   help="derive the horizon from the gap and stop there")
+                   help="stop at the first iterate with ground overlap >= 1 - epsilon, "
+                        "within the horizon t_max derived from the gap")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     return parser

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
+from .errors import InvariantError
 from .tensor import HilbertShape, embed, is_hermitian, make_rng
 
 
@@ -328,15 +329,21 @@ def spectral_report(inst: QlllInstance) -> SpectralReport:
 
     if ground_dim and abs(ev[0]) < config.EIG_DISTINCT_TOL:
         for i in range(inst.m):
-            if np.abs(inst.embedded(i) @ p0).max() > 1e-8:
-                raise RuntimeError("kernel projector is not annihilated by every event")
+            leak = float(np.abs(inst.embedded(i) @ p0).max())
+            if leak > 1e-8:
+                raise InvariantError(
+                    f"kernel projector is not annihilated by event {i} ({leak:.3e})",
+                    leak,
+                )
     if (
         ground_dim
         and np.abs(ev - 1.0 / inst.m).min() < config.EIG_DISTINCT_TOL
         and abs(delta - 1.0 / inst.m) > 1e-8
         and inst.is_commuting()
     ):
-        raise RuntimeError("commuting instance should have gap 1/m here")
+        raise InvariantError(
+            f"commuting instance should have gap 1/m here, got {delta:.3e}", delta
+        )
     ev.setflags(write=False)
     p0.setflags(write=False)
     inst._spectral = SpectralReport(ev, delta, ground_dim, p0)

@@ -15,21 +15,31 @@ the resolvent route and the lemma suite are gated on a small dimension
 budget (D <= 64 by default).
 
 Conventions: channels act on D x D operators; their matrix forms act on
-column-stacked vectors.  The continue channel averages the complement
+column-stacked vectors.  The continue channel T averages the complement
 sandwiches (1/m) sum_i (I - P_i) rho (I - P_i); its geometric series diverges
 on states the process never leaves, which is why every series here is
 sandwiched by a measurement first (the increments then shrink geometrically
 and the sum is the quantity of interest).
+
+Series form: every pick is a projector sandwich L s L, so
+sum_t pick(T^t s) = pick(sum_t T^t s).  A series keeps one running sum of
+the iterates, reads only tr(L s_t) per term (on the event's own qudits for
+a measurement), and applies each pick once, to the running sum at that
+pick's stop.  On registers with D <= DENSE_STEP_MAX_D (16) the continue
+step is one product with its D^2 x D^2 matrix, built once per absorbed set
+on the channel set; above that it runs as m local sandwiches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import config
+from .errors import InvariantError
 from .instance import QlllInstance, intersection_graph, spectral_report
 from .tensor import (
     HilbertShape,
@@ -53,6 +63,13 @@ OUTCOME_PSD_TOL = 1e-9
 SLACK_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
 EQUALITY_TOL = 1e-10
+
+# Registers up to this dimension run the continue step as one dense
+# D^2 x D^2 matrix product; larger ones run m local sandwiches.  Measured
+# on a 2-core box, one BLAS thread, per step: D=16, m=4: local 83 us,
+# dense 38 us; D=32, m=5: local 171 us, dense 985 us.  The matrix is at
+# most 256 x 256 complex (1 MiB).
+DENSE_STEP_MAX_D = 16
 
 
 @dataclass(frozen=True)
@@ -118,8 +135,10 @@ class ChannelSet:
     O(D^2 d^k) per application for a k-local event; no dense embedded
     projector is kept.  Events that share a support share one layout,
     built on first use.  Dense matrix forms are built on demand within the
-    superoperator budget.  The halting operators of all ids come from one
-    shared continue series on first request and are kept.
+    superoperator budget; at D <= DENSE_STEP_MAX_D the continue step runs
+    through its matrix form, built once per absorbed set and kept.  The
+    halting operators of all ids come from one shared continue series on
+    first request and are kept.
     """
 
     def __init__(self, inst: QlllInstance):
@@ -132,6 +151,8 @@ class ChannelSet:
         self._local_comp = [np.eye(len(p)) - p for p in self._local]
         self._halting_sums = None
         self._halting = None
+        self._dense_steps = {}
+        self._trace_reads = {}
 
     def _plan(self, i: int) -> LocalPlan:
         return self._layouts[self.instance.projectors[i].qudits]
@@ -140,6 +161,29 @@ class ChannelSet:
         p = self._local[i]
         return sandwich_local(p, op, p, self._plan(i))
 
+    def measure_trace(self, i: int, op: np.ndarray) -> complex:
+        """tr(P_i op) = sum_{a,b,r} P_i[b, a] op[(a, r), (b, r)], read from
+        the at most D d^k entries of op that meet a nonzero of P_i; equal
+        to tr(measure(i, op))."""
+        read = self._trace_reads.get(i)
+        if read is None:
+            weights = self._local[i].T
+            nonzero = weights != 0
+            at = self._plan(i).reduce_index[nonzero]
+            read = self._trace_reads[i] = (
+                at.ravel(),
+                np.repeat(weights[nonzero], at.shape[1]),
+            )
+        at, weights = read
+        return op.take(at) @ weights
+
+    def measure_pick(self, i: int) -> Pick:
+        """measure(i) / m as a series pick."""
+        m = self.m
+        return Pick(
+            lambda s: self.measure_trace(i, s) / m, lambda s: self.measure(i, s) / m
+        )
+
     def complement(self, i: int, op: np.ndarray) -> np.ndarray:
         c = self._local_comp[i]
         return sandwich_local(c, op, c, self._plan(i))
@@ -147,7 +191,28 @@ class ChannelSet:
     def continue_step(self, op: np.ndarray, absorbed: frozenset = frozenset()) -> np.ndarray:
         """One step that did not end the stage: ids in ``absorbed`` are
         patched (a violation resamples them and the process goes on), the
-        rest contribute their satisfied branch."""
+        rest contribute their satisfied branch.
+
+        Up to DENSE_STEP_MAX_D this is one product with the step's matrix;
+        above it, m local sandwiches (:meth:`continue_step_local`).
+        """
+        D = self.shape.dim
+        if D > DENSE_STEP_MAX_D:
+            return self.continue_step_local(op, absorbed)
+        mat = self._dense_steps.get(absorbed)
+        if mat is None:
+            # reorder the column-stacked matrix form to act on row-major
+            # ravels, so a step needs no transposes
+            cols = self.continue_superoperator(absorbed).matrix
+            mat = self._dense_steps[absorbed] = np.ascontiguousarray(
+                cols.reshape(D, D, D, D).transpose(1, 0, 3, 2).reshape(D * D, D * D)
+            )
+        return (mat @ op.reshape(D * D)).reshape(D, D)
+
+    def continue_step_local(
+        self, op: np.ndarray, absorbed: frozenset = frozenset()
+    ) -> np.ndarray:
+        """continue_step as m sandwiches on the events' own qudits."""
         out = np.zeros(op.shape, dtype=complex)
         for i in range(self.m):
             out += self.patch(i, op) if i in absorbed else self.complement(i, op)
@@ -177,8 +242,7 @@ class ChannelSet:
         if self._halting_sums is None:
             D = self.shape.dim
             sums = _series_sums(
-                {f"id {a}": (lambda s, a=a: self.measure(a, s) / self.m)
-                 for a in range(self.m)},
+                {f"id {a}": self.measure_pick(a) for a in range(self.m)},
                 self.continue_step,
                 np.eye(D) / D,
                 "halting operators",
@@ -205,11 +269,17 @@ class ChannelSet:
         p = self._embedded(i)
         return Superoperator(self.shape, conjugation_superoperator(p, p))
 
-    def continue_superoperator(self) -> Superoperator:
-        eye = np.eye(self.shape.dim)
-        comps = [eye - self._embedded(i) for i in range(self.m)]
-        mat = sum(conjugation_superoperator(c, c) for c in comps) / self.m
-        return Superoperator(self.shape, mat)
+    def continue_superoperator(self, absorbed: frozenset = frozenset()) -> Superoperator:
+        D = self.shape.dim
+        eye = np.eye(D)
+        mat = np.zeros((D * D, D * D), dtype=complex)
+        for i in range(self.m):
+            if i in absorbed:
+                mat += self.patch_superoperator(i).matrix
+            else:
+                c = eye - self._embedded(i)
+                mat += conjugation_superoperator(c, c)
+        return Superoperator(self.shape, mat / self.m)
 
     def refresh_superoperator(self, i: int) -> Superoperator:
         self.shape.check_budget(config.SUPEROP_BUDGET_D)
@@ -257,38 +327,60 @@ def _check_series_start(start: np.ndarray, context: str) -> None:
         )
 
 
+class Pick(NamedTuple):
+    """A projector sandwich s -> L s L (times a constant) in a series:
+    ``trace(s)`` is tr(apply(s)), read without applying it."""
+
+    trace: Callable
+    apply: Callable
+
+
+def _projector_pick(p: np.ndarray, m: int) -> Pick:
+    """p s p / m for a Hermitian projector p, as a series pick."""
+    return Pick(lambda s: np.vdot(p, s) / m, lambda s: p @ s @ p / m)
+
+
 def _series_sums(picks: dict, step, start, context: str) -> dict:
     """Sum pick(step^t(start)) over t >= 0 for every pick, on one shared run
-    of iterates step^t(start).
+    of iterates s_t = step^t(start).
 
-    Every pick and step is a CP map and the start is checked Hermitian PSD,
-    so every increment is PSD and its trace is its trace norm: each sum stops
-    at its own first increment with trace below the series tolerance.  pick
-    must annihilate the fixed points of step for the increments to decay;
-    every caller sandwiches with a measurement, which does exactly that.
+    Picks are linear, so each sum is the pick of the running sum of the
+    iterates: a term reads only each open pick's trace, and a pick is
+    applied once, to the running sum at its stop.  Every pick and step is a
+    CP map and the start is checked Hermitian PSD, so every term is PSD and
+    its trace is its trace norm: each sum stops at its own first term with
+    trace below the series tolerance, that term included.  pick must
+    annihilate the fixed points of step for the terms to decay; every
+    caller sandwiches with a measurement, which does exactly that.
     """
     s = np.asarray(start, dtype=complex)
     _check_series_start(s, context)
-    acc = {key: np.zeros_like(s) for key in picks}
+    total = np.zeros_like(s)
+    sums = {}
     last = {}
     open_keys = list(picks)
     for _ in range(config.SERIES_MAX_TERMS):
+        total += s
+        still = []
         for key in open_keys:
-            term = picks[key](s)
-            acc[key] += term
-            last[key] = float(term.trace().real)
-        open_keys = [key for key in open_keys if last[key] >= config.SERIES_TRACE_TOL]
+            last[key] = float(picks[key].trace(s).real)
+            if last[key] >= config.SERIES_TRACE_TOL:
+                still.append(key)
+            else:
+                sums[key] = picks[key].apply(total)
+        open_keys = still
         if not open_keys:
-            return acc
+            return {key: sums[key] for key in picks}
         s = step(s)
     still = "; ".join(f"{key}: last increment trace {last[key]:.3e}" for key in open_keys)
-    raise RuntimeError(
+    raise InvariantError(
         f"{context}: operator series did not converge within "
-        f"{config.SERIES_MAX_TERMS} terms ({still})"
+        f"{config.SERIES_MAX_TERMS} terms ({still})",
+        max(last[key] for key in open_keys),
     )
 
 
-def _sandwich_series(pick, step, start, context: str) -> np.ndarray:
+def _sandwich_series(pick: Pick, step, start, context: str) -> np.ndarray:
     """Sum pick(step^t(start)) over t >= 0; see :func:`_series_sums`."""
     return _series_sums({"series": pick}, step, start, context)["series"]
 
@@ -354,7 +446,7 @@ def sequence_operator(
             acc = ch.halting_sums()[a]
         else:
             acc = _sandwich_series(
-                lambda s: ch.measure(a, s) / inst.m,
+                ch.measure_pick(a),
                 ch.continue_step,
                 state,
                 f"sequence {ids} stage {pos}",
@@ -421,7 +513,7 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
         for i in group:
             p = p @ inst.embedded(i)
         lhs = _sandwich_series(
-            lambda s, p=p: p @ s @ p / m,
+            _projector_pick(p, m),
             ch.continue_step,
             eye,
             f"identity (i) group {group}",
@@ -662,7 +754,7 @@ def partial_dag_channel_bound(inst: QlllInstance, relevant_ids, irrelevant_sets)
     state = np.eye(D, dtype=complex) / D
     for i, a in enumerate(ids):
         acc = _sandwich_series(
-            lambda s: ch.measure(a, s) / m,
+            ch.measure_pick(a),
             lambda s: ch.continue_step(s, sets[i]),
             state,
             f"partial sequence {ids} stage {i}",
@@ -715,7 +807,7 @@ def traced_continuation_bound(inst: QlllInstance, set_ids, gap_ids) -> dict:
     absorbed = frozenset(gap)
     eye = np.eye(D) / D
     acc = _sandwich_series(
-        lambda s: p @ s @ p / m,
+        _projector_pick(p, m),
         lambda s: ch.continue_step(s, absorbed),
         eye,
         f"traced bound {ids}",

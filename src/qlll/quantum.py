@@ -57,6 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config
+from .errors import InvariantError
 from .instance import QlllInstance, spectral_report
 from .logs import ExecutionLog
 from .tensor import LocalPlan, LocalPlans, make_rng
@@ -177,8 +178,8 @@ def _refill_rows(post: np.ndarray, plan: LocalPlan, rng) -> np.ndarray:
 def _check_outcome(prob: float) -> None:
     """Raise before renormalising by a vanishing outcome probability."""
     if prob < 1e-28:
-        raise RuntimeError(
-            f"measurement outcome with vanishing probability {prob:.3e}"
+        raise InvariantError(
+            f"measurement outcome with vanishing probability {prob:.3e}", prob
         )
 
 
@@ -291,7 +292,7 @@ def _check_norm(states: np.ndarray) -> None:
     else:
         drift = float(np.abs((np.abs(states) ** 2).sum(axis=1) - 1.0).max())
     if drift > NORM_TOL:
-        raise RuntimeError(f"state norm drifted by {drift:.3e}")
+        raise InvariantError(f"state norm drifted by {drift:.3e}", drift)
 
 
 def _chunk_rows(dim: int) -> int:
@@ -622,7 +623,10 @@ def run_exact_solver(
         it += 1
     success = consecutive == m
     if success and m > 0:
-        if _kernel_weight(state[None], events)[0] < 1.0 - 1e-8:
-            raise RuntimeError("successful run left the common kernel")
+        weight = float(_kernel_weight(state[None], events)[0])
+        if weight < 1.0 - 1e-8:
+            raise InvariantError(
+                f"successful run left the common kernel (weight {weight:.3e})", weight
+            )
     log = ExecutionLog(tuple(entries), total_steps=it, seed=seed)
     return ExactRunResult(success, Trajectory(state, log, None, seed))

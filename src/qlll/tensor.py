@@ -171,6 +171,14 @@ class LocalPlan:
         shape, axes = self._op_perms[1]
         return block.reshape(shape).transpose(axes).reshape(self.dim, self.dim)
 
+    @cached_property
+    def reduce_index(self) -> np.ndarray:
+        """(dk, dk, rest) flat positions of op[(a, r), (b, r)] in a D x D
+        operator: ``op.take(reduce_index).sum(axis=2)`` traces out the
+        remaining qudits, leaving the listed ones in the order given."""
+        idx = self.index
+        return idx[:, None, :] * self.dim + idx[None, :, :]
+
 
 class LocalPlans(dict):
     """One LocalPlan per distinct support (a tuple of qudits) of an n-qudit
@@ -282,17 +290,6 @@ def min_slack(x: np.ndarray, y: np.ndarray) -> float:
     """Smallest eigenvalue of Y - X; negative values witness psd_leq failure."""
     diff = np.asarray(y, dtype=complex) - np.asarray(x, dtype=complex)
     return float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0])
-
-
-def kernel_projector(op: np.ndarray, tol: float = config.KERNEL_EIG_TOL) -> np.ndarray:
-    """Orthogonal projector onto the (near-)zero eigenspace of a Hermitian op."""
-    op = np.asarray(op, dtype=complex)
-    if not is_hermitian(op):
-        raise ValueError("kernel_projector needs a Hermitian operator")
-    evals, evecs = np.linalg.eigh((op + op.conj().T) / 2)
-    cutoff = tol * max(1.0, float(evals[-1]) if evals.size else 1.0)
-    cols = evecs[:, evals < cutoff]
-    return cols @ cols.conj().T
 
 
 def make_rng(seed) -> np.random.Generator:

@@ -25,7 +25,7 @@ from qlll.instance import (
     random_rank_projector,
     spectral_report,
 )
-from qlll.oracles import build_channels, halting_operator, process_gap
+from qlll.oracles import ChannelSet, build_channels, halting_operator, process_gap
 from qlll.tensor import make_rng
 from qlll.witness import ResampleDag, tree_from_nested
 
@@ -97,6 +97,27 @@ def test_iterate_reaches_epsilon_within_explicit_horizon():
             inst, np.eye(inst.shape.dim) / inst.shape.dim, t_star
         )
         assert series.ground_overlap[-1] >= 1.0 - eps - 1e-9
+
+
+def test_iterate_stops_at_the_first_iterate_reaching_the_overlap(monkeypatch):
+    inst = single_event()
+    # overlaps 1 - 2^-(t+1): 0.5, 0.75, 0.875, 0.9375, ...
+    series = bench.cp_map_iterate(inst, np.eye(2) / 2.0, 50, stop_overlap=0.9)
+    assert series.steps.tolist() == [0, 1, 2, 3]
+    assert abs(series.ground_overlap[-1] - 0.9375) < 1e-12
+    full = bench.cp_map_iterate(inst, np.eye(2) / 2.0, 3)
+    assert np.abs(series.rho_final - full.rho_final).max() == 0.0
+    # a fixed horizon applies every patch channel t_max times
+    calls = []
+    patch = ChannelSet.patch
+    monkeypatch.setattr(
+        ChannelSet, "patch", lambda self, i, op: calls.append(i) or patch(self, i, op)
+    )
+    bench.cp_map_iterate(inst, np.eye(2) / 2.0, 7)
+    assert len(calls) == 7 * inst.m
+    calls.clear()
+    bench.cp_map_iterate(inst, np.eye(2) / 2.0, 7, stop_overlap=0.9)
+    assert len(calls) == 3 * inst.m
 
 
 def test_iterate_rejects_bad_inputs():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qlll import bench
 from qlll.instance import QlllInstance, basis_projector, random_rank_projector
 from qlll.oracles import (
+    Pick,
     SeriesStartError,
     _sandwich_series,
     build_channels,
@@ -187,7 +188,7 @@ def test_shared_halting_pass_matches_per_id_series(seed):
     D = inst.shape.dim
     for a in range(inst.m):
         alone = _sandwich_series(
-            lambda s: ch.measure(a, s) / inst.m, ch.continue_step, np.eye(D) / D, "alone"
+            ch.measure_pick(a), ch.continue_step, np.eye(D) / D, "alone"
         )
         fresh = halting_operator(inst, a)
         assert np.abs(shared[a].operator - alone).max() < TOL
@@ -207,7 +208,7 @@ def test_series_rejects_start_that_is_not_psd(start):
         return s
 
     with pytest.raises(SeriesStartError, match="series start"):
-        _sandwich_series(ident, ident, start, "probe")
+        _sandwich_series(Pick(np.trace, ident), ident, start, "probe")
     assert issubclass(SeriesStartError, ValueError)
 
 

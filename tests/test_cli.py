@@ -358,6 +358,23 @@ def test_cpmap_epsilon_horizon(tmp_path, capsys):
     assert result["final_ground_overlap"] >= 0.9
 
 
+def test_cpmap_epsilon_stops_at_the_first_reaching_iterate(tmp_path, capsys):
+    path = write_instance(tmp_path, disjoint_pair())
+    code, out, _ = run_cli(["cpmap", "--instance", path, "--epsilon", "0.1"], capsys)
+    assert code == 0
+    result = last_json(out)["result"]
+    assert result["t_max"] == 27
+    t = result["t_reached"]
+    overlaps = result["series"]["ground_overlap"]
+    assert result["series"]["t"] == list(range(t + 1))
+    assert overlaps[-1] >= 0.9 and all(v < 0.9 for v in overlaps[:-1])
+    # the --t report has no t_reached and the same leading iterates
+    code, out, _ = run_cli(["cpmap", "--instance", path, "--t", "27"], capsys)
+    full = last_json(out)["result"]
+    assert "t_reached" not in full
+    assert full["series"]["ground_overlap"][: t + 1] == overlaps
+
+
 def test_output_file_and_random_seed(tmp_path, capsys):
     inst = QlllInstance.build(1, 2, [((0,), P1)])
     path = write_instance(tmp_path, inst)

@@ -23,7 +23,8 @@ from qlll.instance import (
     support_graph,
     symmetric_condition,
 )
-from qlll.tensor import HilbertShape, kernel_projector, make_rng
+from helpers import kernel_projector
+from qlll.tensor import HilbertShape, make_rng
 
 Q1 = np.array([[0, 0], [0, 1]], dtype=complex)  # |1><1|
 

@@ -21,7 +21,8 @@ from qlll.oracles import (
     traced_continuation_bound,
     verify_cp_identities,
 )
-from qlll.tensor import kernel_projector, make_rng, min_slack, psd_leq
+from helpers import kernel_projector
+from qlll.tensor import make_rng, min_slack, psd_leq
 from qlll.witness import build_resample_dag, dag_probability, label_intersection
 from qlll.quantum import run_trajectory_batch
 

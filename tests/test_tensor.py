@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from helpers import kernel_projector
 from qlll.tensor import (
     HilbertShape,
     conjugation_superoperator,
     devectorize,
     embed,
     is_hermitian,
-    kernel_projector,
     make_rng,
     min_slack,
     partial_trace,
