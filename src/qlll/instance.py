@@ -68,6 +68,7 @@ class QlllInstance:
         self.projectors = tuple(projectors)
         self._embedded = {}
         self._spectral = None
+        self._events = None  # the state-vector step's layouts and factors
         self._commuting = None
         for i, p in enumerate(self.projectors):
             if p.id != i:

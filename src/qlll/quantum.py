@@ -8,41 +8,43 @@ in the computational basis and then overwritten with fresh uniform basis
 values.  Averaged over trajectories this implements the trace-out-and-refill
 channel on the event's support.
 
-One collapse-and-refill step, _refill_rows, serves every engine.  The block
-step _measure_rows measures one event on a set of rows of a (B, D) state
-array and refills the violated rows through it.  It costs what its rows need:
+One step serves every engine.  The block step _measure_rows measures one
+event on a set of rows of a (B, D) state array, and _refill_rows collapses and
+refills its violated rows in place; a single trajectory is a block of one row.
+The step costs what its rows need:
 
 - layout: a block of rows is laid out with the event's qudits leading across
   the whole block, as a (d^k, B * rest) matrix (tensor.LocalPlan), so one
   2-D matrix product applies the event to every row.  Events that share a
-  support share one layout, built on first use.
-- factor: each event is measured through its range factor V (d^k x rank,
-  P = V V^dag), built the first time its id is drawn and checked against P
-  at 1e-12.  A row's weight is |V^dag psi|^2, read only from the amplitudes
-  on the local basis states where V is nonzero; P psi = V (V^dag psi) is
-  formed only for rows that change.
+  support share one layout.
+- factor: each event is measured through its range factor V (P = V V^dag),
+  checked against P at 1e-12 and kept only on the local basis states where
+  it is nonzero.  A row's weight |V^dag psi|^2 reads only the amplitudes
+  there, and P psi = V (V^dag psi) is formed there only, for rows that change.
 - zero-weight rule: a satisfied row of weight exactly 0 already equals
   (I - P) psi / sqrt(1 - 0) and is not written back.
+- per instance: layouts and factors (_Events) are built on first use and
+  kept on the instance, like its spectral report, so every run shares them.
 - live rows: run_trajectory_batch keeps an index of the rows still running,
   draws one id per live row each step and groups the rows by id with one
   stable argsort; rows leave the index when they reach
   stop_after_violations or when the freeze sweep (one product per distinct
   support) finds their total bad-event weight negligible.
 
-Entry points:
+Every engine checks its rows for unit norm (_check_norm).  Entry points:
 
-- run_quantum_solver: one trajectory, scalar reference implementation with a
-  per-trajectory seed, log and optional outcome trace.  Its satisfied branch
-  is a scalar fast path; its violated branch refills through _refill_rows.
+- run_quantum_solver: one trajectory with its own seed, log and optional
+  outcome trace.
 - run_exact_solver: cyclic-order solver for commuting families that succeeds
-  once every event in a row comes out satisfied; scalar, like the above.
-- run_trajectory_batch: many trajectories at once on the block step.
-  Statistically equivalent to the scalar path but consumes randomness in a
-  different order, so individual trajectories differ for the same seed.
+  once every event in a row comes out satisfied; one trajectory, like the
+  above.
+- run_trajectory_batch: many trajectories at once.  Statistically equivalent
+  to run_quantum_solver but consumes randomness in a different order, so
+  individual trajectories differ for the same seed.
 - run_converger: run for a uniformly random number of steps and average
   violation probabilities and ground-space overlap over samples.  Samples
-  run as rows of the block step, each stopping at its own time, and draw
-  from one random stream per call.
+  run as rows of one block, each stopping at its own time, and draw from one
+  random stream per call.
 - tau_check: witness-tree pass/fail experiment (resample the vertex support,
   then measure the transposed projector, deepest vertices first).  Samples
   run as rows that visit the vertices together, from one stream per call.
@@ -75,36 +77,32 @@ def _nonzero_states(a: np.ndarray):
 
 
 class _Factor(NamedTuple):
-    """An event's range factor v (d^k x rank, P = v v^dag), the local basis
-    states keep where v is nonzero (None: all of them), and vh = v^dag on
-    those states only, so a weight reads only the amplitudes there."""
+    """An event's range factor V (P = V V^dag) as v = V and vh = V^dag on
+    the local basis states keep where P is nonzero (None: all of them), and
+    at, their register positions (tensor.LocalPlan.positions)."""
 
     v: np.ndarray
     vh: np.ndarray
     keep: np.ndarray | None
+    at: np.ndarray | None = None
 
 
 def _range_factor(proj) -> _Factor:
-    """The projector's range factor, checked against its matrix at 1e-12.
-
-    The eigendecomposition runs on the nonzero rows and columns of P only,
-    so v is exactly zero elsewhere and a state with no amplitude on P's
-    nonzero states has weight exactly 0.
-    """
+    """The projector's range factor on its nonzero rows and columns, checked
+    against its matrix at 1e-12.  P is zero off those states, so a state
+    with no amplitude on them has weight exactly 0."""
     p = proj.local_matrix
     keep = _nonzero_states(p)
-    evals, evecs = np.linalg.eigh(p if keep is None else p[np.ix_(keep, keep)])
-    vk = evecs[:, evals > 0.5]
-    v = vk
     if keep is not None:
-        v = np.zeros((p.shape[0], vk.shape[1]), dtype=complex)
-        v[keep] = vk
+        p = p[np.ix_(keep, keep)]
+    evals, evecs = np.linalg.eigh(p)
+    v = evecs[:, evals > 0.5]
     drift = float(np.abs(v @ v.conj().T - p).max(initial=0.0))
     if drift > 1e-12:
         raise ValueError(
             f"projector {proj.id}: range factor misses the matrix by {drift:.3e}"
         )
-    return _Factor(np.ascontiguousarray(v), np.ascontiguousarray(vk.conj().T), keep)
+    return _Factor(np.ascontiguousarray(v), np.ascontiguousarray(v.conj().T), keep)
 
 
 class _Events:
@@ -127,24 +125,34 @@ class _Events:
     def factor(self, i: int) -> _Factor:
         f = self._factors.get(i)
         if f is None:
-            f = self._factors[i] = _range_factor(self.projectors[i])
+            f = _range_factor(self.projectors[i])
+            f = self._factors[i] = f._replace(at=self.plan(i).positions(f.keep))
         return f
 
     def support_sums(self) -> list:
-        """(plan, keep, H) for each distinct support: H is the sum of the
-        local matrices of its events, restricted to its nonzero states keep
-        (None: all), so a total weight takes one product per support."""
+        """(plan, at, H) for each distinct support: H is the sum of the local
+        matrices of its events, restricted to its nonzero states (None: all)
+        whose register positions at holds, so a total weight takes one
+        product per support."""
         if self._support_sums is None:
             sums = {}
             for p in self.projectors:
                 sums[p.qudits] = sums.get(p.qudits, 0) + p.local_matrix
             self._support_sums = []
             for qudits, h in sums.items():
-                keep = _nonzero_states(h)
+                plan, keep = self.layouts[qudits], _nonzero_states(h)
                 if keep is not None:
                     h = h[np.ix_(keep, keep)]
-                self._support_sums.append((self.layouts[qudits], keep, h))
+                self._support_sums.append((plan, plan.positions(keep), h))
         return self._support_sums
+
+
+def _events(inst: QlllInstance) -> _Events:
+    """The instance's _Events, built on first use and kept on the instance,
+    like its spectral report, so every run shares its layouts and factors."""
+    if inst._events is None:
+        inst._events = _Events(inst)
+    return inst._events
 
 
 def _basis_states(rng, B: int, n: int, d: int) -> np.ndarray:
@@ -156,23 +164,25 @@ def _basis_states(rng, B: int, n: int, d: int) -> np.ndarray:
     return states
 
 
-def _refill_rows(post: np.ndarray, plan: LocalPlan, rng) -> np.ndarray:
-    """Collapse the event axis of each row in the basis, then refill it fresh.
+def _refill_rows(states, rows, post: np.ndarray, plan: LocalPlan, rng) -> None:
+    """Collapse the event's qudits of states[rows] in the basis, then refill
+    them with fresh uniform values, in place.
 
-    post is a (dk, B, rest) stack of B normalised blocks with the event's
-    qudits leading.  Returns the new stack.
+    post is the C-contiguous (r, B, rest) stack of the B normalised rows,
+    event qudits leading, on r local basis states that hold all of their
+    amplitude.
     """
-    B = post.shape[1]
-    probs = (np.abs(post) ** 2).sum(axis=2)
+    B, rest = rows.size, plan.rest_dim
+    f = post.view(np.float64)
+    probs = (f * f).sum(axis=2)
     cum = np.cumsum(probs, axis=0)
     draws = rng.random(B) * cum[-1]
-    s = np.minimum((cum <= draws).sum(axis=0), plan.dk - 1)
-    picked = np.arange(B)
-    row = post[s, picked, :] / np.sqrt(probs[s, picked])[:, None]
+    s = np.minimum((cum <= draws).sum(axis=0), post.shape[0] - 1)
+    picked = s * B + np.arange(B)
+    row = post.reshape(-1, rest)[picked] / np.sqrt(probs.reshape(-1)[picked])[:, None]
     fresh = rng.integers(0, plan.d, size=(B, plan.k)) @ plan.local_powers
-    out = np.zeros_like(post)
-    out[fresh, picked, :] = row
-    return out
+    states[rows] = 0.0
+    states[rows[:, None], plan.index[fresh]] = row
 
 
 def _check_outcome(prob: float) -> None:
@@ -199,28 +209,33 @@ def _measure_rows(states, rows, plan: LocalPlan, factor: _Factor, rng) -> np.nda
     P psi / sqrt(w), built from V^dag psi, and are collapsed and refilled on
     the event's qudits.
     """
-    B, dk, rest = rows.size, plan.dk, plan.rest_dim
-    x = plan.gather(states, rows, factor.keep)
+    B, rest = rows.size, plan.rest_dim
+    x = plan.gather(states, rows, factor.at)
     c = factor.vh @ x
-    w = np.minimum(_row_weights(c, B, rest), 1.0)
+    w = _row_weights(c, B, rest)
     hit = rng.random(B) < w
-    c = c.reshape(c.shape[0], B, rest)
-    sat = np.flatnonzero(~hit & (w > 0.0))
+    if not w.any():  # no row changes
+        return hit
+    r = c.shape[0]
+    c = c.reshape(r, B, rest)
+    # a row that hits has w > 0: the rows left with w > 0 are satisfied
+    sat = ((w > 0.0) ^ hit).nonzero()[0]
     if sat.size:
         remainder = 1.0 - w[sat]
         _check_outcome(float(remainder.min()))
-        if factor.keep is None:
-            block = x.reshape(dk, B, rest)[:, sat]
-        else:
-            block = plan.gather(states, rows[sat]).reshape(dk, sat.size, rest)
-        block -= (factor.v @ c[:, sat].reshape(c.shape[0], -1)).reshape(block.shape)
-        block /= np.sqrt(remainder)[:, None]
-        states[rows[sat]] = plan.from_front(block.reshape(dk, -1))
-    vio = np.flatnonzero(hit)
+        root = np.sqrt(remainder)[:, None]
+        block = x.reshape(-1, B, rest).take(sat, axis=1)
+        block -= (factor.v @ c.take(sat, axis=1).reshape(r, -1)).reshape(block.shape)
+        block /= root
+        if factor.at is not None:
+            # V is zero off the gathered states: the rest of a row only rescales
+            states[rows[sat]] /= root
+        plan.scatter(states, rows[sat], block, factor.at)
+    vio = hit.nonzero()[0]
     if vio.size:
-        post = (factor.v @ c[:, vio].reshape(c.shape[0], -1)).reshape(dk, vio.size, rest)
+        post = (factor.v @ c.take(vio, axis=1).reshape(r, -1)).reshape(-1, vio.size, rest)
         post /= np.sqrt(w[vio])[:, None]
-        states[rows[vio]] = plan.from_front(_refill_rows(post, plan, rng).reshape(dk, -1))
+        _refill_rows(states, rows[vio], post, plan, rng)
     return hit
 
 
@@ -240,7 +255,7 @@ def _event_weights(states, events: _Events) -> np.ndarray:
     out = np.empty((rows.size, events.m))
     for i in range(events.m):
         plan, f = events.plan(i), events.factor(i)
-        c = f.vh @ plan.gather(states, rows, f.keep)
+        c = f.vh @ plan.gather(states, rows, f.at)
         out[:, i] = _row_weights(c, rows.size, plan.rest_dim)
     return out
 
@@ -249,8 +264,8 @@ def _total_weight(states, rows, events: _Events) -> np.ndarray:
     """sum_i <psi|P_i|psi> for every row psi of states[rows], one product
     per distinct support."""
     total = np.zeros(rows.size)
-    for plan, keep, h in events.support_sums():
-        y = plan.gather(states, rows, keep)
+    for plan, at, h in events.support_sums():
+        y = plan.gather(states, rows, at)
         quad = (y.conj() * (h @ y)).real
         total += quad.reshape(y.shape[0], rows.size, plan.rest_dim).sum(axis=(0, 2))
     return total
@@ -267,31 +282,11 @@ def _kernel_weight(states, events: _Events) -> np.ndarray:
     return (np.abs(cur) ** 2).sum(axis=1)
 
 
-def _measure_and_patch(state, plan, local, rng):
-    """Measure one event; on violation resample its qudits.
-
-    Returns (violated, new flat state).
-    """
-    arr = plan.to_front(state[None])
-    proj = local @ arr
-    amp = min(max(float(np.vdot(proj, proj).real), 0.0), 1.0)
-    if rng.random() < amp:
-        post = proj[:, None, :] / math.sqrt(amp)
-        block = _refill_rows(post, plan, rng).reshape(plan.dk, -1)
-        return True, plan.from_front(block)[0]
-    remainder = 1.0 - amp
-    _check_outcome(remainder)
-    post = (arr - proj) / math.sqrt(remainder)
-    return False, plan.from_front(post)[0]
-
-
 def _check_norm(states: np.ndarray) -> None:
-    """Raise when the state, or any row of a batch, is off unit norm."""
-    if states.ndim == 1:
-        drift = abs(float(np.vdot(states, states).real) - 1.0)
-    else:
-        drift = float(np.abs((np.abs(states) ** 2).sum(axis=1) - 1.0).max())
-    if drift > NORM_TOL:
+    """Raise when any row of a (B, D) state array is off unit norm."""
+    f = states.view(np.float64)
+    drift = float(abs(np.vecdot(f, f) - 1.0).max())
+    if not drift <= NORM_TOL:  # NaN fails too
         raise InvariantError(f"state norm drifted by {drift:.3e}", drift)
 
 
@@ -326,21 +321,22 @@ def run_quantum_solver(
     if max_steps is None:
         max_steps = config.QUANTUM_STEPS_PER_PROJECTOR * m
     rng = make_rng(seed)
-    events = _Events(inst)
-    state = _basis_states(rng, 1, inst.shape.n, inst.shape.d)[0]
+    events = _events(inst)
+    states = _basis_states(rng, 1, inst.shape.n, inst.shape.d)
+    row = np.arange(1)
     entries = []
     trace = [] if record_outcomes else None
     steps = max_steps if m > 0 else 0
     for step in range(steps):
         i = int(rng.integers(0, m))
-        violated, state = _measure_and_patch(state, events.plan(i), events.local(i), rng)
-        _check_norm(state)
+        violated = bool(_measure_rows(states, row, events.plan(i), events.factor(i), rng)[0])
+        _check_norm(states)
         if trace is not None:
             trace.append((i, violated))
         if violated:
             entries.append((step, i))
     log = ExecutionLog(tuple(entries), total_steps=steps, seed=seed)
-    return Trajectory(state, log, tuple(trace) if trace is not None else None, seed)
+    return Trajectory(states[0], log, tuple(trace) if trace is not None else None, seed)
 
 
 @dataclass
@@ -406,7 +402,7 @@ def run_trajectory_batch(
         snapshots[0] = violations.copy()
 
     states = _basis_states(rng, n_traj, shape.n, shape.d)
-    events = _Events(inst)
+    events = _events(inst)
     live = np.arange(n_traj if m > 0 else 0)
 
     for step in range(max_steps):
@@ -463,7 +459,7 @@ def tau_check(
             raise ValueError(f"tree label {lab} outside instance range")
     depths = tree.depths()
     order = sorted(range(len(tree.labels)), key=lambda v: (-depths[v], v))
-    events = _Events(inst)
+    events = _events(inst)
 
     rng = make_rng(seed)
     n, d = inst.shape.n, inst.shape.d
@@ -474,22 +470,24 @@ def tau_check(
         live = np.arange(states.shape[0])
         for v in order:
             lab = tree.labels[v]
-            plan = events.plan(lab)
+            plan, f = events.plan(lab), events.factor(lab)
+            B, rest = live.size, plan.rest_dim
+            post = np.ascontiguousarray(plan.gather(states, live).reshape(plan.dk, B, rest))
+            _refill_rows(states, live, post, plan, rng)
             # P^T = conj(V) V^T: measure through V^T, project with conj(V)
-            factor = events.factor(lab).v
-            B = live.size
-            x = _refill_rows(plan.to_front(states[live]).reshape(plan.dk, B, -1), plan, rng)
-            c = factor.T @ x.reshape(plan.dk, -1)
-            w = np.minimum(_row_weights(c, B, plan.rest_dim), 1.0)
+            c = f.vh.conj() @ plan.gather(states, live, f.at)
+            w = _row_weights(c, B, rest)
             hit = rng.random(B) < w
             live = live[hit]
             if live.size == 0:
                 break
-            r = factor.shape[1]
-            c = c.reshape(r, B, plan.rest_dim)[:, hit].reshape(r, -1)
-            post = (factor.conj() @ c).reshape(plan.dk, -1, plan.rest_dim)
+            r = c.shape[0]
+            c = c.reshape(r, B, rest)[:, hit].reshape(r, -1)
+            post = (f.v.conj() @ c).reshape(-1, live.size, rest)
             post /= np.sqrt(w[hit])[:, None]
-            states[live] = plan.from_front(post.reshape(plan.dk, -1))
+            states[live] = 0.0
+            plan.scatter(states, live, post, f.at)
+        _check_norm(states)
         passes += live.size
     return passes / samples
 
@@ -528,7 +526,7 @@ def run_converger(
     if samples < 1:
         raise ValueError("samples must be positive")
     m = inst.m
-    events = _Events(inst)
+    events = _events(inst)
     overlap = _ground_overlap_fn(inst, events)
 
     rng = make_rng(seed)
@@ -544,6 +542,7 @@ def run_converger(
             ids = rng.integers(0, m, size=live.size)
             for i, at in _groups(ids):
                 _measure_rows(states, live[at], events.plan(i), events.factor(i), rng)
+        _check_norm(states)
         acc += _event_weights(states, events).sum(axis=0)
         acc_ground += float(overlap(states).sum())
     return ConvergerResult(
@@ -602,19 +601,18 @@ def run_exact_solver(
     if not inst.is_commuting():
         raise ValueError("the exact solver requires a commuting family")
 
-    events = _Events(inst)
+    events = _events(inst)
     rng = make_rng(seed)
-    state = _basis_states(rng, 1, inst.shape.n, inst.shape.d)[0]
+    states = _basis_states(rng, 1, inst.shape.n, inst.shape.d)
+    row = np.arange(1)
     cap = cfg.iteration_cap(m)
     entries = []
     consecutive = 0
     it = 0
-    while it < cap:
-        if consecutive == m:
-            break
-        i = cfg.fixed_order[it % m] if m else 0
-        violated, state = _measure_and_patch(state, events.plan(i), events.local(i), rng)
-        _check_norm(state)
+    while it < cap and consecutive < m:
+        i = cfg.fixed_order[it % m]
+        violated = _measure_rows(states, row, events.plan(i), events.factor(i), rng)[0]
+        _check_norm(states)
         if violated:
             entries.append((it, i))
             consecutive = 0
@@ -623,10 +621,10 @@ def run_exact_solver(
         it += 1
     success = consecutive == m
     if success and m > 0:
-        weight = float(_kernel_weight(state[None], events)[0])
+        weight = float(_kernel_weight(states, events)[0])
         if weight < 1.0 - 1e-8:
             raise InvariantError(
                 f"successful run left the common kernel (weight {weight:.3e})", weight
             )
     log = ExecutionLog(tuple(entries), total_steps=it, seed=seed)
-    return ExactRunResult(success, Trajectory(state, log, None, seed))
+    return ExactRunResult(success, Trajectory(states[0], log, None, seed))

@@ -144,13 +144,24 @@ class LocalPlan:
         """(dk, rest) register positions of the front block's entries."""
         return self.to_front(np.arange(self.dim)[None])
 
-    def gather(self, states: np.ndarray, rows: np.ndarray, local=None) -> np.ndarray:
-        """The front block of states[rows] restricted to the listed local
-        basis states, (len(local), B * rest); the whole block when None."""
-        if local is None:
+    def positions(self, local):
+        """(len(local), 1, rest) register positions of the listed local basis
+        states, for gather and scatter; None (every local state) stays None."""
+        return None if local is None else self.index[local][:, None, :]
+
+    def gather(self, states: np.ndarray, rows: np.ndarray, at=None) -> np.ndarray:
+        """The front block of states[rows] on the local basis states whose
+        positions at holds, (len(at), B * rest); the whole block when None."""
+        if at is None:
             return self.to_front(states[rows])
-        at = self.index[local][:, None, :]
-        return states[rows[None, :, None], at].reshape(len(local), rows.size * self.rest_dim)
+        return states[rows[None, :, None], at].reshape(at.shape[0], rows.size * self.rest_dim)
+
+    def scatter(self, states: np.ndarray, rows: np.ndarray, block: np.ndarray, at=None):
+        """Write a front block of gather's shape back into states[rows]."""
+        if at is None:
+            states[rows] = self.from_front(block)
+        else:
+            states[rows[None, :, None], at] = block.reshape(at.shape[0], rows.size, self.rest_dim)
 
     # operator layout, built on first use: state-only plans stay cheap
     @cached_property

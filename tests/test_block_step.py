@@ -44,6 +44,14 @@ def all_ones_on(qudits) -> np.ndarray:
     return np.all([(idx >> (N - 1 - q)) & 1 == 1 for q in qudits], axis=0)
 
 
+def full_factor(proj) -> np.ndarray:
+    """The range factor V on every local basis state, zero off its keep."""
+    f = _range_factor(proj)
+    v = np.zeros((proj.local_matrix.shape[0], f.v.shape[1]), dtype=complex)
+    v[slice(None) if f.keep is None else f.keep] = f.v
+    return v
+
+
 def random_rows(rng, count: int, mask=None) -> np.ndarray:
     rows = rng.normal(size=(count, 2 ** N)) + 1j * rng.normal(size=(count, 2 ** N))
     if mask is not None:
@@ -72,7 +80,7 @@ def test_block_step_matches_dense(seed, rank, which, off_ones):
     proj = inst.projectors[which]
     p = embed(proj.local_matrix, proj.qudits, inst.shape)
 
-    v = _range_factor(proj).v
+    v = full_factor(proj)
     assert v.shape == (2 ** len(proj.qudits), rank)
     assert np.abs(v @ v.conj().T - proj.local_matrix).max() <= TOL
 
@@ -166,7 +174,7 @@ def test_rank_zero_event_reads_nothing():
     # and every row's weight is exactly 0, through the step and the sweep
     zero, q1 = np.zeros((2, 2)), np.diag([0.0, 1.0])
     inst = QlllInstance.build(2, 2, [((0,), zero), ((1,), q1)])
-    assert _range_factor(inst.projectors[0]).v.shape == (2, 0)
+    assert full_factor(inst.projectors[0]).shape == (2, 0)
     batch = run_trajectory_batch(inst, seed=2, n_traj=50, max_steps=40, record_first=2)
     assert batch.violations.any()
     assert np.isin(batch.first_labels, [-1, 1]).all()

@@ -10,7 +10,17 @@ from qlll import bench, cli, config, quantum
 from qlll.errors import InvariantError
 from qlll.instance import QlllInstance, instance_to_dict, spectral_report
 from qlll.oracles import build_channels
-from qlll.quantum import ExactSolverConfig, _check_norm, _check_outcome, run_exact_solver
+from qlll.quantum import (
+    ExactSolverConfig,
+    _check_norm,
+    _check_outcome,
+    run_converger,
+    run_exact_solver,
+    run_quantum_solver,
+    run_trajectory_batch,
+    tau_check,
+)
+from qlll.witness import tree_from_nested
 
 Q1 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -33,6 +43,53 @@ def test_norm_drift():
     with pytest.raises(InvariantError, match="drifted") as err:
         _check_norm(states)
     assert err.value.value == pytest.approx(1.001 ** 2 - 1.0)
+
+
+def test_norm_check_rejects_nan():
+    states = np.zeros((2, 4), dtype=complex)
+    states[:, 0] = 1.0
+    states[1, 3] = np.nan
+    with pytest.raises(InvariantError, match="drifted by nan"):
+        _check_norm(states)
+
+
+def scale_refilled_rows(monkeypatch, factor=1.01):
+    """Make every collapse-and-refill leave its rows off unit norm."""
+    refill = quantum._refill_rows
+
+    def off_norm(states, rows, post, plan, rng):
+        refill(states, rows, post, plan, rng)
+        states[rows] *= factor
+
+    monkeypatch.setattr(quantum, "_refill_rows", off_norm)
+
+
+# every state-vector engine on three_qubits(); each call resamples at least once
+ENGINES = {
+    "quantum_solver": lambda inst: run_quantum_solver(inst, seed=0, max_steps=30),
+    "exact_solver": lambda inst: run_exact_solver(
+        inst, ExactSolverConfig(p=2, m_prime=3.0, fixed_order=(0, 1, 2)), seed=0),
+    "trajectory_batch": lambda inst: run_trajectory_batch(inst, seed=0, n_traj=20, max_steps=30),
+    "converger": lambda inst: run_converger(inst, seed=0, t=30, samples=20),
+    "tau_check": lambda inst: tau_check(tree_from_nested((0, ())), inst, seed=0, samples=20),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_engine_catches_norm_drift(monkeypatch, engine):
+    scale_refilled_rows(monkeypatch)
+    with pytest.raises(InvariantError, match="drifted") as err:
+        ENGINES[engine](three_qubits())
+    assert err.value.value >= 1.01 ** 2 - 1.0 - 1e-12
+
+
+def test_cli_converge_exits_three_on_norm_drift(tmp_path, capsys, monkeypatch):
+    scale_refilled_rows(monkeypatch)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_dict(three_qubits())))
+    argv = ["converge", "--instance", str(path), "--t", "30", "--samples", "20", "--seed", "0"]
+    assert cli.main(argv) == cli.EXIT_INVARIANT
+    assert "state norm drifted by" in capsys.readouterr().err
 
 
 def test_vanishing_outcome():

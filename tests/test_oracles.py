@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qlll import oracles
 from qlll.instance import (
     QlllInstance,
     basis_projector,
@@ -270,6 +271,55 @@ def test_cp_identities_commuting_pass():
             assert e["residual"] < 1e-10
         if e["slack_min"] is not None:
             assert e["slack_min"] > -1e-9
+
+
+def hadamard_pairs():
+    """Commuting events with dense local matrices on 4 qubits: |11> on (0, 1),
+    (2, 3) and (1, 2), |1> on 3, each turned by a Hadamard on every qubit;
+    seven groups of mutually disjoint events."""
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    hh = np.kron(h, h)
+    p11 = hh @ basis_projector(4, [3]) @ hh
+    return QlllInstance.build(
+        4, 2, [([0, 1], p11), ([2, 3], p11), ([1, 2], p11), ([3], h @ Q1 @ h)]
+    )
+
+
+def test_cp_identity_groups_share_one_series(monkeypatch):
+    inst = hadamard_pairs()
+    contexts, sums = [], {}
+    series = oracles._series_sums
+
+    def recording(picks, step, start, context):
+        contexts.append(context)
+        out = series(picks, step, start, context)
+        sums.update(out)
+        return out
+
+    monkeypatch.setattr(oracles, "_series_sums", recording)
+    report = verify_cp_identities(inst)
+    monkeypatch.undo()
+    assert contexts == ["identity (i)"]
+    groups = oracles._disjoint_groups(inst)
+    assert len(groups) == 7 and set(sums) == set(groups)
+
+    # each group against its own series, run alone
+    ch = build_channels(inst)
+    D, m = inst.shape.dim, inst.m
+    eye = np.eye(D) / D
+    slacks = []
+    for group in groups:
+        p = np.eye(D, dtype=complex)
+        for i in group:
+            p = p @ inst.embedded(i)
+        alone = oracles._sandwich_series(
+            oracles._projector_pick(p, m), ch.continue_step, eye, str(group))
+        assert np.abs(sums[group] - alone).max() <= 1e-12
+        rhs = p @ eye @ p / len(group)
+        slacks.append(min_slack(alone, rhs))
+        assert abs(min_slack(sums[group], rhs) - slacks[-1]) <= 1e-12
+    part = {e["lemma"]: e for e in report["parts"]}["sandwich-series-group-bound"]
+    assert abs(part["slack_min"] - min(slacks)) <= 1e-12
 
 
 def test_cp_identities_skip_without_disjoint_pairs():

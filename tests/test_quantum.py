@@ -132,6 +132,33 @@ def test_scalar_outcome_stream_is_pinned(seed):
     assert (ids, hits) == PINNED_TRACES[seed]
 
 
+def hadamard_chain():
+    """basis_chain turned by a Hadamard on every qubit: commuting events
+    with dense local matrices."""
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    hh = np.kron(h, h)
+    p11 = hh @ basis_projector(4, [3]) @ hh
+    return QlllInstance.build(
+        3, 2, [((0, 1), p11), ((1, 2), p11), ((2,), h @ basis_projector(2, [0]) @ h)]
+    )
+
+
+# exact-solver logs recorded before the exact solver ran on the block step
+PINNED_EXACT_LOGS = {
+    0: (((0, 2),), 4),
+    1: (((0, 2), (1, 0), (3, 2), (4, 0), (6, 2), (9, 2), (12, 2), (14, 1), (15, 2)), 19),
+    2: (((2, 1), (5, 1), (8, 1), (9, 2), (12, 2)), 16),
+    3: (((0, 2),), 4),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_EXACT_LOGS))
+def test_exact_solver_log_is_pinned(seed):
+    cfg = ExactSolverConfig(p=2, m_prime=3.0, fixed_order=(2, 0, 1))
+    log = run_exact_solver(hadamard_chain(), cfg, seed=seed).trajectory.log
+    assert (log.entries, log.total_steps) == PINNED_EXACT_LOGS[seed]
+
+
 def test_budget_rejected():
     big = QlllInstance.build(16, 2, [([0], Q1)])
     with pytest.raises(ValueError):
