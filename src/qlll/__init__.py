@@ -42,6 +42,7 @@ from .instance import (
     SpectralReport,
     basis_projector,
     certificate_from_x,
+    certificate_search,
     check_lovasz,
     find_certificate,
     instance_digest,

@@ -9,8 +9,12 @@ resample budget runs out.
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
+
+import numpy as np
 
 from . import config
 from .instance import IntersectionGraph, LovaszCertificate, support_graph
@@ -45,6 +49,7 @@ class ClassicalEvent:
 class ClassicalInstance:
     domains: tuple  # domain size per variable
     events: tuple
+    _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "domains", tuple(int(d) for d in self.domains))
@@ -85,6 +90,42 @@ class ClassicalRunResult:
     exhausted: bool
 
 
+class _ResamplePlan:
+    """What the solver reads per event, built once per instance.
+
+    read[i] maps an assignment list to event i's local key (a tuple, or the
+    bare value for a one-variable event), keys[i] holds the violating keys
+    in that form, and gamma_plus[i] lists the events whose status a resample
+    of event i can change: the event itself and its neighbours, in id order.
+    """
+
+    def __init__(self, inst: ClassicalInstance):
+        events = inst.events
+        self.domains = np.array(inst.domains, dtype=np.int64)
+        # events with equal domain lists share one read-only array
+        local = [tuple(inst.domains[v] for v in ev.vars) for ev in events]
+        shared = {key: np.array(key, dtype=np.int64) for key in set(local)}
+        for arr in shared.values():
+            arr.setflags(write=False)
+        self.event_domains = tuple(shared[key] for key in local)
+        self.read = tuple(itemgetter(*ev.vars) for ev in events)
+        self.keys = tuple(
+            frozenset(a[0] for a in ev.violating) if len(ev.vars) == 1
+            else ev.violating
+            for ev in events
+        )
+        graph = classical_intersection_graph(inst)
+        self.gamma_plus = tuple(
+            tuple(sorted(graph.gamma_plus(i))) for i in range(inst.m)
+        )
+
+
+def _resample_plan(inst: ClassicalInstance) -> _ResamplePlan:
+    if inst._plan is None:
+        object.__setattr__(inst, "_plan", _ResamplePlan(inst))
+    return inst._plan
+
+
 def solve_classical(
     inst: ClassicalInstance, seed, max_resamples: int | None = None
 ) -> ClassicalRunResult:
@@ -93,33 +134,45 @@ def solve_classical(
     All randomness comes from a single counter-based generator: the initial
     assignment consumes one draw per variable in id order, and each resample
     consumes one draw per event variable in id order.
+
+    Violated event ids sit in a min-heap with lazy deletion, so the lowest
+    violated id is found without a scan; after a resample only the events in
+    Gamma+(hit) can change status (Moser-Tardos), so only those are read
+    again.
     """
     if max_resamples is None:
         max_resamples = config.CLASSICAL_DEFAULT_BUDGET
+    plan = _resample_plan(inst)
+    read, keys, gamma_plus = plan.read, plan.keys, plan.gamma_plus
     rng = make_rng(seed)
-    assignment = [int(rng.integers(d)) for d in inst.domains]
+    # on Philox one bounded draw per array entry equals one scalar draw per
+    # domain, value for value, so the vector calls keep the stream of the
+    # scalar loop
+    assignment = rng.integers(plan.domains).tolist()
+    violated = [read[i](assignment) in keys[i] for i in range(inst.m)]
+    heap = [i for i, bad in enumerate(violated) if bad]  # sorted, so a heap
     entries = []
     for step in range(max_resamples):
-        hit = -1
-        for ev in inst.events:
-            local = tuple(assignment[v] for v in ev.vars)
-            if local in ev.violating:
-                hit = ev.id
-                break
-        if hit < 0:
+        while heap and not violated[heap[0]]:
+            heapq.heappop(heap)
+        if not heap:
             return ClassicalRunResult(
                 tuple(assignment), ExecutionLog(tuple(entries), step, seed), False
             )
+        hit = heap[0]
         entries.append((step, hit))
-        for v in inst.events[hit].vars:  # vars are stored sorted
-            assignment[v] = int(rng.integers(inst.domains[v]))
-    exhausted = any(
-        tuple(assignment[v] for v in ev.vars) in ev.violating for ev in inst.events
-    )
+        values = rng.integers(plan.event_domains[hit]).tolist()
+        for v, value in zip(inst.events[hit].vars, values):
+            assignment[v] = value
+        for j in gamma_plus[hit]:
+            now = read[j](assignment) in keys[j]
+            if now and not violated[j]:
+                heapq.heappush(heap, j)
+            violated[j] = now
     return ClassicalRunResult(
         tuple(assignment),
         ExecutionLog(tuple(entries), max_resamples, seed),
-        exhausted,
+        any(violated),
     )
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from . import bench, config
 from .classical import instance_from_dimacs, solve_classical
 from .instance import (
+    certificate_search,
     check_lovasz,
     find_certificate,
     instance_digest,
@@ -187,10 +188,11 @@ def _envelope(cfg: RunConfig, digest, result) -> str:
 def _cmd_check(cfg: RunConfig):
     inst = _load_instance(cfg.instance_path)
     digest = instance_digest(inst)
-    cert = find_certificate(inst, cfg.epsilon)
+    cert, reason = certificate_search(inst, cfg.epsilon)
     if cert is None:
         result = {
             "feasible": False,
+            "reason": reason,
             "epsilon": cfg.epsilon,
             "x": None,
             "x_prime": None,
@@ -358,7 +360,9 @@ def _cmd_exact_solve(cfg: RunConfig):
         "successes": successes,
         "success_frequency": successes / runs,
         "target_frequency": 1.0 - 1.0 / cfg.p,
-        "min_success_overlap": min_overlap,
+        # rounded so that rounding-level changes in the step leave the
+        # report's bytes alone
+        "min_success_overlap": None if min_overlap is None else round(min_overlap, 12),
         "mean_steps": float(np.mean(steps)),
     }
     code = EXIT_OK if successes > 0 else EXIT_CHECK_FAILED

@@ -219,14 +219,14 @@ def check_lovasz(inst: QlllInstance, cert: LovaszCertificate) -> LovaszCheck:
     """
     if len(cert.x) != inst.m:
         raise ValueError("certificate length does not match the instance")
-    graph = intersection_graph(inst)
+    return _check_lovasz(cert, intersection_graph(inst), inst.relative_dimensions())
+
+
+def _check_lovasz(cert: LovaszCertificate, graph: IntersectionGraph, r) -> LovaszCheck:
     recomputed = _x_prime(cert.x, graph)
     if any(abs(a - b) > 1e-12 for a, b in zip(recomputed, cert.x_prime)):
         raise ValueError("certificate x_prime is inconsistent with its x values")
-    r = inst.relative_dimensions()
     slacks = (1.0 - cert.epsilon) * np.array(cert.x_prime) - r
-    if inst.m == 0:
-        slacks = np.zeros(0)
     ok = bool((slacks >= -config.LOVASZ_SLACK_TOL).all())
     return LovaszCheck(ok, slacks)
 
@@ -236,38 +236,57 @@ def find_certificate(inst: QlllInstance, epsilon: float = 0.0):
 
     Starting from x = R/(1-eps) and sweeping x_i <- R_i / ((1-eps) *
     prod_{j ~ i} (1-x_j)) only ever increases x, so the least fixed point is
-    reached whenever one exists below 1.  Returns None when any value climbs
-    past the ceiling or the sweep cap is exhausted (infeasible), otherwise a
-    certificate that check_lovasz accepts.
+    reached whenever one exists below 1.  Returns a certificate that
+    check_lovasz accepts, or None when the search fails; certificate_search
+    also gives the reason.
+    """
+    return certificate_search(inst, epsilon)[0]
+
+
+def certificate_search(inst: QlllInstance, epsilon: float = 0.0):
+    """find_certificate with the reason a search failed: (cert, None) on
+    success, else (None, reason) where reason is
+
+    - "infeasible": a value climbed past CERT_X_CEILING; the iteration is
+      monotone, so no fixed point lies below the ceiling;
+    - "sweep_cap": CERT_MAX_SWEEPS sweeps ran and the values still moved,
+      as they do near the critical point;
+    - "check_failed": the values converged but missed an inequality by more
+      than LOVASZ_SLACK_TOL.
+
+    Each sweep is one numpy pass.  Neighbours are taken in increasing id
+    order and np.multiply.reduceat multiplies each segment left to right,
+    so every product has the bits of the scalar loop it replaced.
     """
     if epsilon < 0.0 or epsilon >= 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
     graph = intersection_graph(inst)
     r = inst.relative_dimensions()
     if inst.m == 0:
-        return certificate_from_x((), epsilon, graph)
+        return certificate_from_x((), epsilon, graph), None
     x = r / (1.0 - epsilon)
     if (x >= config.CERT_X_CEILING).any():
-        return None
+        return None, "infeasible"
     gamma = [sorted(graph.gamma(i)) for i in range(inst.m)]
+    flat = np.fromiter((j for g in gamma for j in g), dtype=np.intp)
+    sizes = np.array([len(g) for g in gamma])
+    held = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[held]
+    prod = np.ones(inst.m)
     for _ in range(config.CERT_MAX_SWEEPS):
-        new = np.array(
-            [
-                r[i] / ((1.0 - epsilon) * math.prod(1.0 - x[j] for j in gamma[i]))
-                for i in range(inst.m)
-            ]
-        )
+        if flat.size:
+            prod[held] = np.multiply.reduceat(1.0 - x[flat], starts)
+        new = r / ((1.0 - epsilon) * prod)
         if (new >= config.CERT_X_CEILING).any():
-            return None
+            return None, "infeasible"
         change = np.abs(new - x).max()
         x = new
         if change < config.CERT_SUP_CHANGE_TOL:
             cert = certificate_from_x(x, epsilon, graph)
-            result = check_lovasz(inst, cert)
-            if not result.ok:
-                return None
-            return cert
-    return None
+            if not _check_lovasz(cert, graph, r).ok:
+                return None, "check_failed"
+            return cert, None
+    return None, "sweep_cap"
 
 
 def symmetric_condition(k: int, r: int, max_occurrence: int) -> bool:

@@ -1,7 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qlll import config
+from qlll.bench import chain_cnf
 from qlll.classical import (
+    ClassicalRunResult,
     ClassicalEvent,
     ClassicalInstance,
     classical_from_dict,
@@ -13,6 +20,8 @@ from qlll.classical import (
     solve_classical,
 )
 from qlll.instance import certificate_from_x
+from qlll.logs import ExecutionLog
+from qlll.tensor import make_rng
 
 
 def or_clause(vid, a, b):
@@ -193,3 +202,92 @@ def test_budget_exhaustion_keeps_partial_log():
     assert result.exhausted
     assert len(result.log) == 25
     assert result.log.labels() == (0,) * 25
+
+
+def full_scan_solve(inst, seed, max_resamples=None):
+    """Reference: the solver before the violated-event heap, rescanning
+    every event on every step with one scalar draw per variable."""
+    if max_resamples is None:
+        max_resamples = config.CLASSICAL_DEFAULT_BUDGET
+    rng = make_rng(seed)
+    assignment = [int(rng.integers(d)) for d in inst.domains]
+    entries = []
+    for step in range(max_resamples):
+        hit = -1
+        for ev in inst.events:
+            if tuple(assignment[v] for v in ev.vars) in ev.violating:
+                hit = ev.id
+                break
+        if hit < 0:
+            return ClassicalRunResult(
+                tuple(assignment), ExecutionLog(tuple(entries), step, seed), False
+            )
+        entries.append((step, hit))
+        for v in inst.events[hit].vars:
+            assignment[v] = int(rng.integers(inst.domains[v]))
+    exhausted = any(
+        tuple(assignment[v] for v in ev.vars) in ev.violating for ev in inst.events
+    )
+    return ClassicalRunResult(
+        tuple(assignment), ExecutionLog(tuple(entries), max_resamples, seed), exhausted
+    )
+
+
+def assert_same_run(inst, seed, max_resamples=None):
+    got = solve_classical(inst, seed, max_resamples)
+    want = full_scan_solve(inst, seed, max_resamples)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("formula_seed", [3, 4])
+def test_matches_full_scan_on_chain_formulas(formula_seed):
+    inst = instance_from_dimacs(chain_cnf(800, formula_seed))
+    for seed in range(3):
+        assert not assert_same_run(inst, seed).exhausted
+    # a budget far below the ~130 resamples these formulas need
+    assert assert_same_run(inst, 5, max_resamples=10).exhausted
+
+
+def test_matches_full_scan_on_mixed_domains():
+    rng = np.random.default_rng(17)
+    domains = tuple(int(d) for d in rng.choice([1, 2, 3, 5, 7], size=12))
+    events = []
+    for i in range(10):
+        vars_ = tuple(sorted(rng.choice(12, size=int(rng.integers(1, 4)), replace=False)))
+        local = list(itertools.product(*(range(domains[v]) for v in vars_)))
+        bad = rng.choice(len(local), size=max(1, len(local) // 4), replace=False)
+        events.append(ClassicalEvent(i, vars_, frozenset(local[b] for b in bad)))
+    inst = ClassicalInstance(domains, tuple(events))
+    for seed in range(20):
+        assert_same_run(inst, seed, max_resamples=500)
+    assert_same_run(inst, 1, max_resamples=0)
+
+
+@st.composite
+def small_instances(draw):
+    n = draw(st.integers(1, 6))
+    domains = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=n, max_size=n)))
+    events = []
+    for i in range(draw(st.integers(0, 6))):
+        vars_ = tuple(sorted(draw(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=min(3, n)))))
+        local = list(itertools.product(*(range(domains[v]) for v in vars_)))
+        bad = draw(st.sets(st.sampled_from(local), max_size=len(local)))
+        events.append(ClassicalEvent(i, vars_, frozenset(bad)))
+    return ClassicalInstance(domains, tuple(events))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(), st.integers(0, 2**32), st.integers(0, 40))
+def test_incremental_solver_equals_full_scan(inst, seed, budget):
+    assert_same_run(inst, seed, max_resamples=budget)
+
+
+def test_hundred_thousand_clause_chain():
+    inst = instance_from_dimacs(chain_cnf(100_000, 8))
+    result = solve_classical(inst, seed=1)
+    assert not result.exhausted
+    assert len(result.log.entries) == result.log.total_steps > 0
+    for ev in inst.events:
+        assert tuple(result.assignment[v] for v in ev.vars) not in ev.violating

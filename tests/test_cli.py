@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from qlll import bench, cli
-from qlll.instance import QlllInstance, basis_projector, instance_to_dict
+from qlll.instance import (
+    QlllInstance,
+    basis_projector,
+    instance_to_dict,
+    random_rank_projector,
+)
 
 P1 = np.array([[0.0, 0.0], [0.0, 1.0]])
 
@@ -85,7 +90,17 @@ def test_check_infeasible_exit_two(tmp_path, capsys):
     path = write_instance(tmp_path, inst)
     code, out, _ = run_cli(["check", "--instance", path], capsys)
     assert code == 2
-    assert not last_json(out)["result"]["feasible"]
+    result = last_json(out)["result"]
+    assert not result["feasible"]
+    assert result["reason"] == "infeasible"
+    # R = 1/4 on two overlapping events is the critical point: the search
+    # is still moving when its sweep cap runs out
+    bad = basis_projector(4, [3])
+    critical = QlllInstance.build(3, 2, [((0, 1), bad), ((1, 2), bad)])
+    path = write_instance(tmp_path, critical, "critical.json")
+    code, out, _ = run_cli(["check", "--instance", path], capsys)
+    assert code == 2
+    assert last_json(out)["result"]["reason"] == "sweep_cap"
 
 
 def test_gap_subcommand(tmp_path, capsys):
@@ -272,6 +287,25 @@ def test_exact_solve_subcommand(tmp_path, capsys):
     assert result["runs"] == 20
     assert result["successes"] >= 15  # target is at least 3/4
     assert result["min_success_overlap"] >= 1.0 - 1e-8
+
+
+def test_exact_solve_rounds_the_overlap(tmp_path, capsys):
+    # on random rank-1 qubit events the overlap lands a few ulps below one
+    # (0.9999999999999981 here); the report keeps 12 decimals, so
+    # rounding-level changes in the step leave its bytes alone
+    rng = np.random.default_rng(5)
+    turned = QlllInstance.build(
+        2, 2, [((q,), random_rank_projector(2, 1, rng)) for q in (0, 1)]
+    )
+    path = write_instance(tmp_path, turned)
+    code, out, _ = run_cli(
+        ["exact-solve", "--instance", path, "--seed", "23", "--p", "4",
+         "--runs", "20"],
+        capsys,
+    )
+    assert code == 0
+    overlap = last_json(out)["result"]["min_success_overlap"]
+    assert overlap == round(overlap, 12) == 1.0
 
 
 def test_oracle_halting_and_suites(tmp_path, capsys):

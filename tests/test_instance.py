@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qlll.instance import (
     QlllInstance,
     basis_projector,
     certificate_from_x,
+    certificate_search,
     check_lovasz,
     find_certificate,
     instance_digest,
@@ -24,6 +26,7 @@ from qlll.instance import (
     symmetric_condition,
 )
 from helpers import kernel_projector
+from qlll import bench, config
 from qlll.tensor import HilbertShape, make_rng
 
 Q1 = np.array([[0, 0], [0, 1]], dtype=complex)  # |1><1|
@@ -191,8 +194,91 @@ def test_find_certificate_disjoint_pair():
 
 
 def test_find_certificate_counterexample_infeasible():
-    assert find_certificate(counterexample_events(0.5), 0.0) is None
-    assert find_certificate(counterexample_events(1.0), 0.0) is None
+    for a in (0.5, 1.0):
+        inst = counterexample_events(a)
+        assert find_certificate(inst, 0.0) is None
+        assert scalar_sweep_certificate(inst, 0.0) is None
+        assert certificate_search(inst, 0.0) == (None, "infeasible")
+
+
+def critical_pair(first_rank):
+    """Events on qubits (0, 1) and (1, 2); the second has bad state 3."""
+    first = basis_projector(4, [3] if first_rank == 1 else [2, 3])
+    return QlllInstance.build(3, 2, [([0, 1], first), ([1, 2], basis_projector(4, [3]))])
+
+
+def test_certificate_search_reports_why_it_failed():
+    # R = 1/4 for both sits at the critical point: the sweep creeps
+    # toward x = 1/2 and still moves when the sweep cap runs out
+    assert certificate_search(critical_pair(1)) == (None, "sweep_cap")
+    assert find_certificate(critical_pair(1)) is None
+    # R = (1/2, 1/4) has no fixed point below one, so x climbs the ceiling
+    assert certificate_search(critical_pair(2)) == (None, "infeasible")
+    assert find_certificate(critical_pair(2)) is None
+    cert, reason = certificate_search(bad_event_pair())
+    assert reason is None and cert == find_certificate(bad_event_pair())
+
+
+def scalar_sweep_certificate(inst, epsilon):
+    """Reference: the certificate search before the numpy sweep, one
+    math.prod per event over its neighbours in increasing id order."""
+    graph = intersection_graph(inst)
+    r = inst.relative_dimensions()
+    x = r / (1.0 - epsilon)
+    if (x >= config.CERT_X_CEILING).any():
+        return None
+    gamma = [sorted(graph.gamma(i)) for i in range(inst.m)]
+    for _ in range(config.CERT_MAX_SWEEPS):
+        new = np.array([
+            r[i] / ((1.0 - epsilon) * math.prod(1.0 - x[j] for j in gamma[i]))
+            for i in range(inst.m)
+        ])
+        if (new >= config.CERT_X_CEILING).any():
+            return None
+        change = np.abs(new - x).max()
+        x = new
+        if change < config.CERT_SUP_CHANGE_TOL:
+            cert = certificate_from_x(x, epsilon, graph)
+            return cert if check_lovasz(inst, cert).ok else None
+    return None
+
+
+def ring_instance(events, seed):
+    """Rank-1 basis events on (2i, 2i+1, 2i+2) mod 2*events, seeded states."""
+    n = 2 * events
+    states = make_rng(seed).integers(0, 8, size=events)
+    return QlllInstance.build(n, 2, [
+        ((2 * i, 2 * i + 1, (2 * i + 2) % n), basis_projector(8, [int(states[i])]))
+        for i in range(events)
+    ])
+
+
+def scattered_instance(seed):
+    """Rank-1 events on random 3- to 5-qubit subsets of 120 qubits, so the
+    neighbourhoods have many sizes (at seed 4, one is empty)."""
+    rng = make_rng(seed)
+    events = []
+    for _ in range(30):
+        k = int(rng.integers(3, 6))
+        qudits = tuple(int(q) for q in rng.choice(120, size=k, replace=False))
+        events.append((qudits, basis_projector(2 ** k, [int(rng.integers(2 ** k))])))
+    return QlllInstance.build(120, 2, events)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+def test_certificate_sweep_bitwise_equal_to_scalar_loop(epsilon):
+    cases = [ring_instance(300, 1), scattered_instance(3), scattered_instance(4)]
+    cases += [inst for inst, _ in bench.certified_commuting_corpus(10, seed=41)]
+    certified = 0
+    for inst in cases:
+        got = find_certificate(inst, epsilon)
+        want = scalar_sweep_certificate(inst, epsilon)
+        if want is None:
+            assert got is None
+            continue
+        certified += 1
+        assert got.x == want.x and got.x_prime == want.x_prime
+    assert certified >= 10
 
 
 def test_find_certificate_empty_instance():

@@ -1,9 +1,13 @@
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qlll import config
 from qlll.instance import IntersectionGraph, certificate_from_x
 from qlll.logs import ExecutionLog, log_from_labels
 from qlll.witness import (
@@ -12,6 +16,7 @@ from qlll.witness import (
     build_partial_resample_dag,
     build_resample_dag,
     build_witness_tree,
+    dag_from_dict,
     dag_probability,
     dag_sequence_distribution,
     enumerate_proper_trees,
@@ -20,6 +25,7 @@ from qlll.witness import (
     label_intersection,
     occurs_in_log,
     simulate_galton_watson,
+    tree_from_dict,
     tree_from_nested,
 )
 
@@ -377,8 +383,6 @@ def test_expected_violations_bound():
 
 
 def test_dag_json_round_trip():
-    from qlll.witness import dag_from_dict
-
     dag = diamond_dag()
     again = dag_from_dict(dag.to_dict())
     assert again == dag
@@ -388,8 +392,6 @@ def test_dag_json_round_trip():
 
 
 def test_tree_json_round_trip():
-    from qlll.witness import tree_from_dict
-
     tree = build_witness_tree(log_from_labels([2, 0, 1, 2]), 3, MEET)
     again = tree_from_dict(tree.to_dict())
     assert again == tree
@@ -401,3 +403,74 @@ def test_log_validation():
     log = ExecutionLog(((0, 1), (4, 2)), 10, seed=3)
     assert log.labels() == (1, 2)
     assert len(log) == 2
+
+
+@st.composite
+def witness_trees(draw):
+    n = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    parents = [-1] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    return WitnessTree(tuple(labels), tuple(parents))
+
+
+@st.composite
+def resample_dags(draw):
+    """Any vertex labels and any later-to-earlier edge set."""
+    n = draw(st.integers(0, 10))
+    labels = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return ResampleDag(tuple(labels), frozenset(edges), draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(witness_trees())
+def test_tree_dict_round_trip_property(tree):
+    again = tree_from_dict(json.loads(json.dumps(tree.to_dict())))
+    assert again == tree
+    assert again.canonical() == tree.canonical()
+
+
+@settings(max_examples=100, deadline=None)
+@given(resample_dags())
+def test_dag_dict_round_trip_property(dag):
+    again = dag_from_dict(json.loads(json.dumps(dag.to_dict())))
+    assert again == dag
+    assert again.canonical() == dag.canonical()
+
+
+@st.composite
+def label_runs(draw, labels, min_size, max_size):
+    """A label sequence and an intersection relation on its labels."""
+    pairs = list(itertools.combinations(range(labels), 2))
+    meets = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    graph = IntersectionGraph(tuple(
+        frozenset(j for j in range(labels) if (min(i, j), max(i, j)) in meets)
+        for i in range(labels)
+    ))
+    seq = draw(st.lists(st.integers(0, labels - 1), min_size=min_size, max_size=max_size))
+    return seq, label_intersection(graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(label_runs(4, 1, 8), st.booleans())
+def test_dag_distribution_sums_to_one_exactly(run, partial):
+    seq, meet = run
+    if partial:
+        dag = build_partial_resample_dag(seq, meet)[0]
+    else:
+        dag = build_resample_dag(seq, meet)
+    dist = dag_sequence_distribution(dag)
+    assert all(isinstance(p, Fraction) and p > 0 for p in dist.values())
+    assert sum(dist.values()) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(label_runs(2, config.DAG_EXACT_RATIONAL_MAX + 1, config.DAG_EXACT_RATIONAL_MAX + 2))
+def test_dag_distribution_sums_to_one_in_floats(run):
+    # past DAG_EXACT_RATIONAL_MAX vertices the recursion runs in floats;
+    # two labels keep the number of emitted sequences small
+    seq, meet = run
+    dist = dag_sequence_distribution(build_resample_dag(seq, meet))
+    assert all(isinstance(p, float) for p in dist.values())
+    assert abs(sum(dist.values()) - 1.0) <= 1e-12
