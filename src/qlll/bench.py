@@ -33,7 +33,7 @@ from .instance import (
     random_rank_projector,
     spectral_report,
 )
-from .oracles import build_channels, process_gap, sequence_operator
+from .oracles import ChannelSet, build_channels, process_gap, sequence_operator
 from .quantum import run_quantum_solver, run_trajectory_batch
 from .tensor import is_hermitian, make_rng
 # looked up here by the benchmark's tracer (perfbench/tracing.py)
@@ -96,13 +96,15 @@ class ConvergenceSeries:
                 raise ValueError("recorded probabilities must lie in [0, 1]")
 
 
-def _readout(inst: QlllInstance, p0, rho) -> tuple:
+def _readout(chans: ChannelSet, p0, rho) -> tuple:
     """tr(p0 rho) and the array of tr(P_i rho) over the events.
 
-    tr(A rho) = <A, rho> for Hermitian A: elementwise, no matrix product.
+    tr(p0 rho) = <p0, rho> for Hermitian p0: elementwise, no matrix
+    product; each tr(P_i rho) reads only the entries of rho on P_i's
+    nonzeros (ChannelSet.measure_trace), with no dense projector.
     """
     ground = float(np.vdot(p0, rho).real)
-    viols = np.array([np.vdot(inst.embedded(i), rho).real for i in range(inst.m)])
+    viols = np.array([chans.measure_trace(i, rho).real for i in range(chans.m)])
     return ground, viols
 
 
@@ -123,17 +125,15 @@ def cp_map_iterate(
         raise ValueError("t_max must be nonnegative")
     rho = _check_density(rho0, inst.shape.dim)
     p0 = spectral_report(inst).p0
-    ground, viols = _readout(inst, p0, rho)
+    every = frozenset(range(inst.m))
+    ground, viols = _readout(chans, p0, rho)
     overlaps = [ground]
     rows = [viols]
     for _ in range(t_max):
         if stop_overlap is not None and ground >= stop_overlap:
             break
-        nxt = np.zeros_like(rho)
-        for i in range(inst.m):
-            nxt += chans.patch(i, rho)
-        rho = nxt / inst.m
-        ground, viols = _readout(inst, p0, rho)
+        rho = chans.continue_step_local(rho, every)
+        ground, viols = _readout(chans, p0, rho)
         if ground < overlaps[-1] - OVERLAP_MONOTONE_TOL:
             raise InvariantError(
                 f"ground overlap decreased from {overlaps[-1]} to {ground}",
@@ -468,7 +468,7 @@ def convergence_metrics(rho, inst: QlllInstance) -> dict:
     """
     rho = _check_density(rho, inst.shape.dim)
     rep = spectral_report(inst)
-    ground, viols = _readout(inst, rep.p0, rho)
+    ground, viols = _readout(build_channels(inst), rep.p0, rho)
     weak = float(viols.max())
     strong = 1.0 - ground
     gap = rep.gap

@@ -25,8 +25,7 @@ import numpy as np
 from . import bench, config
 from .classical import instance_from_dimacs, solve_classical
 from .instance import (
-    certificate_search,
-    check_lovasz,
+    checked_certificate_search,
     find_certificate,
     instance_digest,
     instance_from_dict,
@@ -188,7 +187,7 @@ def _envelope(cfg: RunConfig, digest, result) -> str:
 def _cmd_check(cfg: RunConfig):
     inst = _load_instance(cfg.instance_path)
     digest = instance_digest(inst)
-    cert, reason = certificate_search(inst, cfg.epsilon)
+    cert, reason, checked = checked_certificate_search(inst, cfg.epsilon)
     if cert is None:
         result = {
             "feasible": False,
@@ -200,7 +199,6 @@ def _cmd_check(cfg: RunConfig):
             "expected_violations_bound": None,
         }
         return EXIT_CHECK_FAILED, digest, result, None
-    checked = check_lovasz(inst, cert)
     result = {
         "feasible": True,
         "epsilon": cfg.epsilon,

@@ -245,7 +245,13 @@ def find_certificate(inst: QlllInstance, epsilon: float = 0.0):
 
 def certificate_search(inst: QlllInstance, epsilon: float = 0.0):
     """find_certificate with the reason a search failed: (cert, None) on
-    success, else (None, reason) where reason is
+    success, else (None, reason); see :func:`checked_certificate_search`."""
+    return checked_certificate_search(inst, epsilon)[:2]
+
+
+def checked_certificate_search(inst: QlllInstance, epsilon: float = 0.0):
+    """certificate_search with the final check_lovasz result it ran:
+    (cert, None, check) on success, else (None, reason, None) where reason is
 
     - "infeasible": a value climbed past CERT_X_CEILING; the iteration is
       monotone, so no fixed point lies below the ceiling;
@@ -263,10 +269,11 @@ def certificate_search(inst: QlllInstance, epsilon: float = 0.0):
     graph = intersection_graph(inst)
     r = inst.relative_dimensions()
     if inst.m == 0:
-        return certificate_from_x((), epsilon, graph), None
+        cert = certificate_from_x((), epsilon, graph)
+        return cert, None, _check_lovasz(cert, graph, r)
     x = r / (1.0 - epsilon)
     if (x >= config.CERT_X_CEILING).any():
-        return None, "infeasible"
+        return None, "infeasible", None
     gamma = [sorted(graph.gamma(i)) for i in range(inst.m)]
     flat = np.fromiter((j for g in gamma for j in g), dtype=np.intp)
     sizes = np.array([len(g) for g in gamma])
@@ -278,15 +285,16 @@ def certificate_search(inst: QlllInstance, epsilon: float = 0.0):
             prod[held] = np.multiply.reduceat(1.0 - x[flat], starts)
         new = r / ((1.0 - epsilon) * prod)
         if (new >= config.CERT_X_CEILING).any():
-            return None, "infeasible"
+            return None, "infeasible", None
         change = np.abs(new - x).max()
         x = new
         if change < config.CERT_SUP_CHANGE_TOL:
             cert = certificate_from_x(x, epsilon, graph)
-            if not _check_lovasz(cert, graph, r).ok:
-                return None, "check_failed"
-            return cert, None
-    return None, "sweep_cap"
+            check = _check_lovasz(cert, graph, r)
+            if not check.ok:
+                return None, "check_failed", None
+            return cert, None, check
+    return None, "sweep_cap", None
 
 
 def symmetric_condition(k: int, r: int, max_occurrence: int) -> bool:

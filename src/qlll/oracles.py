@@ -10,6 +10,10 @@ analysis rests on.
 All routes here are exact up to series truncation at 1e-12; nothing is
 sampled.  The channels apply each event on its own qudits, so the series
 run on any instance within the density budget (D <= 2048 by default).
+An event whose local matrix is zero off some local basis states is read
+and written only on the register rows and columns of its nonzero states
+(the rule the state-vector step follows, tensor.nonzero_states); an event
+nonzero on every local state runs as layout sandwiches.
 Dense superoperators are quadratically bigger than states: the matrix forms,
 the resolvent route and the lemma suite are gated on a small dimension
 budget (D <= 64 by default).
@@ -27,7 +31,8 @@ the iterates, reads only tr(L s_t) per term (on the event's own qudits for
 a measurement), and applies each pick once, to the running sum at that
 pick's stop.  On registers with D <= DENSE_STEP_MAX_D (16) the continue
 step is one product with its D^2 x D^2 matrix, built once per absorbed set
-on the channel set; above that it runs as m local sandwiches.
+on the channel set; above that it runs as m local channels summed into one
+array.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .tensor import (
     is_hermitian,
     make_rng,
     min_slack,
+    nonzero_states,
     partial_trace,
     pseudoinverse,
     refill_mixed,
@@ -128,17 +134,37 @@ def _outcome(op: np.ndarray, provenance: tuple) -> OutcomeOperator:
     return OutcomeOperator(op, float(np.trace(op).real), provenance)
 
 
+class _NonzeroBlock(NamedTuple):
+    """An event's local matrix P on the local basis states K where it is
+    nonzero: p = P_KK, and picks, the basic indices of the states of K in a
+    tensor with one axis per register qudit (tensor.LocalPlan.picks)."""
+
+    p: np.ndarray
+    picks: tuple
+
+
+def _times(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a @ p on a's last axis as one matrix product (a is contiguous)."""
+    return (a.reshape(-1, p.shape[0]) @ p).reshape(a.shape)
+
+
 class ChannelSet:
     """The per-id channels of one process step, applied locally.
 
     Every sandwich and refresh acts on its event's qudits only, at
     O(D^2 d^k) per application for a k-local event; no dense embedded
-    projector is kept.  Events that share a support share one layout,
-    built on first use.  Dense matrix forms are built on demand within the
-    superoperator budget; at D <= DENSE_STEP_MAX_D the continue step runs
-    through its matrix form, built once per absorbed set and kept.  The
-    halting operators of all ids come from one shared continue series on
-    first request and are kept.
+    projector is kept.  An event whose local matrix P is zero off some
+    local basis states K^c (tensor.nonzero_states) reads and writes only
+    the register rows and columns of K: P op on the rows of K, op P on
+    its columns and P op P on their crossing give the measurement, the
+    complement op - P op - op P + P op P and the patch (complement plus the
+    block's trace over the event, refilled maximally mixed) in one pass.
+    An event nonzero on every local state runs as layout sandwiches.
+    Events that share a support share one layout, built on first use.
+    Dense matrix forms are built on demand within the superoperator budget;
+    at D <= DENSE_STEP_MAX_D the continue step runs through its matrix form,
+    built once per absorbed set and kept.  The halting operators of all ids
+    come from one shared continue series on first request and are kept.
     """
 
     def __init__(self, inst: QlllInstance):
@@ -149,6 +175,10 @@ class ChannelSet:
         self._layouts = LocalPlans(inst.shape.n, inst.shape.d)
         self._local = [p.local_matrix for p in inst.projectors]
         self._local_comp = [np.eye(len(p)) - p for p in self._local]
+        # one axis per register qudit, for the nonzero-block views
+        self._axes = (inst.shape.d,) * inst.shape.n
+        self._blocks = [self._nonzero_block(i) for i in range(self.m)]
+        self._block_count = sum(b is not None for b in self._blocks)
         self._halting_sums = None
         self._halting = None
         self._dense_steps = {}
@@ -157,9 +187,51 @@ class ChannelSet:
     def _plan(self, i: int) -> LocalPlan:
         return self._layouts[self.instance.projectors[i].qudits]
 
-    def measure(self, i: int, op: np.ndarray) -> np.ndarray:
+    def _nonzero_block(self, i: int) -> _NonzeroBlock | None:
         p = self._local[i]
-        return sandwich_local(p, op, p, self._plan(i))
+        keep = nonzero_states(p)
+        if keep is None:
+            return None
+        if keep.size == 0:
+            keep = np.zeros(1, dtype=int)  # a zero matrix: any one state will do
+        picks = self._plan(i).picks
+        return _NonzeroBlock(
+            np.ascontiguousarray(p[np.ix_(keep, keep)]), tuple(picks[a] for a in keep)
+        )
+
+    def _views(self, op: np.ndarray):
+        """A C-contiguous op with one axis per register qudit on its rows,
+        on its columns and on both; views, so writes land in op."""
+        axes, D = self._axes, self.shape.dim
+        return (
+            op.reshape(axes + (D,), copy=False),
+            op.reshape((D,) + axes, copy=False),
+            op.reshape(axes + axes, copy=False),
+        )
+
+    def _block_terms(self, b: _NonzeroBlock, op: np.ndarray):
+        """P op on the rows of K, (|K|, *rest, D), and P op P on the rows
+        and columns of K, (|K|, *rest, *rest, |K|); rest in register order."""
+        rows = self._views(op)[0]
+        block = np.stack([rows[s] for s in b.picks])
+        left = (b.p @ block.reshape(len(b.picks), -1)).reshape(block.shape)
+        cols = left.reshape(left.shape[:-1] + self._axes)
+        lead = (slice(None),) * (left.ndim - 1)
+        both = _times(np.stack([cols[lead + s] for s in b.picks], axis=-1), b.p)
+        return left, both
+
+    def measure(self, i: int, op: np.ndarray) -> np.ndarray:
+        b = self._blocks[i]
+        if b is None:
+            p = self._local[i]
+            return sandwich_local(p, op, p, self._plan(i))
+        out = np.zeros(np.shape(op), dtype=complex)
+        _, both = self._block_terms(b, np.ascontiguousarray(op))
+        out_both = self._views(out)[2]
+        for j, s in enumerate(b.picks):
+            for l, t in enumerate(b.picks):
+                out_both[s + t] = both[j, ..., l]
+        return out
 
     def measure_trace(self, i: int, op: np.ndarray) -> complex:
         """tr(P_i op) = sum_{a,b,r} P_i[b, a] op[(a, r), (b, r)], read from
@@ -185,8 +257,46 @@ class ChannelSet:
         )
 
     def complement(self, i: int, op: np.ndarray) -> np.ndarray:
-        c = self._local_comp[i]
-        return sandwich_local(c, op, c, self._plan(i))
+        b = self._blocks[i]
+        if b is None:
+            c = self._local_comp[i]
+            return sandwich_local(c, op, c, self._plan(i))
+        op = np.ascontiguousarray(op)
+        out = op.astype(complex)
+        self._add_block_changes(i, b, op, out, False)
+        return out
+
+    def patch(self, i: int, op: np.ndarray) -> np.ndarray:
+        """Absorb one id's violation: keep the satisfied branch, resample the rest."""
+        b = self._blocks[i]
+        if b is None:
+            return self.complement(i, op) + self.refresh(i, self.measure(i, op))
+        op = np.ascontiguousarray(op)
+        out = op.astype(complex)
+        self._add_block_changes(i, b, op, out, True)
+        return out
+
+    def _add_block_changes(self, i: int, b: _NonzeroBlock, op, out, absorbed: bool):
+        """out += complement(i, op) - op, plus refresh(i, measure(i, op))
+        when absorbed, for an event with a nonzero block b; op and out are
+        C-contiguous, out complex.  The complement is op - P op - op P +
+        P op P, every term read and written on the rows and columns of K
+        only.  op need not be Hermitian, so op P is never (P op)^dag."""
+        left, both = self._block_terms(b, op)
+        op_cols = self._views(op)[1]
+        right = _times(np.stack([op_cols[(slice(None),) + s] for s in b.picks], axis=-1), b.p)
+        out_rows, out_cols, out_both = self._views(out)
+        for j, s in enumerate(b.picks):
+            out_rows[s] -= left[j]
+            out_cols[(slice(None),) + s] -= right[..., j]
+            for l, t in enumerate(b.picks):
+                out_both[s + t] += both[j, ..., l]
+        if absorbed:
+            # the violated branch's trace over the event, on every local state
+            plan = self._plan(i)
+            reduced = np.trace(both, axis1=0, axis2=-1) / plan.dk
+            for s in plan.picks:
+                out_both[s + s] += reduced
 
     def continue_step(self, op: np.ndarray, absorbed: frozenset = frozenset()) -> np.ndarray:
         """One step that did not end the stage: ids in ``absorbed`` are
@@ -194,7 +304,7 @@ class ChannelSet:
         rest contribute their satisfied branch.
 
         Up to DENSE_STEP_MAX_D this is one product with the step's matrix;
-        above it, m local sandwiches (:meth:`continue_step_local`).
+        above it, m local channels (:meth:`continue_step_local`).
         """
         D = self.shape.dim
         if D > DENSE_STEP_MAX_D:
@@ -212,11 +322,19 @@ class ChannelSet:
     def continue_step_local(
         self, op: np.ndarray, absorbed: frozenset = frozenset()
     ) -> np.ndarray:
-        """continue_step as m sandwiches on the events' own qudits."""
-        out = np.zeros(op.shape, dtype=complex)
-        for i in range(self.m):
-            out += self.patch(i, op) if i in absorbed else self.complement(i, op)
-        return out / self.m
+        """continue_step as m channels on the events' own qudits, summed
+        into one array.  With every id absorbed this is the averaged patch
+        channel."""
+        op = np.ascontiguousarray(op)
+        # each event with a nonzero block adds op and its changes on the block
+        out = np.multiply(op, self._block_count, dtype=complex)
+        for i, b in enumerate(self._blocks):
+            if b is not None:
+                self._add_block_changes(i, b, op, out, i in absorbed)
+            else:
+                out += self.patch(i, op) if i in absorbed else self.complement(i, op)
+        out /= self.m
+        return out
 
     def refresh(self, i: int, op: np.ndarray) -> np.ndarray:
         return self._refill(self._plan(i), op)
@@ -228,10 +346,6 @@ class ChannelSet:
 
     def _refill(self, plan: LocalPlan, op: np.ndarray) -> np.ndarray:
         return refill_mixed(partial_trace(op, plan.qudits, self.shape), plan)
-
-    def patch(self, i: int, op: np.ndarray) -> np.ndarray:
-        """Absorb one id's violation: keep the satisfied branch, resample the rest."""
-        return self.complement(i, op) + self.refresh(i, self.measure(i, op))
 
     def halting_sums(self) -> list:
         """Every id's halting series sum, from one run of the continue series.

@@ -62,18 +62,10 @@ from . import config
 from .errors import InvariantError
 from .instance import QlllInstance, spectral_report
 from .logs import ExecutionLog
-from .tensor import LocalPlan, LocalPlans, make_rng
+from .tensor import LocalPlan, LocalPlans, make_rng, nonzero_states
 from .witness import WitnessTree
 
 NORM_TOL = 1e-10
-
-
-def _nonzero_states(a: np.ndarray):
-    """Local basis states where the square matrix a has a nonzero row or
-    column, or None when that is all of them."""
-    nz = a != 0
-    keep = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
-    return None if keep.size == a.shape[0] else keep
 
 
 class _Factor(NamedTuple):
@@ -92,7 +84,7 @@ def _range_factor(proj) -> _Factor:
     against its matrix at 1e-12.  P is zero off those states, so a state
     with no amplitude on them has weight exactly 0."""
     p = proj.local_matrix
-    keep = _nonzero_states(p)
+    keep = nonzero_states(p)
     if keep is not None:
         p = p[np.ix_(keep, keep)]
     evals, evecs = np.linalg.eigh(p)
@@ -140,7 +132,7 @@ class _Events:
                 sums[p.qudits] = sums.get(p.qudits, 0) + p.local_matrix
             self._support_sums = []
             for qudits, h in sums.items():
-                plan, keep = self.layouts[qudits], _nonzero_states(h)
+                plan, keep = self.layouts[qudits], nonzero_states(h)
                 if keep is not None:
                     h = h[np.ix_(keep, keep)]
                 self._support_sums.append((plan, plan.positions(keep), h))

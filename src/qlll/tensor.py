@@ -97,6 +97,14 @@ def partial_trace(op: np.ndarray, traced_qudits, shape: HilbertShape) -> np.ndar
     return tensor.reshape(dim, dim)
 
 
+def nonzero_states(a: np.ndarray):
+    """Local basis states where the square matrix a has a nonzero row or
+    column, or None when that is all of them."""
+    nz = a != 0
+    keep = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+    return None if keep.size == a.shape[0] else keep
+
+
 class LocalPlan:
     """Axis bookkeeping for applying a k-local operator on the register.
 
@@ -181,6 +189,20 @@ class LocalPlan:
     def op_from_local(self, block: np.ndarray) -> np.ndarray:
         shape, axes = self._op_perms[1]
         return block.reshape(shape).transpose(axes).reshape(self.dim, self.dim)
+
+    @cached_property
+    def picks(self) -> list:
+        """For each local basis state, the basic index that fixes the listed
+        qudits to its digits in a tensor with one axis per register qudit.
+        The remaining qudits keep their axes in register order, so a pick
+        is a view."""
+        picks = []
+        for digits in np.ndindex(*(self.d,) * self.k):
+            pick = [slice(None)] * self.n
+            for q, digit in zip(self.qudits, digits):
+                pick[q] = digit
+            picks.append(tuple(pick))
+        return picks
 
     @cached_property
     def reduce_index(self) -> np.ndarray:

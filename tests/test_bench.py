@@ -107,17 +107,19 @@ def test_iterate_stops_at_the_first_iterate_reaching_the_overlap(monkeypatch):
     assert abs(series.ground_overlap[-1] - 0.9375) < 1e-12
     full = bench.cp_map_iterate(inst, np.eye(2) / 2.0, 3)
     assert np.abs(series.rho_final - full.rho_final).max() == 0.0
-    # a fixed horizon applies every patch channel t_max times
+    # a fixed horizon applies the averaged patch channel (every id
+    # absorbed) t_max times
     calls = []
-    patch = ChannelSet.patch
+    step = ChannelSet.continue_step_local
     monkeypatch.setattr(
-        ChannelSet, "patch", lambda self, i, op: calls.append(i) or patch(self, i, op)
+        ChannelSet, "continue_step_local",
+        lambda self, op, absorbed: calls.append(absorbed) or step(self, op, absorbed),
     )
     bench.cp_map_iterate(inst, np.eye(2) / 2.0, 7)
-    assert len(calls) == 7 * inst.m
+    assert calls == [frozenset(range(inst.m))] * 7
     calls.clear()
     bench.cp_map_iterate(inst, np.eye(2) / 2.0, 7, stop_overlap=0.9)
-    assert len(calls) == 3 * inst.m
+    assert calls == [frozenset(range(inst.m))] * 3
 
 
 def test_iterate_rejects_bad_inputs():

@@ -3,7 +3,10 @@
 ChannelSet applies every event on its own qudits.  Each test here rebuilds
 the same map from full D x D embedded matrices and compares on random
 non-Hermitian inputs, with supports that are out of order (2, 0),
-non-contiguous (1, 4) and wrapping around a ring (6, 7, 0).
+non-contiguous (1, 4) and wrapping around a ring (6, 7, 0).  Events come
+dense (nonzero on every local state: layout sandwiches), sparse (zero off
+some local states: the nonzero-block path) or mixed, so both paths meet
+the same references.
 """
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlll import bench
+from qlll import bench, oracles
 from qlll.instance import QlllInstance, basis_projector, random_rank_projector
 from qlll.oracles import (
     Pick,
@@ -21,7 +24,7 @@ from qlll.oracles import (
     halting_operator,
     halting_operator_resolvent,
 )
-from qlll.tensor import HilbertShape, embed, make_rng, partial_trace
+from qlll.tensor import HilbertShape, embed, make_rng, nonzero_states, partial_trace
 
 TOL = 1e-12
 
@@ -33,13 +36,36 @@ CONFIGS = [
 ]
 
 
-def random_instance(config, seed):
+KINDS = ("dense", "sparse", "mixed")
+
+
+def sparse_projector(dk, rng):
+    """A projector that is zero off some of the dk local basis states: onto
+    random basis states, or of random rank on a random subset of them."""
+    states = rng.choice(dk, 1 + int(rng.integers(dk - 1)), replace=False)
+    if rng.integers(2):
+        return basis_projector(dk, states)
+    p = np.zeros((dk, dk), dtype=complex)
+    p[np.ix_(states, states)] = random_rank_projector(
+        states.size, 1 + int(rng.integers(states.size)), rng
+    )
+    return p
+
+
+def random_instance(config, seed, kind="dense"):
+    """Random projectors on the configuration's supports: all dense, all
+    sparse, or sparse on every other support ("mixed")."""
     n, d, supports = config
     rng = make_rng(seed)
     events = []
-    for sup in supports:
+    for j, sup in enumerate(supports):
         dk = d ** len(sup)
-        events.append((sup, random_rank_projector(dk, 1 + int(rng.integers(dk - 1)), rng)))
+        if kind == "sparse" or (kind == "mixed" and j % 2 == 0):
+            proj = sparse_projector(dk, rng)
+            assert nonzero_states(proj) is not None
+        else:
+            proj = random_rank_projector(dk, 1 + int(rng.integers(dk - 1)), rng)
+        events.append((sup, proj))
     return QlllInstance.build(n, d, events)
 
 
@@ -58,14 +84,27 @@ def dense_refresh(op, qudits, shape):
     return sum(u @ op @ u.T for u in units) / dk
 
 
+def dense_channels(inst, i, op):
+    """Measurement, complement and patch of event i as full D x D products."""
+    p = inst.embedded(i)
+    c = np.eye(inst.shape.dim) - p
+    measured = p @ op @ p
+    kept = c @ op @ c
+    return measured, kept, kept + dense_refresh(measured, inst.projectors[i].qudits, inst.shape)
+
+
 def cases():
-    return st.tuples(st.sampled_from(CONFIGS), st.integers(0, 2**31 - 1))
+    return st.tuples(
+        st.sampled_from(CONFIGS), st.integers(0, 2**31 - 1), st.sampled_from(KINDS)
+    )
 
 
 def every_config(test):
-    """Pin one example per configuration, so each support shape always runs."""
+    """Pin one example per configuration and kind of event, so each support
+    shape always runs on both channel paths."""
     for config in CONFIGS:
-        test = example((config, 7))(test)
+        for kind in KINDS:
+            test = example((config, 7, kind))(test)
     return test
 
 
@@ -73,8 +112,8 @@ def every_config(test):
 @given(cases())
 @every_config
 def test_local_sandwiches_match_dense(case):
-    config, seed = case
-    inst = random_instance(config, seed)
+    config, seed, kind = case
+    inst = random_instance(config, seed, kind)
     ch = build_channels(inst)
     D = inst.shape.dim
     op = random_operator(D, seed)
@@ -89,8 +128,8 @@ def test_local_sandwiches_match_dense(case):
 @given(cases())
 @every_config
 def test_local_refresh_matches_dense(case):
-    config, seed = case
-    inst = random_instance(config, seed)
+    config, seed, kind = case
+    inst = random_instance(config, seed, kind)
     ch = build_channels(inst)
     op = random_operator(inst.shape.dim, seed)
     for i, proj in enumerate(inst.projectors):
@@ -111,22 +150,27 @@ def test_local_refresh_matches_dense(case):
 @given(cases())
 @every_config
 def test_local_patch_and_continue_match_dense(case):
-    config, seed = case
-    inst = random_instance(config, seed)
+    config, seed, kind = case
+    inst = random_instance(config, seed, kind)
     ch = build_channels(inst)
     D = inst.shape.dim
     op = random_operator(D, seed)
     cont = np.zeros_like(op)
+    averaged = np.zeros_like(op)
     for i, proj in enumerate(inst.projectors):
         p = inst.embedded(i)
         c = np.eye(D) - p
         cont += c @ op @ c / inst.m
         refreshed = dense_refresh(p @ op @ p, proj.qudits, inst.shape)
         assert np.abs(ch.patch(i, op) - (c @ op @ c + refreshed)).max() < TOL
+        averaged += (c @ op @ c + refreshed) / inst.m
     assert np.abs(ch.continue_step(op) - cont).max() < TOL
     # absorbing the last id adds its refreshed violated branch to the step
     absorbed = ch.continue_step(op, frozenset({inst.m - 1}))
     assert np.abs(absorbed - (cont + refreshed / inst.m)).max() < TOL
+    # every id absorbed: the averaged patch channel
+    every = ch.continue_step_local(op, frozenset(range(inst.m)))
+    assert np.abs(every - averaged).max() < TOL
 
 
 def test_local_channels_match_matrix_forms():
@@ -177,6 +221,84 @@ def test_cp_map_iterate_matches_dense_loop():
     for i in range(inst.m):
         got = series.violation_probs[-1][i]
         assert abs(got - np.trace(inst.embedded(i) @ want).real) < TOL
+
+
+@pytest.mark.parametrize("a", [0.95, 1.0])
+def test_entangled_counterexample_event_matches_dense(a):
+    # psi_perp = sqrt(b)|00> - sqrt(a)|11> is nonzero only on |00> and |11>
+    # (only on |11> at a = 1); on the counterexample's own register and on
+    # an out-of-order support of a 4-qubit register next to a dense event
+    cx = bench.make_counterexample(a)
+    psi_perp = cx.instance.projectors[2].local_matrix
+    want = [0, 3] if a < 1.0 else [3]
+    assert nonzero_states(psi_perp).tolist() == want
+    dense = random_rank_projector(8, 3, make_rng(5))
+    wide = QlllInstance.build(
+        4, 2, [((3, 1), psi_perp), ((2, 0, 1), dense), ((0,), np.diag([0.0, 1.0]))]
+    )
+    for inst in (cx.instance, wide):
+        ch = build_channels(inst)
+        op = random_operator(inst.shape.dim, 3)
+        for i in range(inst.m):
+            measured, kept, patched = dense_channels(inst, i, op)
+            assert np.abs(ch.measure(i, op) - measured).max() < TOL
+            assert np.abs(ch.complement(i, op) - kept).max() < TOL
+            assert np.abs(ch.patch(i, op) - patched).max() < TOL
+        every = frozenset(range(inst.m))
+        averaged = sum(dense_channels(inst, i, op)[2] for i in every) / inst.m
+        assert np.abs(ch.continue_step_local(op, every) - averaged).max() < TOL
+
+
+def test_channels_take_real_and_transposed_operators():
+    # the matrix forms feed real matrix units; a transposed view is not
+    # C-contiguous; both must give the complex result of the same operator
+    inst = random_instance(CONFIGS[0], 3, "mixed")
+    ch = build_channels(inst)
+    op = random_operator(inst.shape.dim, 3).real
+    every = frozenset(range(inst.m))
+    for probe in (op, op.T):
+        exact = np.array(probe, dtype=complex)
+        for i in range(inst.m):
+            for channel in (ch.measure, ch.complement, ch.patch):
+                got = channel(i, probe)
+                assert got.dtype == complex
+                assert np.abs(got - channel(i, exact)).max() == 0.0
+        assert np.abs(
+            ch.continue_step_local(probe, every) - ch.continue_step_local(exact, every)
+        ).max() == 0.0
+
+
+def test_basis_events_run_no_layout_sandwich(monkeypatch):
+    # four 3-local basis events on an 8-qubit ring (D = 256): patch,
+    # complement and the continue step touch only their nonzero blocks
+    calls = []
+    sandwich = oracles.sandwich_local
+    monkeypatch.setattr(
+        oracles, "sandwich_local", lambda *args: calls.append(1) or sandwich(*args)
+    )
+    supports = [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 0)]
+    events = [(sup, basis_projector(8, [k + 1])) for k, sup in enumerate(supports)]
+    inst = QlllInstance.build(8, 2, events)
+    ch = build_channels(inst)
+    op = random_operator(inst.shape.dim, 6)
+    every = frozenset(range(inst.m))
+    for i in range(inst.m):
+        ch.patch(i, op)
+        ch.complement(i, op)
+        ch.measure(i, op)
+    ch.continue_step_local(op, every)
+    ch.continue_step_local(op)
+    assert calls == []
+    # a dense event still runs one sandwich for its complement and one for
+    # its measurement
+    dense = random_rank_projector(4, 1, make_rng(2))
+    ch = build_channels(QlllInstance.build(8, 2, events + [((1, 5), dense)]))
+    ch.patch(4, op)
+    assert len(calls) == 2
+    ch.continue_step_local(op, every | {4})
+    assert len(calls) == 4
+    ch.continue_step_local(op)
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

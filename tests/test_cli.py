@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qlll import bench, cli
+from qlll import bench, cli, instance
 from qlll.instance import (
     QlllInstance,
     basis_projector,
@@ -81,6 +81,23 @@ def test_check_feasible_pair(tmp_path, capsys):
     result = last_json(out)["result"]
     assert result["feasible"]
     assert result["x"] == pytest.approx([0.5, 0.5])
+
+
+def test_check_reads_the_slack_of_the_search_check(tmp_path, capsys, monkeypatch):
+    # the search checks its certificate once; the report reads that check
+    calls = []
+    check = instance._check_lovasz
+    monkeypatch.setattr(
+        instance, "_check_lovasz", lambda *args: calls.append(1) or check(*args)
+    )
+    inst = disjoint_pair()
+    path = write_instance(tmp_path, inst)
+    code, out, _ = run_cli(["check", "--instance", path, "--epsilon", "0.1"], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    result = last_json(out)["result"]
+    cert = instance.find_certificate(inst, 0.1)
+    assert result["min_slack"] == float(min(instance.check_lovasz(inst, cert).slacks))
 
 
 def test_check_infeasible_exit_two(tmp_path, capsys):
