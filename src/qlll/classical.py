@@ -142,6 +142,8 @@ def solve_classical(
     """
     if max_resamples is None:
         max_resamples = config.CLASSICAL_DEFAULT_BUDGET
+    if max_resamples < 0:
+        raise ValueError(f"max_resamples must be nonnegative, got {max_resamples}")
     plan = _resample_plan(inst)
     read, keys, gamma_plus = plan.read, plan.keys, plan.gamma_plus
     rng = make_rng(seed)
@@ -193,24 +195,54 @@ def expected_resamples_bound(
     return expected_violations_bound(cert)
 
 
+def _bad_token(raw: str):
+    """Column and text of the first token of a line that int() rejects."""
+    at = 0
+    for tok in raw.split():
+        at = raw.index(tok, at)
+        try:
+            int(tok)
+        except ValueError:
+            return at + 1, tok
+        at += len(tok)
+
+
 def instance_from_dimacs(text: str) -> ClassicalInstance:
     """Parse DIMACS CNF; each clause becomes one event over boolean
-    variables, violated exactly when every literal is false."""
+    variables, violated exactly when every literal is false.
+
+    A clause before the header, a missing header and a clause token that
+    int() rejects (a second header line among them) are reported with line
+    and column.  The header itself is checked after the clause tokens.
+    """
+    header = None
     tokens = []
-    nvars = None
-    for line in text.splitlines():
-        line = line.strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad DIMACS header: {line}")
-            nvars = int(parts[2])
+        if header is None:
+            if not line.startswith("p"):
+                col = len(raw) - len(raw.lstrip()) + 1
+                raise ValueError(
+                    f"line {lineno} column {col}: expected the"
+                    " 'p cnf <vars> <clauses>' header before any clause"
+                )
+            header = line
             continue
-        tokens.extend(int(t) for t in line.split())
-    if nvars is None:
-        raise ValueError("missing DIMACS header")
+        try:
+            tokens.extend(map(int, line.split()))
+        except ValueError:
+            col, tok = _bad_token(raw)
+            raise ValueError(
+                f"line {lineno} column {col}: clause token {tok!r} is not an integer"
+            ) from None
+    if header is None:
+        raise ValueError("line 1 column 1: missing 'p cnf' header")
+    parts = header.split()
+    if len(parts) != 4 or parts[1] != "cnf":
+        raise ValueError(f"bad DIMACS header: {header}")
+    nvars = int(parts[2])
 
     events = []
     clause = []

@@ -14,10 +14,8 @@ import argparse
 import hashlib
 import json
 import math
-import re
 import secrets
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -71,22 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    seed: int
-    seed_was_random: bool
-    instance_path: str = None
-    trajectories: int = None
-    max_steps: int = None
-    t: int = None
-    epsilon: float = None
-    p: int = None
-    output_path: str = None
-    output_format: str = "json"
-    options: dict = field(default_factory=dict)
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -95,14 +77,17 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _load_json(path: str):
-    text = _read_text(path)
+def _parse_json(text: str, where: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def _load_json(path: str):
+    return _parse_json(_read_text(path), path)
 
 
 def _load_instance(path: str):
@@ -111,38 +96,6 @@ def _load_instance(path: str):
         return instance_from_dict(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"{path}: {exc}") from exc
-
-
-_TOKEN = re.compile(r"\S+")
-
-
-def _scan_dimacs(path: str, text: str) -> None:
-    """Token-level scan so syntax problems come back with line and column;
-    the semantic checks stay in the parser proper."""
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.lstrip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        if not header_seen:
-            col = len(raw) - len(stripped) + 1
-            if not stripped.startswith("p"):
-                raise CliError(
-                    f"{path}: line {lineno} column {col}: expected the"
-                    " 'p cnf <vars> <clauses>' header before any clause"
-                )
-            header_seen = True
-            continue
-        for match in _TOKEN.finditer(raw):
-            try:
-                int(match.group())
-            except ValueError:
-                raise CliError(
-                    f"{path}: line {lineno} column {match.start() + 1}:"
-                    f" clause token {match.group()!r} is not an integer"
-                ) from None
-    if not header_seen:
-        raise CliError(f"{path}: line 1 column 1: missing 'p cnf' header")
 
 
 def _parse_ids(text: str, flag: str):
@@ -172,9 +125,9 @@ def _pyify(value):
     return value
 
 
-def _envelope(cfg: RunConfig, digest, result) -> str:
+def _envelope(cfg: argparse.Namespace, digest, result) -> str:
     doc = {
-        "subcommand": cfg.subcommand,
+        "subcommand": cfg.command,
         "seed": cfg.seed,
         "seed_was_random": cfg.seed_was_random,
         "instance": digest,
@@ -184,8 +137,8 @@ def _envelope(cfg: RunConfig, digest, result) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_check(cfg: RunConfig):
-    inst = _load_instance(cfg.instance_path)
+def _cmd_check(cfg: argparse.Namespace):
+    inst = _load_instance(cfg.instance)
     digest = instance_digest(inst)
     cert, reason, checked = checked_certificate_search(inst, cfg.epsilon)
     if cert is None:
@@ -210,8 +163,8 @@ def _cmd_check(cfg: RunConfig):
     return EXIT_OK, digest, result, None
 
 
-def _cmd_gap(cfg: RunConfig):
-    inst = _load_instance(cfg.instance_path)
+def _cmd_gap(cfg: argparse.Namespace):
+    inst = _load_instance(cfg.instance)
     rep = spectral_report(inst)
     result = {
         "eigenvalues": np.asarray(rep.eigenvalues).tolist(),
@@ -223,15 +176,13 @@ def _cmd_gap(cfg: RunConfig):
     return EXIT_OK, instance_digest(inst), result, None
 
 
-def _cmd_solve_classical(cfg: RunConfig):
-    path = cfg.options["cnf"]
-    text = _read_text(path)
-    _scan_dimacs(path, text)
+def _cmd_solve_classical(cfg: argparse.Namespace):
+    text = _read_text(cfg.cnf)
     try:
         cinst = instance_from_dimacs(text)
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    res = solve_classical(cinst, cfg.seed, max_resamples=cfg.options["max_resamples"])
+        raise CliError(f"{cfg.cnf}: {exc}") from exc
+    res = solve_classical(cinst, cfg.seed, max_resamples=cfg.max_resamples)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     result = {
         "satisfied": not res.exhausted,
@@ -244,8 +195,8 @@ def _cmd_solve_classical(cfg: RunConfig):
     return code, digest, result, None
 
 
-def _cmd_solve_quantum(cfg: RunConfig):
-    inst = _load_instance(cfg.instance_path)
+def _cmd_solve_quantum(cfg: argparse.Namespace):
+    inst = _load_instance(cfg.instance)
     if cfg.trajectories < 1:
         raise CliError("--trajectories must be positive")
     steps = (
@@ -258,15 +209,14 @@ def _cmd_solve_quantum(cfg: RunConfig):
         run_quantum_solver(inst, int(s), max_steps=steps) for s in child_seeds
     ]
 
-    save_path = cfg.options["save_log"]
-    if save_path is not None:
+    if cfg.save_log is not None:
         payload = {"logs": [traj.log.to_dict() for traj in trajectories]}
         try:
-            with open(save_path, "w", encoding="utf-8") as fh:
+            with open(cfg.save_log, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, sort_keys=True, indent=2)
                 fh.write("\n")
         except OSError as exc:
-            raise CliError(f"cannot write {save_path}: {exc.strerror or exc}") from exc
+            raise CliError(f"cannot write {cfg.save_log}: {exc.strerror or exc}") from exc
 
     counts = [len(traj.log.entries) for traj in trajectories]
     result = {
@@ -274,28 +224,35 @@ def _cmd_solve_quantum(cfg: RunConfig):
         "max_steps": steps,
         "violations": counts,
         "mean_violations": float(np.mean(counts)),
-        "log_saved": save_path,
+        "log_saved": cfg.save_log,
     }
     return EXIT_OK, instance_digest(inst), result, None
 
 
-def _cmd_converge(cfg: RunConfig):
-    inst = _load_instance(cfg.instance_path)
+def _horizon(cfg: argparse.Namespace):
+    """--t when given; otherwise None once --epsilon is checked, and the
+    caller derives the horizon from it."""
+    if cfg.t is not None:
+        if cfg.t < 0:
+            raise CliError("--t must be nonnegative")
+        return cfg.t
+    if cfg.epsilon is None:
+        raise CliError("provide --t or --epsilon")
+    if not 0.0 < cfg.epsilon < 1.0:
+        raise CliError("--epsilon must lie strictly between 0 and 1")
+    return None
+
+
+def _cmd_converge(cfg: argparse.Namespace):
+    inst = _load_instance(cfg.instance)
     digest = instance_digest(inst)
-    samples = cfg.options["samples"]
+    samples = cfg.samples
     if samples < 1:
         raise CliError("--samples must be positive")
     cert = find_certificate(inst)
     bound = expected_violations_bound(cert) if cert is not None else None
-    if cfg.t is not None:
-        t = cfg.t
-        if t < 0:
-            raise CliError("--t must be nonnegative")
-    else:
-        if cfg.epsilon is None:
-            raise CliError("provide --t or --epsilon")
-        if not 0.0 < cfg.epsilon < 1.0:
-            raise CliError("--epsilon must lie strictly between 0 and 1")
+    t = _horizon(cfg)
+    if t is None:
         if cert is None:
             result = {"feasible": False, "epsilon": cfg.epsilon}
             return EXIT_CHECK_FAILED, digest, result, None
@@ -323,10 +280,10 @@ def _cmd_converge(cfg: RunConfig):
     return code, digest, result, None
 
 
-def _cmd_exact_solve(cfg: RunConfig):
-    inst = _load_instance(cfg.instance_path)
+def _cmd_exact_solve(cfg: argparse.Namespace):
+    inst = _load_instance(cfg.instance)
     digest = instance_digest(inst)
-    runs = cfg.options["runs"]
+    runs = cfg.runs
     if runs < 1:
         raise CliError("--runs must be positive")
     cert = find_certificate(inst)
@@ -367,14 +324,13 @@ def _cmd_exact_solve(cfg: RunConfig):
     return code, digest, result, None
 
 
-def _cmd_oracle(cfg: RunConfig):
-    inst = _load_instance(cfg.instance_path)
-    opts = cfg.options
+def _cmd_oracle(cfg: argparse.Namespace):
+    inst = _load_instance(cfg.instance)
     requested = (
-        opts["halting"] is not None
-        or opts["sequence"] is not None
-        or opts["cp_identities"]
-        or opts["shortclaim"] is not None
+        cfg.halting is not None
+        or cfg.sequence is not None
+        or cfg.cp_identities
+        or cfg.shortclaim is not None
     )
     if not requested:
         raise CliError(
@@ -384,10 +340,10 @@ def _cmd_oracle(cfg: RunConfig):
     channels = build_channels(inst)
     result = {}
     verdicts = []
-    if opts["halting"] is not None:
-        rep = first_violation_gap_bound(inst, opts["halting"], channels)
-        series = halting_operator(inst, opts["halting"], channels)
-        resolvent = halting_operator_resolvent(inst, opts["halting"], channels)
+    if cfg.halting is not None:
+        rep = first_violation_gap_bound(inst, cfg.halting, channels)
+        series = halting_operator(inst, cfg.halting, channels)
+        resolvent = halting_operator_resolvent(inst, cfg.halting, channels)
         residual = float(np.abs(series.operator - resolvent.operator).max())
         rep["route_residual"] = residual
         rep["route_pass"] = residual <= RESIDUAL_TOL
@@ -396,16 +352,16 @@ def _cmd_oracle(cfg: RunConfig):
             verdicts.append(rep["gap_bound"]["pass"])
         verdicts.append(rep["route_pass"])
         result["halting"] = rep
-    if opts["sequence"] is not None:
-        ids = _parse_ids(opts["sequence"], "--sequence")
+    if cfg.sequence is not None:
+        ids = _parse_ids(cfg.sequence, "--sequence")
         op = sequence_operator(inst, ids, channels)
         result["sequence"] = {"ids": list(ids), "probability": op.probability}
-    if opts["cp_identities"]:
+    if cfg.cp_identities:
         rep = verify_cp_identities(inst, seed=cfg.seed)
         verdicts.append(rep["pass"])
         result["cp_identities"] = rep
-    if opts["shortclaim"] is not None:
-        ids = _parse_ids(opts["shortclaim"], "--shortclaim")
+    if cfg.shortclaim is not None:
+        ids = _parse_ids(cfg.shortclaim, "--shortclaim")
         rep = shortclaim_suite(inst, ids)
         verdicts.append(rep["pass"])
         result["shortclaim"] = rep
@@ -413,10 +369,10 @@ def _cmd_oracle(cfg: RunConfig):
     return code, instance_digest(inst), result, None
 
 
-def _cmd_witness(cfg: RunConfig):
-    inst = _load_instance(cfg.instance_path)
-    data = _load_json(cfg.options["log"])
-    index = cfg.options["log_index"]
+def _cmd_witness(cfg: argparse.Namespace):
+    inst = _load_instance(cfg.instance)
+    data = _load_json(cfg.log)
+    index = cfg.log_index
     if isinstance(data, dict) and "logs" in data:
         logs = data["logs"]
         if not 0 <= index < len(logs):
@@ -429,7 +385,7 @@ def _cmd_witness(cfg: RunConfig):
     try:
         log = log_from_dict(picked)
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"{cfg.options['log']}: {exc}") from exc
+        raise CliError(f"{cfg.log}: {exc}") from exc
     if not log.entries:
         raise CliError("the selected log has no violation entries")
     labels = list(log.labels())
@@ -437,7 +393,7 @@ def _cmd_witness(cfg: RunConfig):
         raise CliError(
             f"log labels do not fit an instance with {inst.m} projectors"
         )
-    entry = cfg.options["entry"]
+    entry = cfg.entry
     if entry is None:
         entry = len(log.entries) - 1
     if not 0 <= entry < len(log.entries):
@@ -476,12 +432,17 @@ def _cmd_witness(cfg: RunConfig):
     return EXIT_OK, instance_digest(inst), result, None
 
 
-def _cmd_counterexample(cfg: RunConfig):
-    a = cfg.options["a"]
+def _cmd_counterexample(cfg: argparse.Namespace):
+    a = cfg.a
+    audit = None
     try:
         cx = bench.make_counterexample(a)
         analytic = bench.counterexample_analytic(a)
-        exact = bench.counterexample_exact(a)
+        if cfg.trajectories is not None:
+            audit = bench.counterexample_audit(
+                a, cfg.trajectories, cfg.seed, max_steps=cfg.max_steps
+            )
+        exact = bench.counterexample_exact(a) if audit is None else audit["exact"]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     digest = instance_digest(cx.instance)
@@ -489,13 +450,7 @@ def _cmd_counterexample(cfg: RunConfig):
     result["exact"] = exact
     result["exact_matches_analytic"] = abs(exact - analytic["pr_tau"]) <= 1e-8
     code = EXIT_OK
-    if cfg.trajectories is not None:
-        try:
-            audit = bench.counterexample_audit(
-                a, cfg.trajectories, cfg.seed, max_steps=cfg.max_steps
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+    if audit is not None:
         for key in (
             "trajectories",
             "max_steps",
@@ -512,16 +467,10 @@ def _cmd_counterexample(cfg: RunConfig):
     return code, digest, result, None
 
 
-def _cmd_conjecture(cfg: RunConfig):
-    inst = _load_instance(cfg.instance_path)
-    raw = cfg.options["tree"]
-    text = _read_text(raw[1:]) if raw.startswith("@") else raw
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(
-            f"--tree: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+def _cmd_conjecture(cfg: argparse.Namespace):
+    inst = _load_instance(cfg.instance)
+    raw = cfg.tree
+    data = _parse_json(_read_text(raw[1:]) if raw.startswith("@") else raw, "--tree")
     try:
         if isinstance(data, dict) and "parents" in data:
             structure = tree_from_dict(data)
@@ -534,8 +483,8 @@ def _cmd_conjecture(cfg: RunConfig):
     report = bench.conjecture_test(
         inst,
         structure,
-        cfg.options["mode"],
-        cfg.options["budget"],
+        cfg.mode,
+        cfg.budget,
         seed=cfg.seed,
         max_steps=cfg.max_steps,
     )
@@ -555,17 +504,10 @@ def _cmd_conjecture(cfg: RunConfig):
     return EXIT_OK, instance_digest(inst), result, None
 
 
-def _cmd_cpmap(cfg: RunConfig):
-    inst = _load_instance(cfg.instance_path)
-    if cfg.t is not None:
-        t = cfg.t
-        if t < 0:
-            raise CliError("--t must be nonnegative")
-    else:
-        if cfg.epsilon is None:
-            raise CliError("provide --t or --epsilon")
-        if not 0.0 < cfg.epsilon < 1.0:
-            raise CliError("--epsilon must lie strictly between 0 and 1")
+def _cmd_cpmap(cfg: argparse.Namespace):
+    inst = _load_instance(cfg.instance)
+    t = _horizon(cfg)
+    if t is None:
         gap = spectral_report(inst).gap
         if gap < config.GAP_VACUOUS_TOL:
             raise CliError(
@@ -584,7 +526,7 @@ def _cmd_cpmap(cfg: RunConfig):
         reached = final >= target
         if not reached:
             code = EXIT_CHECK_FAILED
-    if cfg.output_format == "csv":
+    if cfg.format == "csv":
         return code, None, None, bench.series_to_csv(series)
     worst = [float(np.max(row)) for row in series.violation_probs]
     result = {"t_max": t}
@@ -736,39 +678,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command is None:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The parsed flags, plus the seed: drawn and flagged when not given."""
+    cfg = build_parser().parse_args(argv)
+    if cfg.command is None:
         raise CliError("a subcommand is required (see --help)")
-    seed_was_random = ns.seed is None
-    seed = secrets.randbelow(2**32) if seed_was_random else ns.seed
-    options = {}
-    for key in (
-        "cnf", "max_resamples", "save_log", "samples", "runs",
-        "halting", "sequence", "cp_identities", "shortclaim",
-        "log", "log_index", "entry", "a", "tree", "mode", "budget",
-    ):
-        if hasattr(ns, key):
-            options[key] = getattr(ns, key)
-    return RunConfig(
-        subcommand=ns.command,
-        seed=seed,
-        seed_was_random=seed_was_random,
-        instance_path=getattr(ns, "instance", None),
-        trajectories=getattr(ns, "trajectories", None),
-        max_steps=getattr(ns, "max_steps", None),
-        t=getattr(ns, "t", None),
-        epsilon=getattr(ns, "epsilon", None),
-        p=getattr(ns, "p", None),
-        output_path=ns.output,
-        output_format=getattr(ns, "format", "json"),
-        options=options,
-    )
+    cfg.seed_was_random = cfg.seed is None
+    if cfg.seed_was_random:
+        cfg.seed = secrets.randbelow(2**32)
+    return cfg
 
 
-def dispatch(cfg: RunConfig):
-    code, digest, result, raw = _HANDLERS[cfg.subcommand](cfg)
+def dispatch(cfg: argparse.Namespace):
+    code, digest, result, raw = _HANDLERS[cfg.command](cfg)
     if raw is not None:
         return code, raw
     return code, _envelope(cfg, digest, result)
@@ -790,12 +712,12 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_INVARIANT
-    if cfg.output_path is not None:
+    if cfg.output is not None:
         try:
-            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {cfg.output_path}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {cfg.output}: {exc}", file=sys.stderr)
             return EXIT_ERROR
     else:
         sys.stdout.write(text)

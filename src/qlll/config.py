@@ -1,13 +1,10 @@
 """Numerical tolerances and size budgets used across the package.
 
 All dense linear algebra is gated on the total Hilbert dimension D so that a
-mistyped instance fails fast instead of allocating huge arrays.  The dense cap
-can be raised or lowered with the QLLL_BUDGET_D environment variable.
+mistyped instance fails fast instead of allocating huge arrays.
 """
 
 from __future__ import annotations
-
-import os
 
 # projector / operator validation
 HERMITIAN_TOL = 1e-10          # relative deviation ||M - M^dag|| / max(1, ||M||)
@@ -47,20 +44,8 @@ BATCH_FREEZE_EVERY = 16        # steps between settled-row sweeps
 DAG_EXACT_RATIONAL_MAX = 12    # exact Fraction arithmetic up to this many vertices
 DAG_VERTEX_CAP = 20            # hard cap for subset-memoised recursions
 
-_DEFAULT_STATE_BUDGET_D = 2 ** 13
-
-
-def state_budget_d() -> int:
-    """Dense state-vector dimension cap, overridable via QLLL_BUDGET_D."""
-    raw = os.environ.get("QLLL_BUDGET_D")
-    if raw is None:
-        return _DEFAULT_STATE_BUDGET_D
-    value = int(raw)
-    if value < 2:
-        raise ValueError(f"QLLL_BUDGET_D must be >= 2, got {value}")
-    return value
-
-
+# dense state vectors
+STATE_BUDGET_D = 2 ** 13
 # density-matrix iteration keeps full D x D operators around
 DENSITY_BUDGET_D = 2 ** 11
 # superoperators are D^2 x D^2
@@ -85,7 +70,7 @@ def tolerance_snapshot() -> dict:
         "cert_max_sweeps": CERT_MAX_SWEEPS,
         "cert_sup_change_tol": CERT_SUP_CHANGE_TOL,
         "cert_x_ceiling": CERT_X_CEILING,
-        "state_budget_d": state_budget_d(),
+        "state_budget_d": STATE_BUDGET_D,
         "density_budget_d": DENSITY_BUDGET_D,
         "superop_budget_d": SUPEROP_BUDGET_D,
     }

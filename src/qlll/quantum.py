@@ -298,7 +298,6 @@ class Trajectory:
     state: np.ndarray
     log: ExecutionLog
     outcome_trace: tuple | None
-    rng_seed: int | None
 
 
 def run_quantum_solver(
@@ -308,10 +307,12 @@ def run_quantum_solver(
     record_outcomes: bool = False,
 ) -> Trajectory:
     """Run one trajectory of the uniform measure-and-resample process."""
-    inst.shape.check_budget(config.state_budget_d())
+    inst.shape.check_budget(config.STATE_BUDGET_D)
     m = inst.m
     if max_steps is None:
         max_steps = config.QUANTUM_STEPS_PER_PROJECTOR * m
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     rng = make_rng(seed)
     events = _events(inst)
     states = _basis_states(rng, 1, inst.shape.n, inst.shape.d)
@@ -328,7 +329,7 @@ def run_quantum_solver(
         if violated:
             entries.append((step, i))
     log = ExecutionLog(tuple(entries), total_steps=steps, seed=seed)
-    return Trajectory(states[0], log, tuple(trace) if trace is not None else None, seed)
+    return Trajectory(states[0], log, tuple(trace) if trace is not None else None)
 
 
 @dataclass
@@ -366,9 +367,11 @@ def run_trajectory_batch(
     instances.  Each step draws one id per live row.
     """
     shape = inst.shape
-    shape.check_budget(config.state_budget_d())
+    shape.check_budget(config.STATE_BUDGET_D)
     if n_traj < 1:
         raise ValueError("n_traj must be positive")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     if n_traj * shape.dim > config.BATCH_STATE_ENTRIES:
         raise ValueError(
             f"batch of {n_traj} states of dimension {shape.dim} exceeds the "
@@ -443,7 +446,7 @@ def tau_check(
     the sample fails on a satisfied outcome.  The pass rate converges to the
     product of the relative dimensions of the vertex labels.
     """
-    inst.shape.check_budget(config.state_budget_d())
+    inst.shape.check_budget(config.STATE_BUDGET_D)
     if samples < 1:
         raise ValueError("samples must be positive")
     for lab in tree.labels:
@@ -512,7 +515,7 @@ def run_converger(
     drawn uniformly from {0, ..., t}, then contributes its violation
     probabilities <psi|Pi_i|psi> and ground overlap <psi|P0|psi>.
     """
-    inst.shape.check_budget(config.state_budget_d())
+    inst.shape.check_budget(config.STATE_BUDGET_D)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if samples < 1:
@@ -586,7 +589,7 @@ def run_exact_solver(
     in the common kernel of all events (verified to 1e-8).  The iteration
     budget is ceil((m+1)(p*m_prime+1)); exceeding it ends the run in failure.
     """
-    inst.shape.check_budget(config.state_budget_d())
+    inst.shape.check_budget(config.STATE_BUDGET_D)
     m = inst.m
     if sorted(cfg.fixed_order) != list(range(m)):
         raise ValueError("fixed_order must be a permutation of the event ids")
@@ -619,4 +622,4 @@ def run_exact_solver(
                 f"successful run left the common kernel (weight {weight:.3e})", weight
             )
     log = ExecutionLog(tuple(entries), total_steps=it, seed=seed)
-    return ExactRunResult(success, Trajectory(states[0], log, None, seed))
+    return ExactRunResult(success, Trajectory(states[0], log, None))

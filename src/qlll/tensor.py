@@ -36,11 +36,10 @@ class HilbertShape:
     def dim(self) -> int:
         return self.d ** self.n
 
-    def check_budget(self, budget: int | None = None):
-        cap = config.state_budget_d() if budget is None else budget
-        if self.dim > cap:
+    def check_budget(self, budget: int):
+        if self.dim > budget:
             raise ValueError(
-                f"total dimension {self.dim} exceeds the dense budget {cap}"
+                f"total dimension {self.dim} exceeds the dense budget {budget}"
             )
 
 

@@ -178,6 +178,12 @@ def test_dimacs_tautology_and_repeats():
     assert inst.events[1].violating == frozenset({(0,)})
 
 
+def test_dimacs_takes_the_tokens_int_takes():
+    # a sign, digit separators and tabs or non-breaking spaces between tokens
+    inst = instance_from_dimacs("p cnf 10 x\n+1 1_0 0\r\n -2\u00a03\t0\n")
+    assert [ev.vars for ev in inst.events] == [(0, 9), (1, 2)]
+
+
 def test_dimacs_solver_round():
     inst = instance_from_dimacs(DIMACS)
     result = solve_classical(inst, seed=11)
@@ -193,6 +199,13 @@ def test_json_round_trip():
     again = classical_from_dict(classical_to_dict(inst))
     assert again.domains == inst.domains
     assert again.events == inst.events
+
+
+def test_negative_budget_rejected():
+    inst = instance_from_dimacs(DIMACS)
+    with pytest.raises(ValueError, match="max_resamples must be nonnegative"):
+        solve_classical(inst, seed=0, max_resamples=-3)
+    assert solve_classical(inst, seed=0, max_resamples=0).log.total_steps == 0
 
 
 def test_budget_exhaustion_keeps_partial_log():

@@ -74,6 +74,20 @@ def test_counterexample_audit_exit_codes(capsys):
     assert "error" in err
 
 
+def test_counterexample_audit_computes_exact_once(capsys, monkeypatch):
+    calls = []
+    exact = bench.counterexample_exact
+    monkeypatch.setattr(
+        bench, "counterexample_exact", lambda a: calls.append(a) or exact(a)
+    )
+    code, out, _ = run_cli(
+        ["counterexample", "--a", "0.5", "--trajectories", "50", "--seed", "9"],
+        capsys,
+    )
+    assert code == 0 and calls == [0.5]
+    assert last_json(out)["result"]["exact"] == exact(0.5)
+
+
 def test_check_feasible_pair(tmp_path, capsys):
     path = write_instance(tmp_path, disjoint_pair())
     code, out, _ = run_cli(["check", "--instance", path], capsys)
@@ -448,12 +462,31 @@ def test_json_parse_diagnostic(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+DIMACS_DIAGNOSTICS = [
+    ("p cnf 3 1\n1 two 3 0\n",
+     "line 2 column 3: clause token 'two' is not an integer"),
+    ("c comment\n  1 2 0\np cnf 2 1\n",
+     "line 2 column 3: expected the 'p cnf <vars> <clauses>' header before any clause"),
+    ("c only a comment\n\n", "line 1 column 1: missing 'p cnf' header"),
+    ("p dnf 3 1\n1 2 0\n", "bad DIMACS header: p dnf 3 1"),
+    # clause tokens are checked before the header
+    ("p dnf 3 1\n1 z 0\n", "line 2 column 3: clause token 'z' is not an integer"),
+    ("p cnf 3 2\n1 2 0\n\t  -1  3x 0\n",
+     "line 3 column 8: clause token '3x' is not an integer"),
+    ("p cnf 3 1\n1 2 0\n  p cnf 3 1\n",
+     "line 3 column 3: clause token 'p' is not an integer"),
+    ("p cnf 2 1\n1 3 0\n", "literal 3 outside declared variables"),
+    ("p cnf 3 2\n1 2 0\n3\n", "unterminated clause in DIMACS input"),
+]
+
+
 def test_dimacs_parse_diagnostic(tmp_path, capsys):
     bad = tmp_path / "broken.cnf"
-    bad.write_text("p cnf 3 1\n1 two 3 0\n")
-    code, _, err = run_cli(["solve-classical", "--cnf", str(bad)], capsys)
-    assert code == 1
-    assert "line 2" in err and "column" in err
+    for text, message in DIMACS_DIAGNOSTICS:
+        bad.write_text(text)
+        code, out, err = run_cli(["solve-classical", "--cnf", str(bad)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: {message}\n"
 
 
 def test_missing_file_and_bad_usage(tmp_path, capsys):
@@ -463,3 +496,59 @@ def test_missing_file_and_bad_usage(tmp_path, capsys):
     assert code == 1
     code, _, err = run_cli(["converge", "--instance", "x.json"], capsys)
     assert code == 1  # missing file and missing --epsilon/--t both land here
+    # negative budgets are usage errors; zero is a valid budget
+    path = write_instance(tmp_path, disjoint_pair())
+    code, out, err = run_cli(
+        ["solve-quantum", "--instance", path, "--max-steps", "-5"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: max_steps must be nonnegative, got -5\n"
+
+
+RERUNS = {
+    "check": (0, ["check", "--instance", "{pair}", "--epsilon", "0.1"]),
+    "gap": (0, ["gap", "--instance", "{pair}"]),
+    "solve-classical": (0, ["solve-classical", "--cnf", "{cnf}"]),
+    "solve-quantum": (
+        0, ["solve-quantum", "--instance", "{diag3}", "--trajectories", "3",
+            "--max-steps", "40"]),
+    "converge": (
+        0, ["converge", "--instance", "{pair}", "--t", "4", "--samples", "50"]),
+    "converge-exit-2": (
+        2, ["converge", "--instance", "{pair}", "--t", "5", "--epsilon", "0.001",
+            "--samples", "50"]),
+    "exact-solve": (0, ["exact-solve", "--instance", "{pair}", "--runs", "3"]),
+    "oracle": (
+        0, ["oracle", "--instance", "{pair}", "--halting", "0", "--cp-identities"]),
+    "witness": (0, ["witness", "--instance", "{diag3}", "--log", "{log}"]),
+    "counterexample": (0, ["counterexample", "--a", "0.5", "--trajectories", "50"]),
+    "conjecture": (
+        0, ["conjecture", "--instance", "{diag3}",
+            "--tree", '{{"labels": [0], "parents": [-1]}}',
+            "--mode", "monte-carlo", "--budget", "10", "--max-steps", "16"]),
+    "cpmap": (0, ["cpmap", "--instance", "{pair}", "--t", "3"]),
+    "cpmap-csv": (0, ["cpmap", "--instance", "{pair}", "--t", "3", "--format", "csv"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RERUNS))
+def test_fixed_seed_rerun_is_byte_identical(name, tmp_path, capsys):
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps({"entries": [[0, 1], [1, 2]], "total_steps": 4, "seed": 7}))
+    cnf = tmp_path / "chain.cnf"
+    cnf.write_text(bench.chain_cnf(4, seed=8))
+    paths = {
+        "pair": write_instance(tmp_path, disjoint_pair()),
+        "diag3": write_instance(tmp_path, diag3(), "diag3.json"),
+        "log": str(log),
+        "cnf": str(cnf),
+    }
+    want, template = RERUNS[name]
+    args = [arg.format(**paths) for arg in template] + ["--seed", "5"]
+    first = run_cli(args, capsys)
+    assert first[0] == want, first[2]
+    assert first[1] and run_cli(args, capsys) == first
+
+
+def test_reruns_cover_every_subcommand():
+    assert {args[0] for _, args in RERUNS.values()} == set(cli._HANDLERS)

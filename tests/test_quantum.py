@@ -165,6 +165,21 @@ def test_budget_rejected():
         run_quantum_solver(big, seed=0, max_steps=1)
 
 
+def test_negative_step_budget_rejected():
+    inst = disjoint_pair()
+    with pytest.raises(ValueError, match="max_steps must be nonnegative"):
+        run_quantum_solver(inst, seed=0, max_steps=-5)
+    assert run_quantum_solver(inst, seed=0, max_steps=0).log.total_steps == 0
+
+
+def test_batch_negative_step_budget_rejected():
+    inst = disjoint_pair()
+    with pytest.raises(ValueError, match="max_steps must be nonnegative"):
+        run_trajectory_batch(inst, seed=0, n_traj=4, max_steps=-1)
+    batch = run_trajectory_batch(inst, seed=0, n_traj=4, max_steps=0)
+    assert batch.max_steps == 0 and not batch.violations.any()
+
+
 def test_batch_matches_scalar_statistics():
     inst = single_qubit_instance()
     n = 4000
