@@ -398,6 +398,8 @@ def conjecture_test(
     mode counts occurrences anywhere in full trajectory logs ("full-log").
     The structure may be a witness tree or a resample DAG.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     labels = tuple(structure.labels)
     if not labels:
         raise ValueError("structure needs at least one vertex")

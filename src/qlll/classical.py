@@ -17,7 +17,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import config
-from .instance import IntersectionGraph, LovaszCertificate, support_graph
+from .instance import IntersectionGraph, LovaszCertificate, _check_lovasz, support_graph
 from .logs import ExecutionLog
 from .tensor import make_rng
 from .witness import expected_violations_bound
@@ -181,17 +181,19 @@ def solve_classical(
 def expected_resamples_bound(
     inst: ClassicalInstance, cert: LovaszCertificate
 ) -> float:
-    """expected_violations_bound after verifying the certificate really
-    covers the event probabilities."""
+    """expected_violations_bound after verifying, through the instance
+    module's Lovasz check, that the certificate covers the event
+    probabilities."""
     if len(cert.x) != inst.m:
         raise ValueError("certificate length does not match the instance")
-    for i in range(inst.m):
-        p = event_probability(inst, i)
-        budget = (1.0 - cert.epsilon) * cert.x_prime[i]
-        if p > budget + config.LOVASZ_SLACK_TOL:
-            raise ValueError(
-                f"certificate does not cover event {i}: {p} > {budget}"
-            )
+    probs = np.array([event_probability(inst, i) for i in range(inst.m)])
+    check = _check_lovasz(cert, classical_intersection_graph(inst), probs)
+    if not check.ok:
+        i = int(np.argmin(check.slacks >= -config.LOVASZ_SLACK_TOL))
+        raise ValueError(
+            f"certificate does not cover event {i}: "
+            f"{probs[i]} > {(1.0 - cert.epsilon) * cert.x_prime[i]}"
+        )
     return expected_violations_bound(cert)
 
 

@@ -5,8 +5,9 @@ the qudits it acts on.  This module owns the intersection structure between
 events, relative dimensions, Lovasz-condition checking with the epsilon
 strengthening, certificate search, and the spectral summary (gap, kernel
 projector) used by the convergence analyses.  spectral_report is the only
-place the averaged Hamiltonian and its kernel projector are built; the summary
-is computed once per instance, kept on it and shared read-only by every caller.
+place the averaged Hamiltonian and its kernel projector are built, and
+event_table the only place an event's register layout is worked out; each is
+computed once per instance, kept on it and shared read-only by every caller.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import config
 from .errors import InvariantError
-from .tensor import HilbertShape, embed, is_hermitian, make_rng
+from .tensor import EventTable, HilbertShape, embed, is_hermitian, make_rng
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class QlllInstance:
         self.projectors = tuple(projectors)
         self._embedded = {}
         self._spectral = None
-        self._events = None  # the state-vector step's layouts and factors
+        self._events = None  # EventTable, see event_table
         self._commuting = None
         for i, p in enumerate(self.projectors):
             if p.id != i:
@@ -325,6 +326,18 @@ class SpectralReport:
         """Least average violation weight over states outside the good space:
         the gap when that space is nonempty, else the bottom of the spectrum."""
         return self.delta if self.ground_dim > 0 else self.ground_energy
+
+
+def event_table(inst: QlllInstance) -> EventTable:
+    """Where the instance's events sit on its register, for both engines.
+
+    Built on first use and kept on the instance, like its spectral report,
+    so every run and every channel set shares one layout per support and
+    one nonzero block per event.
+    """
+    if inst._events is None:
+        inst._events = EventTable(inst.projectors, inst.shape.n, inst.shape.d)
+    return inst._events
 
 
 def spectral_report(inst: QlllInstance) -> SpectralReport:

@@ -10,10 +10,12 @@ analysis rests on.
 All routes here are exact up to series truncation at 1e-12; nothing is
 sampled.  The channels apply each event on its own qudits, so the series
 run on any instance within the density budget (D <= 2048 by default).
-An event whose local matrix is zero off some local basis states is read
-and written only on the register rows and columns of its nonzero states
-(the rule the state-vector step follows, tensor.nonzero_states); an event
-nonzero on every local state runs as layout sandwiches.
+Where an event sits on the register comes from the instance's event table
+(instance.event_table), which the state-vector step reads too: an event
+whose local matrix is zero off some local basis states is read and written
+only on the register rows and columns of its nonzero states, addressed by
+their positions; an event nonzero on every local state runs as layout
+sandwiches.
 Dense superoperators are quadratically bigger than states: the matrix forms,
 the resolvent route and the lemma suite are gated on a small dimension
 budget (D <= 64 by default).
@@ -45,18 +47,17 @@ import numpy as np
 
 from . import config
 from .errors import InvariantError
-from .instance import QlllInstance, intersection_graph, spectral_report
+from .instance import QlllInstance, event_table, intersection_graph, spectral_report
 from .tensor import (
+    EventBlock,
     HilbertShape,
     LocalPlan,
-    LocalPlans,
     conjugation_superoperator,
     devectorize,
     embed,
     is_hermitian,
     make_rng,
     min_slack,
-    nonzero_states,
     partial_trace,
     pseudoinverse,
     refill_mixed,
@@ -134,33 +135,23 @@ def _outcome(op: np.ndarray, provenance: tuple) -> OutcomeOperator:
     return OutcomeOperator(op, float(np.trace(op).real), provenance)
 
 
-class _NonzeroBlock(NamedTuple):
-    """An event's local matrix P on the local basis states K where it is
-    nonzero: p = P_KK, and picks, the basic indices of the states of K in a
-    tensor with one axis per register qudit (tensor.LocalPlan.picks)."""
-
-    p: np.ndarray
-    picks: tuple
-
-
-def _times(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a @ p on a's last axis as one matrix product (a is contiguous)."""
-    return (a.reshape(-1, p.shape[0]) @ p).reshape(a.shape)
-
-
 class ChannelSet:
     """The per-id channels of one process step, applied locally.
 
     Every sandwich and refresh acts on its event's qudits only, at
     O(D^2 d^k) per application for a k-local event; no dense embedded
-    projector is kept.  An event whose local matrix P is zero off some
-    local basis states K^c (tensor.nonzero_states) reads and writes only
-    the register rows and columns of K: P op on the rows of K, op P on
-    its columns and P op P on their crossing give the measurement, the
-    complement op - P op - op P + P op P and the patch (complement plus the
-    block's trace over the event, refilled maximally mixed) in one pass.
-    An event nonzero on every local state runs as layout sandwiches.
-    Events that share a support share one layout, built on first use.
+    projector is kept.  Each event's layout, its nonzero local basis states
+    K and their register positions come from the instance's event table
+    (instance.event_table), shared with the state-vector step.  An event
+    whose local matrix P is zero off some local states reads and writes only
+    the register rows and columns of K, addressed by position: P op on the
+    rows op[pos], op P on the columns (at their flat positions) and P op P
+    on their crossing give the measurement, the complement
+    op - P op - op P + P op P and the patch (complement plus the block's
+    trace over the event, refilled maximally mixed at the positions
+    plan.index gives every local state) in one pass.  An all-zero event has
+    an empty K and changes nothing.  An event nonzero on every local state
+    runs as layout sandwiches.
     Dense matrix forms are built on demand within the superoperator budget;
     at D <= DENSE_STEP_MAX_D the continue step runs through its matrix form,
     built once per absorbed set and kept.  The halting operators of all ids
@@ -172,65 +163,36 @@ class ChannelSet:
         self.instance = inst
         self.shape = inst.shape
         self.m = inst.m
-        self._layouts = LocalPlans(inst.shape.n, inst.shape.d)
+        self._events = event_table(inst)
+        self._blocks = [self._events.block(i) for i in range(self.m)]
         self._local = [p.local_matrix for p in inst.projectors]
         self._local_comp = [np.eye(len(p)) - p for p in self._local]
-        # one axis per register qudit, for the nonzero-block views
-        self._axes = (inst.shape.d,) * inst.shape.n
-        self._blocks = [self._nonzero_block(i) for i in range(self.m)]
-        self._block_count = sum(b is not None for b in self._blocks)
+        self._block_count = sum(b.pos is not None for b in self._blocks)
         self._halting_sums = None
         self._halting = None
         self._dense_steps = {}
         self._trace_reads = {}
 
-    def _plan(self, i: int) -> LocalPlan:
-        return self._layouts[self.instance.projectors[i].qudits]
-
-    def _nonzero_block(self, i: int) -> _NonzeroBlock | None:
-        p = self._local[i]
-        keep = nonzero_states(p)
-        if keep is None:
-            return None
-        if keep.size == 0:
-            keep = np.zeros(1, dtype=int)  # a zero matrix: any one state will do
-        picks = self._plan(i).picks
-        return _NonzeroBlock(
-            np.ascontiguousarray(p[np.ix_(keep, keep)]), tuple(picks[a] for a in keep)
-        )
-
-    def _views(self, op: np.ndarray):
-        """A C-contiguous op with one axis per register qudit on its rows,
-        on its columns and on both; views, so writes land in op."""
-        axes, D = self._axes, self.shape.dim
-        return (
-            op.reshape(axes + (D,), copy=False),
-            op.reshape((D,) + axes, copy=False),
-            op.reshape(axes + axes, copy=False),
-        )
-
-    def _block_terms(self, b: _NonzeroBlock, op: np.ndarray):
-        """P op on the rows of K, (|K|, *rest, D), and P op P on the rows
-        and columns of K, (|K|, *rest, *rest, |K|); rest in register order."""
-        rows = self._views(op)[0]
-        block = np.stack([rows[s] for s in b.picks])
-        left = (b.p @ block.reshape(len(b.picks), -1)).reshape(block.shape)
-        cols = left.reshape(left.shape[:-1] + self._axes)
-        lead = (slice(None),) * (left.ndim - 1)
-        both = _times(np.stack([cols[lead + s] for s in b.picks], axis=-1), b.p)
-        return left, both
+    def _block_terms(self, b: EventBlock, op: np.ndarray):
+        """cols, the flat positions of op's entries in the columns of K,
+        (D, rest * |K|); op P on those columns; and P op P on the rows and
+        columns of K, (|K|, rest, rest * |K|), at flat positions
+        cols[b.pos].  rest is in register order.  Columns go through flat
+        positions because a gather from the raveled operator is much cheaper
+        than fancy indexing along its second axis."""
+        k, rest, D = b.p.shape[0], b.plan.rest_dim, self.shape.dim
+        cols = np.arange(0, D * D, D)[:, None] + b.pos.T.ravel()
+        right = (op.reshape(-1)[cols].reshape(D * rest, k) @ b.p).reshape(D, rest * k)
+        both = (b.p @ right[b.pos].reshape(k, rest * rest * k)).reshape(k, rest, rest * k)
+        return cols, right, both
 
     def measure(self, i: int, op: np.ndarray) -> np.ndarray:
         b = self._blocks[i]
-        if b is None:
-            p = self._local[i]
-            return sandwich_local(p, op, p, self._plan(i))
+        if b.pos is None:
+            return sandwich_local(b.p, op, b.p, b.plan)
         out = np.zeros(np.shape(op), dtype=complex)
-        _, both = self._block_terms(b, np.ascontiguousarray(op))
-        out_both = self._views(out)[2]
-        for j, s in enumerate(b.picks):
-            for l, t in enumerate(b.picks):
-                out_both[s + t] = both[j, ..., l]
+        cols, _, both = self._block_terms(b, np.asarray(op))
+        out.reshape(-1, copy=False)[cols[b.pos]] = both
         return out
 
     def measure_trace(self, i: int, op: np.ndarray) -> complex:
@@ -241,7 +203,7 @@ class ChannelSet:
         if read is None:
             weights = self._local[i].T
             nonzero = weights != 0
-            at = self._plan(i).reduce_index[nonzero]
+            at = self._blocks[i].plan.reduce_index[nonzero]
             read = self._trace_reads[i] = (
                 at.ravel(),
                 np.repeat(weights[nonzero], at.shape[1]),
@@ -258,45 +220,41 @@ class ChannelSet:
 
     def complement(self, i: int, op: np.ndarray) -> np.ndarray:
         b = self._blocks[i]
-        if b is None:
+        if b.pos is None:
             c = self._local_comp[i]
-            return sandwich_local(c, op, c, self._plan(i))
-        op = np.ascontiguousarray(op)
-        out = op.astype(complex)
-        self._add_block_changes(i, b, op, out, False)
+            return sandwich_local(c, op, c, b.plan)
+        op = np.asarray(op)
+        out = op.astype(complex, order="C")
+        self._add_block_changes(b, op, out, False)
         return out
 
     def patch(self, i: int, op: np.ndarray) -> np.ndarray:
         """Absorb one id's violation: keep the satisfied branch, resample the rest."""
         b = self._blocks[i]
-        if b is None:
+        if b.pos is None:
             return self.complement(i, op) + self.refresh(i, self.measure(i, op))
-        op = np.ascontiguousarray(op)
-        out = op.astype(complex)
-        self._add_block_changes(i, b, op, out, True)
+        op = np.asarray(op)
+        out = op.astype(complex, order="C")
+        self._add_block_changes(b, op, out, True)
         return out
 
-    def _add_block_changes(self, i: int, b: _NonzeroBlock, op, out, absorbed: bool):
-        """out += complement(i, op) - op, plus refresh(i, measure(i, op))
-        when absorbed, for an event with a nonzero block b; op and out are
-        C-contiguous, out complex.  The complement is op - P op - op P +
-        P op P, every term read and written on the rows and columns of K
-        only.  op need not be Hermitian, so op P is never (P op)^dag."""
-        left, both = self._block_terms(b, op)
-        op_cols = self._views(op)[1]
-        right = _times(np.stack([op_cols[(slice(None),) + s] for s in b.picks], axis=-1), b.p)
-        out_rows, out_cols, out_both = self._views(out)
-        for j, s in enumerate(b.picks):
-            out_rows[s] -= left[j]
-            out_cols[(slice(None),) + s] -= right[..., j]
-            for l, t in enumerate(b.picks):
-                out_both[s + t] += both[j, ..., l]
+    def _add_block_changes(self, b: EventBlock, op, out, absorbed: bool):
+        """out += complement(op) - op, plus refresh(measure(op)) when
+        absorbed, for an event with nonzero states K; out is C-contiguous
+        and complex.  The complement is op - P op - op P + P op P, every
+        term read and written at K's register positions only.  op need not
+        be Hermitian, so op P is never (P op)^dag."""
+        k, rest, D = b.p.shape[0], b.plan.rest_dim, self.shape.dim
+        cols, right, both = self._block_terms(b, op)
+        right[b.pos] -= both
+        flat = out.reshape(-1, copy=False)
+        out[b.pos] -= (b.p @ op[b.pos].reshape(k, rest * D)).reshape(k, rest, D)
+        flat[cols] -= right
         if absorbed:
             # the violated branch's trace over the event, on every local state
-            plan = self._plan(i)
-            reduced = np.trace(both, axis1=0, axis2=-1) / plan.dk
-            for s in plan.picks:
-                out_both[s + s] += reduced
+            index = b.plan.index
+            reduced = np.trace(both.reshape(k, rest, rest, k), axis1=0, axis2=3)
+            flat[index[:, :, None] * D + index[:, None, :]] += reduced / b.plan.dk
 
     def continue_step(self, op: np.ndarray, absorbed: frozenset = frozenset()) -> np.ndarray:
         """One step that did not end the stage: ids in ``absorbed`` are
@@ -329,20 +287,20 @@ class ChannelSet:
         # each event with a nonzero block adds op and its changes on the block
         out = np.multiply(op, self._block_count, dtype=complex)
         for i, b in enumerate(self._blocks):
-            if b is not None:
-                self._add_block_changes(i, b, op, out, i in absorbed)
+            if b.pos is not None:
+                self._add_block_changes(b, op, out, i in absorbed)
             else:
                 out += self.patch(i, op) if i in absorbed else self.complement(i, op)
         out /= self.m
         return out
 
     def refresh(self, i: int, op: np.ndarray) -> np.ndarray:
-        return self._refill(self._plan(i), op)
+        return self._refill(self._blocks[i].plan, op)
 
     def refresh_set(self, ids, op: np.ndarray) -> np.ndarray:
         """Trace out the union of the listed supports, refill maximally mixed."""
         qudits = sorted({q for i in ids for q in self.instance.projectors[i].qudits})
-        return self._refill(self._layouts[tuple(qudits)], op)
+        return self._refill(self._events.layout(tuple(qudits)), op)
 
     def _refill(self, plan: LocalPlan, op: np.ndarray) -> np.ndarray:
         return refill_mixed(partial_trace(op, plan.qudits, self.shape), plan)

@@ -15,16 +15,17 @@ The step costs what its rows need:
 
 - layout: a block of rows is laid out with the event's qudits leading across
   the whole block, as a (d^k, B * rest) matrix (tensor.LocalPlan), so one
-  2-D matrix product applies the event to every row.  Events that share a
-  support share one layout.
+  2-D matrix product applies the event to every row.
 - factor: each event is measured through its range factor V (P = V V^dag),
-  checked against P at 1e-12 and kept only on the local basis states where
-  it is nonzero.  A row's weight |V^dag psi|^2 reads only the amplitudes
-  there, and P psi = V (V^dag psi) is formed there only, for rows that change.
+  factored from P on the local basis states K where it is nonzero and
+  checked against it at 1e-12.  A row's weight |V^dag psi|^2 reads only the
+  amplitudes at K's register positions, and P psi = V (V^dag psi) is
+  written there only, for rows that change.
 - zero-weight rule: a satisfied row of weight exactly 0 already equals
   (I - P) psi / sqrt(1 - 0) and is not written back.
-- per instance: layouts and factors (_Events) are built on first use and
-  kept on the instance, like its spectral report, so every run shares them.
+- per instance: layouts, K and its positions come from the instance's event
+  table (instance.event_table), which the density channels (oracles) read
+  too; the factors are kept on that table, so every run shares them.
 - live rows: run_trajectory_batch keeps an index of the rows still running,
   draws one id per live row each step and groups the rows by id with one
   stable argsort; rows leave the index when they reach
@@ -60,9 +61,9 @@ import numpy as np
 
 from . import config
 from .errors import InvariantError
-from .instance import QlllInstance, spectral_report
+from .instance import QlllInstance, event_table, spectral_report
 from .logs import ExecutionLog
-from .tensor import LocalPlan, LocalPlans, make_rng, nonzero_states
+from .tensor import EventTable, LocalPlan, make_rng
 from .witness import WitnessTree
 
 NORM_TOL = 1e-10
@@ -71,80 +72,33 @@ NORM_TOL = 1e-10
 class _Factor(NamedTuple):
     """An event's range factor V (P = V V^dag) as v = V and vh = V^dag on
     the local basis states keep where P is nonzero (None: all of them), and
-    at, their register positions (tensor.LocalPlan.positions)."""
+    pos, their register positions (tensor.EventBlock)."""
 
     v: np.ndarray
     vh: np.ndarray
     keep: np.ndarray | None
-    at: np.ndarray | None = None
+    pos: np.ndarray | None
 
 
-def _range_factor(proj) -> _Factor:
-    """The projector's range factor on its nonzero rows and columns, checked
-    against its matrix at 1e-12.  P is zero off those states, so a state
-    with no amplitude on them has weight exactly 0."""
-    p = proj.local_matrix
-    keep = nonzero_states(p)
-    if keep is not None:
-        p = p[np.ix_(keep, keep)]
-    evals, evecs = np.linalg.eigh(p)
-    v = evecs[:, evals > 0.5]
-    drift = float(np.abs(v @ v.conj().T - p).max(initial=0.0))
-    if drift > 1e-12:
-        raise ValueError(
-            f"projector {proj.id}: range factor misses the matrix by {drift:.3e}"
+def _range_factor(events: EventTable, i: int) -> _Factor:
+    """Event i's range factor, from the table's P on its nonzero states and
+    checked against it at 1e-12; built on first use and kept on the table.
+    P is zero off those states, so a state with no amplitude on them has
+    weight exactly 0."""
+    f = events.factors.get(i)
+    if f is None:
+        b = events.block(i)
+        evals, evecs = np.linalg.eigh(b.p)
+        v = evecs[:, evals > 0.5]
+        drift = float(np.abs(v @ v.conj().T - b.p).max(initial=0.0))
+        if drift > 1e-12:
+            raise ValueError(
+                f"projector {i}: range factor misses the matrix by {drift:.3e}"
+            )
+        f = events.factors[i] = _Factor(
+            np.ascontiguousarray(v), np.ascontiguousarray(v.conj().T), b.keep, b.pos
         )
-    return _Factor(np.ascontiguousarray(v), np.ascontiguousarray(v.conj().T), keep)
-
-
-class _Events:
-    """Layouts and range factors of an instance's events, built on first use:
-    one LocalPlan per distinct support, one factor per id drawn."""
-
-    def __init__(self, inst: QlllInstance):
-        self.projectors = inst.projectors
-        self.m = inst.m
-        self.layouts = LocalPlans(inst.shape.n, inst.shape.d)
-        self._factors = {}
-        self._support_sums = None
-
-    def plan(self, i: int) -> LocalPlan:
-        return self.layouts[self.projectors[i].qudits]
-
-    def local(self, i: int) -> np.ndarray:
-        return self.projectors[i].local_matrix
-
-    def factor(self, i: int) -> _Factor:
-        f = self._factors.get(i)
-        if f is None:
-            f = _range_factor(self.projectors[i])
-            f = self._factors[i] = f._replace(at=self.plan(i).positions(f.keep))
-        return f
-
-    def support_sums(self) -> list:
-        """(plan, at, H) for each distinct support: H is the sum of the local
-        matrices of its events, restricted to its nonzero states (None: all)
-        whose register positions at holds, so a total weight takes one
-        product per support."""
-        if self._support_sums is None:
-            sums = {}
-            for p in self.projectors:
-                sums[p.qudits] = sums.get(p.qudits, 0) + p.local_matrix
-            self._support_sums = []
-            for qudits, h in sums.items():
-                plan, keep = self.layouts[qudits], nonzero_states(h)
-                if keep is not None:
-                    h = h[np.ix_(keep, keep)]
-                self._support_sums.append((plan, plan.positions(keep), h))
-        return self._support_sums
-
-
-def _events(inst: QlllInstance) -> _Events:
-    """The instance's _Events, built on first use and kept on the instance,
-    like its spectral report, so every run shares its layouts and factors."""
-    if inst._events is None:
-        inst._events = _Events(inst)
-    return inst._events
+    return f
 
 
 def _basis_states(rng, B: int, n: int, d: int) -> np.ndarray:
@@ -177,14 +131,6 @@ def _refill_rows(states, rows, post: np.ndarray, plan: LocalPlan, rng) -> None:
     states[rows[:, None], plan.index[fresh]] = row
 
 
-def _check_outcome(prob: float) -> None:
-    """Raise before renormalising by a vanishing outcome probability."""
-    if prob < 1e-28:
-        raise InvariantError(
-            f"measurement outcome with vanishing probability {prob:.3e}", prob
-        )
-
-
 def _row_weights(c: np.ndarray, B: int, rest: int) -> np.ndarray:
     """Squared norm per row of a (r, B * rest) block."""
     f = c.view(np.float64)
@@ -202,7 +148,7 @@ def _measure_rows(states, rows, plan: LocalPlan, factor: _Factor, rng) -> np.nda
     the event's qudits.
     """
     B, rest = rows.size, plan.rest_dim
-    x = plan.gather(states, rows, factor.at)
+    x = plan.gather(states, rows, factor.pos)
     c = factor.vh @ x
     w = _row_weights(c, B, rest)
     hit = rng.random(B) < w
@@ -213,16 +159,15 @@ def _measure_rows(states, rows, plan: LocalPlan, factor: _Factor, rng) -> np.nda
     # a row that hits has w > 0: the rows left with w > 0 are satisfied
     sat = ((w > 0.0) ^ hit).nonzero()[0]
     if sat.size:
-        remainder = 1.0 - w[sat]
-        _check_outcome(float(remainder.min()))
-        root = np.sqrt(remainder)[:, None]
+        # satisfied: w <= draw <= 1 - 2^-53, so 1 - w >= 2^-53 and never vanishes
+        root = np.sqrt(1.0 - w[sat])[:, None]
         block = x.reshape(-1, B, rest).take(sat, axis=1)
         block -= (factor.v @ c.take(sat, axis=1).reshape(r, -1)).reshape(block.shape)
         block /= root
-        if factor.at is not None:
+        if factor.pos is not None:
             # V is zero off the gathered states: the rest of a row only rescales
             states[rows[sat]] /= root
-        plan.scatter(states, rows[sat], block, factor.at)
+        plan.scatter(states, rows[sat], block, factor.pos)
     vio = hit.nonzero()[0]
     if vio.size:
         post = (factor.v @ c.take(vio, axis=1).reshape(r, -1)).reshape(-1, vio.size, rest)
@@ -241,36 +186,36 @@ def _groups(ids: np.ndarray):
         yield int(sorted_ids[lo]), order[lo:hi]
 
 
-def _event_weights(states, events: _Events) -> np.ndarray:
+def _event_weights(states, events: EventTable) -> np.ndarray:
     """(B, m) array of |P_i psi|^2 for every row psi of states."""
     rows = np.arange(states.shape[0])
     out = np.empty((rows.size, events.m))
     for i in range(events.m):
-        plan, f = events.plan(i), events.factor(i)
-        c = f.vh @ plan.gather(states, rows, f.at)
+        plan, f = events.plan(i), _range_factor(events, i)
+        c = f.vh @ plan.gather(states, rows, f.pos)
         out[:, i] = _row_weights(c, rows.size, plan.rest_dim)
     return out
 
 
-def _total_weight(states, rows, events: _Events) -> np.ndarray:
+def _total_weight(states, rows, events: EventTable) -> np.ndarray:
     """sum_i <psi|P_i|psi> for every row psi of states[rows], one product
     per distinct support."""
     total = np.zeros(rows.size)
-    for plan, at, h in events.support_sums():
-        y = plan.gather(states, rows, at)
+    for plan, _, h, pos in events.support_sums():
+        y = plan.gather(states, rows, pos)
         quad = (y.conj() * (h @ y)).real
         total += quad.reshape(y.shape[0], rows.size, plan.rest_dim).sum(axis=(0, 2))
     return total
 
 
-def _kernel_weight(states, events: _Events) -> np.ndarray:
+def _kernel_weight(states, events: EventTable) -> np.ndarray:
     """Squared norm of every row after projecting out each event in turn;
     for a commuting family this is the overlap with the common kernel."""
     cur = states
     for i in range(events.m):
         plan = events.plan(i)
         x = plan.to_front(cur)
-        cur = plan.from_front(x - events.local(i) @ x)
+        cur = plan.from_front(x - events.events[i].local_matrix @ x)
     return (np.abs(cur) ** 2).sum(axis=1)
 
 
@@ -314,7 +259,7 @@ def run_quantum_solver(
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     rng = make_rng(seed)
-    events = _events(inst)
+    events = event_table(inst)
     states = _basis_states(rng, 1, inst.shape.n, inst.shape.d)
     row = np.arange(1)
     entries = []
@@ -322,7 +267,7 @@ def run_quantum_solver(
     steps = max_steps if m > 0 else 0
     for step in range(steps):
         i = int(rng.integers(0, m))
-        violated = bool(_measure_rows(states, row, events.plan(i), events.factor(i), rng)[0])
+        violated = bool(_measure_rows(states, row, events.plan(i), _range_factor(events, i), rng)[0])
         _check_norm(states)
         if trace is not None:
             trace.append((i, violated))
@@ -397,7 +342,7 @@ def run_trajectory_batch(
         snapshots[0] = violations.copy()
 
     states = _basis_states(rng, n_traj, shape.n, shape.d)
-    events = _events(inst)
+    events = event_table(inst)
     live = np.arange(n_traj if m > 0 else 0)
 
     for step in range(max_steps):
@@ -406,7 +351,7 @@ def run_trajectory_batch(
         ids = rng.integers(0, m, size=live.size)
         for i, at in _groups(ids):
             rows = live[at]
-            vrows = rows[_measure_rows(states, rows, events.plan(i), events.factor(i), rng)]
+            vrows = rows[_measure_rows(states, rows, events.plan(i), _range_factor(events, i), rng)]
             if first is not None:
                 slot = violations[vrows]
                 fill = slot < record_first
@@ -454,7 +399,7 @@ def tau_check(
             raise ValueError(f"tree label {lab} outside instance range")
     depths = tree.depths()
     order = sorted(range(len(tree.labels)), key=lambda v: (-depths[v], v))
-    events = _events(inst)
+    events = event_table(inst)
 
     rng = make_rng(seed)
     n, d = inst.shape.n, inst.shape.d
@@ -465,12 +410,12 @@ def tau_check(
         live = np.arange(states.shape[0])
         for v in order:
             lab = tree.labels[v]
-            plan, f = events.plan(lab), events.factor(lab)
+            plan, f = events.plan(lab), _range_factor(events, lab)
             B, rest = live.size, plan.rest_dim
             post = np.ascontiguousarray(plan.gather(states, live).reshape(plan.dk, B, rest))
             _refill_rows(states, live, post, plan, rng)
             # P^T = conj(V) V^T: measure through V^T, project with conj(V)
-            c = f.vh.conj() @ plan.gather(states, live, f.at)
+            c = f.vh.conj() @ plan.gather(states, live, f.pos)
             w = _row_weights(c, B, rest)
             hit = rng.random(B) < w
             live = live[hit]
@@ -481,7 +426,7 @@ def tau_check(
             post = (f.v.conj() @ c).reshape(-1, live.size, rest)
             post /= np.sqrt(w[hit])[:, None]
             states[live] = 0.0
-            plan.scatter(states, live, post, f.at)
+            plan.scatter(states, live, post, f.pos)
         _check_norm(states)
         passes += live.size
     return passes / samples
@@ -498,7 +443,7 @@ class ConvergerResult:
     seed: int
 
 
-def _ground_overlap_fn(inst: QlllInstance, events: _Events):
+def _ground_overlap_fn(inst: QlllInstance, events: EventTable):
     """Returns states -> per-row overlap with the common kernel of all events."""
     if inst.is_commuting():
         return lambda states: _kernel_weight(states, events)
@@ -521,7 +466,7 @@ def run_converger(
     if samples < 1:
         raise ValueError("samples must be positive")
     m = inst.m
-    events = _events(inst)
+    events = event_table(inst)
     overlap = _ground_overlap_fn(inst, events)
 
     rng = make_rng(seed)
@@ -536,7 +481,7 @@ def run_converger(
             live = np.flatnonzero(tau > step)
             ids = rng.integers(0, m, size=live.size)
             for i, at in _groups(ids):
-                _measure_rows(states, live[at], events.plan(i), events.factor(i), rng)
+                _measure_rows(states, live[at], events.plan(i), _range_factor(events, i), rng)
         _check_norm(states)
         acc += _event_weights(states, events).sum(axis=0)
         acc_ground += float(overlap(states).sum())
@@ -596,7 +541,7 @@ def run_exact_solver(
     if not inst.is_commuting():
         raise ValueError("the exact solver requires a commuting family")
 
-    events = _events(inst)
+    events = event_table(inst)
     rng = make_rng(seed)
     states = _basis_states(rng, 1, inst.shape.n, inst.shape.d)
     row = np.arange(1)
@@ -606,7 +551,7 @@ def run_exact_solver(
     it = 0
     while it < cap and consecutive < m:
         i = cfg.fixed_order[it % m]
-        violated = _measure_rows(states, row, events.plan(i), events.factor(i), rng)[0]
+        violated = _measure_rows(states, row, events.plan(i), _range_factor(events, i), rng)[0]
         _check_norm(states)
         if violated:
             entries.append((it, i))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,6 +115,12 @@ class LocalPlan:
     listed qudits lead the row index and trail the column index, so a local
     matrix acts on either side through one contiguous matrix product.  The
     remaining qudits keep register order on both sides.
+
+    index gives the register position of every (local state, rest) entry, so
+    the rows and columns of a few local basis states are addressed by
+    position alone: gather and scatter for state rows, op[pos] and the flat
+    positions of op[:, pos] for operators (EventTable keeps each event's
+    positions).
     """
 
     def __init__(self, n: int, d: int, qudits: tuple):
@@ -151,24 +158,24 @@ class LocalPlan:
         """(dk, rest) register positions of the front block's entries."""
         return self.to_front(np.arange(self.dim)[None])
 
-    def positions(self, local):
-        """(len(local), 1, rest) register positions of the listed local basis
-        states, for gather and scatter; None (every local state) stays None."""
-        return None if local is None else self.index[local][:, None, :]
-
-    def gather(self, states: np.ndarray, rows: np.ndarray, at=None) -> np.ndarray:
+    def gather(self, states: np.ndarray, rows: np.ndarray, pos=None) -> np.ndarray:
         """The front block of states[rows] on the local basis states whose
-        positions at holds, (len(at), B * rest); the whole block when None."""
-        if at is None:
+        (r, rest) register positions pos holds, (r, B * rest); the whole
+        block when None."""
+        if pos is None:
             return self.to_front(states[rows])
-        return states[rows[None, :, None], at].reshape(at.shape[0], rows.size * self.rest_dim)
+        return states[rows[None, :, None], pos[:, None, :]].reshape(
+            pos.shape[0], rows.size * self.rest_dim
+        )
 
-    def scatter(self, states: np.ndarray, rows: np.ndarray, block: np.ndarray, at=None):
+    def scatter(self, states: np.ndarray, rows: np.ndarray, block: np.ndarray, pos=None):
         """Write a front block of gather's shape back into states[rows]."""
-        if at is None:
+        if pos is None:
             states[rows] = self.from_front(block)
         else:
-            states[rows[None, :, None], at] = block.reshape(at.shape[0], rows.size, self.rest_dim)
+            states[rows[None, :, None], pos[:, None, :]] = block.reshape(
+                pos.shape[0], rows.size, self.rest_dim
+            )
 
     # operator layout, built on first use: state-only plans stay cheap
     @cached_property
@@ -190,20 +197,6 @@ class LocalPlan:
         return block.reshape(shape).transpose(axes).reshape(self.dim, self.dim)
 
     @cached_property
-    def picks(self) -> list:
-        """For each local basis state, the basic index that fixes the listed
-        qudits to its digits in a tensor with one axis per register qudit.
-        The remaining qudits keep their axes in register order, so a pick
-        is a view."""
-        picks = []
-        for digits in np.ndindex(*(self.d,) * self.k):
-            pick = [slice(None)] * self.n
-            for q, digit in zip(self.qudits, digits):
-                pick[q] = digit
-            picks.append(tuple(pick))
-        return picks
-
-    @cached_property
     def reduce_index(self) -> np.ndarray:
         """(dk, dk, rest) flat positions of op[(a, r), (b, r)] in a D x D
         operator: ``op.take(reduce_index).sum(axis=2)`` traces out the
@@ -212,18 +205,76 @@ class LocalPlan:
         return idx[:, None, :] * self.dim + idx[None, :, :]
 
 
-class LocalPlans(dict):
-    """One LocalPlan per distinct support (a tuple of qudits) of an n-qudit
-    register, built on first lookup."""
+class EventBlock(NamedTuple):
+    """Where one event sits on the register.  plan is its support's layout;
+    keep the local basis states K where its local matrix is nonzero
+    (nonzero_states; None when that is all of them); p the matrix on K (the
+    whole matrix when keep is None); pos the (|K|, rest) register positions
+    of K's states, from plan.index (None with keep).  Arrays are read-only."""
 
-    def __init__(self, n: int, d: int):
-        super().__init__()
+    plan: LocalPlan
+    keep: np.ndarray | None
+    p: np.ndarray
+    pos: np.ndarray | None
+
+
+class EventTable:
+    """The register layout of an instance's events, shared by the
+    state-vector step and the density channels: one LocalPlan per distinct
+    support and one EventBlock per id, each built on first use.  events
+    are the instance's projectors (each with qudits and local_matrix);
+    factors keeps the state-vector step's range factors by id."""
+
+    def __init__(self, events, n: int, d: int):
+        self.events = tuple(events)
+        self.m = len(self.events)
         self.n = n
         self.d = d
+        self.factors = {}
+        self._layouts = {}
+        self._blocks = {}
+        self._support_sums = None
 
-    def __missing__(self, qudits: tuple) -> LocalPlan:
-        plan = self[qudits] = LocalPlan(self.n, self.d, qudits)
+    def layout(self, qudits: tuple) -> LocalPlan:
+        """The LocalPlan of a tuple of qudits, one per distinct tuple."""
+        plan = self._layouts.get(qudits)
+        if plan is None:
+            plan = self._layouts[qudits] = LocalPlan(self.n, self.d, qudits)
         return plan
+
+    def plan(self, i: int) -> LocalPlan:
+        return self.block(i).plan
+
+    def block(self, i: int) -> EventBlock:
+        b = self._blocks.get(i)
+        if b is None:
+            event = self.events[i]
+            b = self._blocks[i] = _restricted(self.layout(event.qudits), event.local_matrix)
+        return b
+
+    def support_sums(self) -> list:
+        """EventBlock of H for each distinct support, where H is the sum of
+        the local matrices of its events, so a total weight takes one
+        product per support."""
+        if self._support_sums is None:
+            sums = {}
+            for e in self.events:
+                sums[e.qudits] = sums.get(e.qudits, 0) + e.local_matrix
+            self._support_sums = [_restricted(self.layout(q), h) for q, h in sums.items()]
+        return self._support_sums
+
+
+def _restricted(plan: LocalPlan, a: np.ndarray) -> EventBlock:
+    """The EventBlock of local matrix a on the plan's qudits."""
+    keep = nonzero_states(a)
+    if keep is None:
+        b = EventBlock(plan, None, a.copy(), None)
+    else:
+        b = EventBlock(plan, keep, a[np.ix_(keep, keep)], plan.index[keep])
+    for arr in b[1:]:
+        if arr is not None:
+            arr.setflags(write=False)
+    return b
 
 
 def _merged_transpose(perm, sizes):

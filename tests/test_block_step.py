@@ -12,10 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlll.instance import Projector, QlllInstance, basis_projector, random_rank_projector
+from qlll.instance import QlllInstance, basis_projector, event_table, random_rank_projector
 from qlll.quantum import (
     _event_weights,
-    _Events,
     _measure_rows,
     _range_factor,
     run_trajectory_batch,
@@ -44,10 +43,11 @@ def all_ones_on(qudits) -> np.ndarray:
     return np.all([(idx >> (N - 1 - q)) & 1 == 1 for q in qudits], axis=0)
 
 
-def full_factor(proj) -> np.ndarray:
-    """The range factor V on every local basis state, zero off its keep."""
-    f = _range_factor(proj)
-    v = np.zeros((proj.local_matrix.shape[0], f.v.shape[1]), dtype=complex)
+def full_factor(inst, i) -> np.ndarray:
+    """The range factor V of event i on every local basis state, zero off
+    its keep."""
+    f = _range_factor(event_table(inst), i)
+    v = np.zeros((inst.projectors[i].local_matrix.shape[0], f.v.shape[1]), dtype=complex)
     v[slice(None) if f.keep is None else f.keep] = f.v
     return v
 
@@ -80,7 +80,7 @@ def test_block_step_matches_dense(seed, rank, which, off_ones):
     proj = inst.projectors[which]
     p = embed(proj.local_matrix, proj.qudits, inst.shape)
 
-    v = full_factor(proj)
+    v = full_factor(inst, which)
     assert v.shape == (2 ** len(proj.qudits), rank)
     assert np.abs(v @ v.conj().T - proj.local_matrix).max() <= TOL
 
@@ -92,7 +92,7 @@ def test_block_step_matches_dense(seed, rank, which, off_ones):
     states = np.vstack([random_rows(rng, 20), near, random_rows(rng, 8, zero)])
     dense = np.abs(states @ p.T) ** 2
     weights = dense.sum(axis=1)
-    events = _Events(inst)
+    events = event_table(inst)
     assert np.abs(_event_weights(states, events)[:, which] - weights).max() <= TOL
     flat = weights == 0.0
     assert flat[24:].all() == off_ones
@@ -100,7 +100,7 @@ def test_block_step_matches_dense(seed, rank, which, off_ones):
 
     out = states.copy()
     rows = np.arange(states.shape[0])
-    hit = _measure_rows(out, rows, events.plan(which), events.factor(which), rng)
+    hit = _measure_rows(out, rows, events.plan(which), _range_factor(events, which), rng)
     assert not hit[flat].any()
     assert np.array_equal(out[flat], states[flat])
     sat = ~hit
@@ -115,9 +115,9 @@ def test_block_step_matches_dense(seed, rank, which, off_ones):
 
 def test_range_factor_rejects_inexact_projector():
     # idempotent within the instance tolerance, but 1e-11 off a projector
-    proj = Projector(0, (0,), np.diag([1.0 + 1e-11, 0.0]))
+    inst = QlllInstance.build(1, 2, [((0,), np.diag([1.0 + 1e-11, 0.0]))])
     with pytest.raises(ValueError, match="range factor misses"):
-        _range_factor(proj)
+        _range_factor(event_table(inst), 0)
 
 
 def two_qubit_chain():
@@ -174,9 +174,9 @@ def test_rank_zero_event_reads_nothing():
     # and every row's weight is exactly 0, through the step and the sweep
     zero, q1 = np.zeros((2, 2)), np.diag([0.0, 1.0])
     inst = QlllInstance.build(2, 2, [((0,), zero), ((1,), q1)])
-    assert full_factor(inst.projectors[0]).shape == (2, 0)
+    assert full_factor(inst, 0).shape == (2, 0)
     batch = run_trajectory_batch(inst, seed=2, n_traj=50, max_steps=40, record_first=2)
     assert batch.violations.any()
     assert np.isin(batch.first_labels, [-1, 1]).all()
     states = np.eye(4, dtype=complex)
-    assert np.array_equal(_event_weights(states, _Events(inst)), [[0, 0], [0, 1], [0, 0], [0, 1]])
+    assert np.array_equal(_event_weights(states, event_table(inst)), [[0, 0], [0, 1], [0, 0], [0, 1]])

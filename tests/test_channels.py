@@ -4,9 +4,11 @@ ChannelSet applies every event on its own qudits.  Each test here rebuilds
 the same map from full D x D embedded matrices and compares on random
 non-Hermitian inputs, with supports that are out of order (2, 0),
 non-contiguous (1, 4) and wrapping around a ring (6, 7, 0).  Events come
-dense (nonzero on every local state: layout sandwiches), sparse (zero off
-some local states: the nonzero-block path) or mixed, so both paths meet
-the same references.
+dense (nonzero on every local state: run as layout sandwiches), sparse
+(zero off some local states: read and written at the register positions of
+the nonzero ones), mixed, or zero (an all-zero event, with no nonzero local
+state to read, next to one-state basis events), so both the sandwich path
+and the position path meet the same references.
 """
 
 import numpy as np
@@ -36,7 +38,7 @@ CONFIGS = [
 ]
 
 
-KINDS = ("dense", "sparse", "mixed")
+KINDS = ("dense", "sparse", "mixed", "zero")
 
 
 def sparse_projector(dk, rng):
@@ -54,13 +56,17 @@ def sparse_projector(dk, rng):
 
 def random_instance(config, seed, kind="dense"):
     """Random projectors on the configuration's supports: all dense, all
-    sparse, or sparse on every other support ("mixed")."""
+    sparse, sparse on every other support ("mixed"), or zero on every other
+    support and onto one random basis state on the rest ("zero")."""
     n, d, supports = config
     rng = make_rng(seed)
     events = []
     for j, sup in enumerate(supports):
         dk = d ** len(sup)
-        if kind == "sparse" or (kind == "mixed" and j % 2 == 0):
+        if kind == "zero":
+            proj = basis_projector(dk, [int(rng.integers(dk))]) if j % 2 else np.zeros((dk, dk))
+            assert nonzero_states(proj).size == (j % 2)
+        elif kind == "sparse" or (kind == "mixed" and j % 2 == 0):
             proj = sparse_projector(dk, rng)
             assert nonzero_states(proj) is not None
         else:

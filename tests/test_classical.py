@@ -19,7 +19,7 @@ from qlll.classical import (
     instance_from_dimacs,
     solve_classical,
 )
-from qlll.instance import certificate_from_x
+from qlll.instance import LovaszCertificate, certificate_from_x
 from qlll.logs import ExecutionLog
 from qlll.tensor import make_rng
 
@@ -141,6 +141,22 @@ def test_expected_resamples_bound_values():
     with pytest.raises(ValueError):
         bad = certificate_from_x((0.1,), 0.0, graph)  # 0.25 > 0.1
         expected_resamples_bound(inst, bad)
+
+
+def test_expected_resamples_bound_checks_x_prime():
+    # two events of probability 1/2 that share variable 0; the stated
+    # x'_i = 1.0 is not what x = 0.1 gives (0.1 * 0.9 = 0.09 < 1/2)
+    inst = ClassicalInstance((2,), (
+        ClassicalEvent(0, (0,), frozenset({(0,)})),
+        ClassicalEvent(1, (0,), frozenset({(1,)})),
+    ))
+    with pytest.raises(ValueError, match="x_prime is inconsistent"):
+        expected_resamples_bound(inst, LovaszCertificate((0.1, 0.1), 0.0, (1.0, 1.0)))
+    # a consistent certificate that covers event 0 but not event 1
+    graph = classical_intersection_graph(inst)
+    cert = certificate_from_x((0.9, 0.1), 0.0, graph)  # x' = (0.81, 0.01)
+    with pytest.raises(ValueError, match="does not cover event 1: 0.5 > 0.0099"):
+        expected_resamples_bound(inst, cert)
 
 
 def test_intersection_graph_on_variables():

@@ -503,6 +503,14 @@ def test_missing_file_and_bad_usage(tmp_path, capsys):
     )
     assert (code, out) == (1, "")
     assert err == "error: max_steps must be nonnegative, got -5\n"
+    # conjecture rejects it in both modes, though only monte-carlo runs steps
+    for mode in ("exact", "monte-carlo"):
+        code, out, err = run_cli(
+            ["conjecture", "--instance", path, "--tree", '{"labels": [0], "parents": [-1]}',
+             "--mode", mode, "--budget", "10", "--max-steps", "-7"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: max_steps must be nonnegative, got -7\n"
 
 
 RERUNS = {

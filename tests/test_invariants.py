@@ -13,7 +13,6 @@ from qlll.oracles import build_channels
 from qlll.quantum import (
     ExactSolverConfig,
     _check_norm,
-    _check_outcome,
     run_converger,
     run_exact_solver,
     run_quantum_solver,
@@ -90,12 +89,6 @@ def test_cli_converge_exits_three_on_norm_drift(tmp_path, capsys, monkeypatch):
     argv = ["converge", "--instance", str(path), "--t", "30", "--samples", "20", "--seed", "0"]
     assert cli.main(argv) == cli.EXIT_INVARIANT
     assert "state norm drifted by" in capsys.readouterr().err
-
-
-def test_vanishing_outcome():
-    with pytest.raises(InvariantError, match="vanishing probability") as err:
-        _check_outcome(1e-30)
-    assert err.value.value == 1e-30
 
 
 def test_falling_ground_overlap(monkeypatch):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qlll import bench, tensor
-from qlll.instance import QlllInstance, basis_projector, intersection_graph
+from qlll import bench, oracles, tensor
+from qlll.instance import QlllInstance, basis_projector, event_table, intersection_graph
 from qlll.quantum import (
     ExactSolverConfig,
     _check_norm,
@@ -248,6 +248,29 @@ def test_batch_builds_one_layout_per_support(monkeypatch):
         stop_after_violations=1,
     )
     assert 0 < len(built) <= 8
+
+
+def test_channels_reuse_the_state_vector_layouts(monkeypatch):
+    # both engines read the instance's one event table: a channel set built
+    # after a state-vector run on the same instance lays out no support again
+    s = 1 / np.sqrt(2)
+    bell = np.outer([0, s, s, 0], [0, s, s, 0])
+    dense = np.full((4, 4), 0.25)  # |++><++|, nonzero on every local state
+    events = [((0, 1), bell), ((2,), Q1), ((3, 1), basis_projector(4, [3])), ((0, 1), dense)]
+    inst = QlllInstance.build(4, 2, events)
+    run_converger(inst, seed=1, t=5, samples=20)  # reads every event's weight
+    built = []
+    init = tensor.LocalPlan.__init__
+    monkeypatch.setattr(
+        tensor.LocalPlan, "__init__", lambda self, *a: built.append(a) or init(self, *a)
+    )
+    ch = oracles.build_channels(inst)
+    op = np.eye(16, dtype=complex) / 16
+    for i in range(inst.m):
+        ch.patch(i, op)
+        assert ch._blocks[i] is event_table(inst).block(i)
+    ch.continue_step_local(op, frozenset(range(inst.m)))
+    assert built == []
 
 
 def test_batch_norm_check_covers_every_row():
