@@ -132,7 +132,7 @@ def cp_map_iterate(
     for _ in range(t_max):
         if stop_overlap is not None and ground >= stop_overlap:
             break
-        rho = chans.continue_step_local(rho, every)
+        rho = chans.continue_step(rho, every)
         ground, viols = _readout(chans, p0, rho)
         if ground < overlaps[-1] - OVERLAP_MONOTONE_TOL:
             raise InvariantError(

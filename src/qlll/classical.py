@@ -197,25 +197,53 @@ def expected_resamples_bound(
     return expected_violations_bound(cert)
 
 
-def _bad_token(raw: str):
-    """Column and text of the first token of a line that int() rejects."""
+def _columns(raw: str):
+    """(column, text) of every whitespace-separated token of a line."""
     at = 0
     for tok in raw.split():
         at = raw.index(tok, at)
+        yield at + 1, tok
+        at += len(tok)
+
+
+def _bad_token(raw: str):
+    """Column and text of the first token of a line that int() rejects."""
+    for col, tok in _columns(raw):
         try:
             int(tok)
         except ValueError:
-            return at + 1, tok
-        at += len(tok)
+            return col, tok
+
+
+def _header_counts(lineno: int, raw: str):
+    """The header's variable and clause counts, each with its column."""
+    tokens = list(_columns(raw))
+    if len(tokens) != 4 or tokens[1][1] != "cnf":
+        raise ValueError(f"bad DIMACS header: {raw.strip()}")
+    counts = []
+    for (col, tok), what in zip(tokens[2:], ("variable", "clause")):
+        try:
+            value = int(tok)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise ValueError(
+                f"line {lineno} column {col}: {what} count {tok!r} is not a"
+                " nonnegative integer"
+            )
+        counts.append((value, col))
+    return counts
 
 
 def instance_from_dimacs(text: str) -> ClassicalInstance:
     """Parse DIMACS CNF; each clause becomes one event over boolean
     variables, violated exactly when every literal is false.
 
-    A clause before the header, a missing header and a clause token that
-    int() rejects (a second header line among them) are reported with line
-    and column.  The header itself is checked after the clause tokens.
+    A clause before the header, a missing header, a clause token that
+    int() rejects (a second header line among them), a header count that is
+    not a nonnegative integer and a clause count that differs from the
+    number of clauses are reported with line and column.  The header itself
+    is checked after the clause tokens, and its clause count last.
     """
     header = None
     tokens = []
@@ -230,7 +258,7 @@ def instance_from_dimacs(text: str) -> ClassicalInstance:
                     f"line {lineno} column {col}: expected the"
                     " 'p cnf <vars> <clauses>' header before any clause"
                 )
-            header = line
+            header = (lineno, raw)
             continue
         try:
             tokens.extend(map(int, line.split()))
@@ -241,10 +269,7 @@ def instance_from_dimacs(text: str) -> ClassicalInstance:
             ) from None
     if header is None:
         raise ValueError("line 1 column 1: missing 'p cnf' header")
-    parts = header.split()
-    if len(parts) != 4 or parts[1] != "cnf":
-        raise ValueError(f"bad DIMACS header: {header}")
-    nvars = int(parts[2])
+    (nvars, _), (nclauses, clauses_col) = _header_counts(*header)
 
     events = []
     clause = []
@@ -271,6 +296,11 @@ def instance_from_dimacs(text: str) -> ClassicalInstance:
         clause = []
     if clause:
         raise ValueError("unterminated clause in DIMACS input")
+    if len(events) != nclauses:
+        raise ValueError(
+            f"line {header[0]} column {clauses_col}: header declares {nclauses}"
+            f" clauses, the input has {len(events)}"
+        )
     return ClassicalInstance((2,) * nvars, tuple(events))
 
 

@@ -7,9 +7,10 @@ geometric operator series.  This module computes those operators on dense
 D x D operators and checks every operator identity and inequality the
 analysis rests on.
 
-All routes here are exact up to series truncation at 1e-12; nothing is
-sampled.  The channels apply each event on its own qudits, so the series
-run on any instance within the density budget (D <= 2048 by default).
+All routes here are exact up to a stated solver tolerance; nothing is
+sampled.  The channels apply each event on its own qudits, so the outcome
+operators are computed on any instance within the density budget (D <= 2048
+by default).
 Where an event sits on the register comes from the instance's event table
 (instance.event_table), which the state-vector step reads too: an event
 whose local matrix is zero off some local basis states is read and written
@@ -23,18 +24,25 @@ budget (D <= 64 by default).
 Conventions: channels act on D x D operators; their matrix forms act on
 column-stacked vectors.  The continue channel T averages the complement
 sandwiches (1/m) sum_i (I - P_i) rho (I - P_i); its geometric series diverges
-on states the process never leaves, which is why every series here is
+on states the process never leaves, which is why every sum here is
 sandwiched by a measurement first (the increments then shrink geometrically
 and the sum is the quantity of interest).
 
-Series form: every pick is a projector sandwich L s L, so
-sum_t pick(T^t s) = pick(sum_t T^t s).  A series keeps one running sum of
-the iterates, reads only tr(L s_t) per term (on the event's own qudits for
-a measurement), and applies each pick once, to the running sum at that
-pick's stop.  On registers with D <= DENSE_STEP_MAX_D (16) the continue
-step is one product with its D^2 x D^2 matrix, built once per absorbed set
-on the channel set; above that it runs as m local channels summed into one
-array.
+Solve form: every pick is a projector sandwich L s L that annihilates the
+common kernel P0 of the events, so sum_t pick(T^t s) = pick(X) with
+(I - T) X = s - P0 s P0.  T is self-adjoint and positive in the
+Hilbert-Schmidt inner product, so X comes from conjugate gradients
+(_krylov_solve), one continue step per iteration, about sqrt(kappa) steps
+where the series takes kappa; the stop rule and the error it implies on a
+pick's trace are in its docstring.  The halting operators, the sequence
+stages and identity (i) of verify_cp_identities run this way; the halting
+operators and identity (i) read one kept solve from I/D.
+
+Series form, kept where the step patches absorbed ids and so is not
+self-adjoint (partial_dag_channel_bound, traced_continuation_bound): a
+series keeps one running sum of the iterates, reads only tr(L s_t) per
+term, and applies each pick once, to the running sum at that pick's stop.
+Every continue step runs as m local channels summed into one array.
 """
 
 from __future__ import annotations
@@ -70,13 +78,6 @@ OUTCOME_PSD_TOL = 1e-9
 SLACK_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
 EQUALITY_TOL = 1e-10
-
-# Registers up to this dimension run the continue step as one dense
-# D^2 x D^2 matrix product; larger ones run m local sandwiches.  Measured
-# on a 2-core box, one BLAS thread, per step: D=16, m=4: local 83 us,
-# dense 38 us; D=32, m=5: local 171 us, dense 985 us.  The matrix is at
-# most 256 x 256 complex (1 MiB).
-DENSE_STEP_MAX_D = 16
 
 
 @dataclass(frozen=True)
@@ -152,10 +153,11 @@ class ChannelSet:
     plan.index gives every local state) in one pass.  An all-zero event has
     an empty K and changes nothing.  An event nonzero on every local state
     runs as layout sandwiches.
-    Dense matrix forms are built on demand within the superoperator budget;
-    at D <= DENSE_STEP_MAX_D the continue step runs through its matrix form,
-    built once per absorbed set and kept.  The halting operators of all ids
-    come from one shared continue series on first request and are kept.
+    Dense matrix forms are built on demand within the superoperator budget,
+    as cross-checks; no step runs through them.  Every sum over the continue
+    iterates from I/D (the halting operators of all ids, identity (i) of
+    verify_cp_identities) reads one conjugate-gradient solve, made on first
+    request and kept.
     """
 
     def __init__(self, inst: QlllInstance):
@@ -168,9 +170,9 @@ class ChannelSet:
         self._local = [p.local_matrix for p in inst.projectors]
         self._local_comp = [np.eye(len(p)) - p for p in self._local]
         self._block_count = sum(b.pos is not None for b in self._blocks)
+        self._mixed = None
         self._halting_sums = None
         self._halting = None
-        self._dense_steps = {}
         self._trace_reads = {}
 
     def _block_terms(self, b: EventBlock, op: np.ndarray):
@@ -259,30 +261,9 @@ class ChannelSet:
     def continue_step(self, op: np.ndarray, absorbed: frozenset = frozenset()) -> np.ndarray:
         """One step that did not end the stage: ids in ``absorbed`` are
         patched (a violation resamples them and the process goes on), the
-        rest contribute their satisfied branch.
-
-        Up to DENSE_STEP_MAX_D this is one product with the step's matrix;
-        above it, m local channels (:meth:`continue_step_local`).
-        """
-        D = self.shape.dim
-        if D > DENSE_STEP_MAX_D:
-            return self.continue_step_local(op, absorbed)
-        mat = self._dense_steps.get(absorbed)
-        if mat is None:
-            # reorder the column-stacked matrix form to act on row-major
-            # ravels, so a step needs no transposes
-            cols = self.continue_superoperator(absorbed).matrix
-            mat = self._dense_steps[absorbed] = np.ascontiguousarray(
-                cols.reshape(D, D, D, D).transpose(1, 0, 3, 2).reshape(D * D, D * D)
-            )
-        return (mat @ op.reshape(D * D)).reshape(D, D)
-
-    def continue_step_local(
-        self, op: np.ndarray, absorbed: frozenset = frozenset()
-    ) -> np.ndarray:
-        """continue_step as m channels on the events' own qudits, summed
-        into one array.  With every id absorbed this is the averaged patch
-        channel."""
+        rest contribute their satisfied branch.  Runs as m channels on the
+        events' own qudits, summed into one array; with every id absorbed
+        this is the averaged patch channel."""
         op = np.ascontiguousarray(op)
         # each event with a nonzero block adds op and its changes on the block
         out = np.multiply(op, self._block_count, dtype=complex)
@@ -305,21 +286,20 @@ class ChannelSet:
     def _refill(self, plan: LocalPlan, op: np.ndarray) -> np.ndarray:
         return refill_mixed(partial_trace(op, plan.qudits, self.shape), plan)
 
-    def halting_sums(self) -> list:
-        """Every id's halting series sum, from one run of the continue series.
-
-        Each id's sum stops at its own first negligible increment, so it
-        equals the sum a series for that id alone would return.
-        """
-        if self._halting_sums is None:
+    def mixed_sums(self, picks: dict) -> dict:
+        """Sum pick(T^t(I/D)) over t >= 0 for every pick, read from one
+        :func:`_krylov_solve` from I/D, made on first request and kept."""
+        if self._mixed is None:
             D = self.shape.dim
-            sums = _series_sums(
-                {f"id {a}": self.measure_pick(a) for a in range(self.m)},
-                self.continue_step,
-                np.eye(D) / D,
-                "halting operators",
-            )
-            self._halting_sums = [sums[f"id {a}"] for a in range(self.m)]
+            self._mixed = _krylov_solve(self, np.eye(D) / D, "halting operators")
+        return {key: pick.apply(self._mixed) for key, pick in picks.items()}
+
+    def halting_sums(self) -> list:
+        """Every id's halting sum, measure(a, X) / m for the kept solve X
+        from I/D; each measure pick is applied once."""
+        if self._halting_sums is None:
+            sums = self.mixed_sums({a: self.measure_pick(a) for a in range(self.m)})
+            self._halting_sums = [sums[a] for a in range(self.m)]
         return self._halting_sums
 
     def halting_operators(self) -> list:
@@ -452,6 +432,88 @@ def _series_sums(picks: dict, step, start, context: str) -> dict:
     )
 
 
+def _krylov_solve(channels: ChannelSet, start, context: str) -> np.ndarray:
+    """X = sum_t T^t b, b = start - P0 start P0, by conjugate gradients on
+    (I - T) X = b.
+
+    T is the continue step with nothing absorbed and P0 the common-kernel
+    projector of the instance's spectral report.  In the Hilbert-Schmidt
+    inner product <X, Y> = tr(X^dag Y), T is self-adjoint and positive
+    with norm at most 1, and its fixed points are the operators P0 Y P0,
+    to which b is orthogonal.  So I - T is positive definite on b's side
+    and the solve needs one continue step per iteration.  A pick L s L with
+    L P0 = 0 then has sum_t pick(T^t start) = pick(X): the P0 start P0
+    part is fixed by T and killed by the pick.
+
+    Stop rule: ||r|| <= SERIES_TRACE_TOL ||b|| in the Hilbert-Schmidt norm,
+    for r = b - (I - T) x, checked again on the true operator after the
+    loop (one more continue step).  For a pick c L s L with L a rank-k
+    projector, the error on its trace is c |<L, (I - T)^+ r>|
+    <= c sqrt(k) ||r|| / mu, mu the least eigenvalue of I - T on b's side.
+    mu >= eps / 2 for eps the least nonzero eigenvalue of
+    H = (1/m) sum_i P_i, since <Y, (I - T) Y> >= (<Y, H Y> + <Y, Y H>) / 2.
+    The measure picks P_i s P_i / m together have trace tr(H x) =
+    tr(b) - tr(r), within sqrt(D) ||r|| of tr(b).  P0 is only as exact as
+    the spectral report's zero cut.
+
+    Raises InvariantError, carrying the measured value, when
+    <p, (I - T) p> <= 0 for a search direction p (T is not positive),
+    when SERIES_MAX_TERMS iterations pass without meeting the stop, or
+    when the true residual misses it.
+    """
+    s = np.asarray(start, dtype=complex)
+    _check_series_start(s, context)
+    p0 = spectral_report(channels.instance).p0
+    b = s - p0 @ s @ p0
+    size = np.linalg.norm(b)
+    stop = config.SERIES_TRACE_TOL * size
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = b.copy()
+    rr = np.vdot(r, r).real
+    for it in range(config.SERIES_MAX_TERMS + 1):
+        if rr <= stop * stop:
+            break
+        if it == config.SERIES_MAX_TERMS:
+            rel = np.sqrt(rr) / size
+            raise InvariantError(
+                f"{context}: conjugate gradients did not converge within "
+                f"{config.SERIES_MAX_TERMS} iterations (relative residual "
+                f"{rel:.3e} > {config.SERIES_TRACE_TOL:.0e})",
+                rel,
+            )
+        ap = p - channels.continue_step(p)
+        curvature = np.vdot(p, ap).real
+        if curvature <= 0:
+            raise InvariantError(
+                f"{context}: the continue step is not positive: "
+                f"<p, (I - T) p> = {curvature:.3e}",
+                curvature,
+            )
+        alpha = rr / curvature
+        x += alpha * p
+        r -= alpha * ap
+        rr, last = np.vdot(r, r).real, rr
+        p = r + (rr / last) * p
+    true = np.linalg.norm(b - x + channels.continue_step(x))
+    if true > stop:
+        rel = true / size
+        raise InvariantError(
+            f"{context}: conjugate gradients met the stop on the recurrence, "
+            f"but the true relative residual is {rel:.3e} > "
+            f"{config.SERIES_TRACE_TOL:.0e}",
+            rel,
+        )
+    return x
+
+
+def _krylov_sum(picks: dict, channels: ChannelSet, start, context: str) -> dict:
+    """Sum pick(T^t(start)) over t >= 0 for every pick, from one
+    :func:`_krylov_solve`; each pick is applied once."""
+    x = _krylov_solve(channels, start, context)
+    return {key: pick.apply(x) for key, pick in picks.items()}
+
+
 def _sandwich_series(pick: Pick, step, start, context: str) -> np.ndarray:
     """Sum pick(step^t(start)) over t >= 0; see :func:`_series_sums`."""
     return _series_sums({"series": pick}, step, start, context)["series"]
@@ -502,8 +564,9 @@ def sequence_operator(
     """Unnormalized state after the first ``len(ids)`` violations are exactly
     ``ids`` in order, each followed by its resampling refresh.
 
-    Stage 0 starts from I/D, so its sum is the halting series sum of
-    ids[0], read from the channel set's one shared halting pass.
+    Stage 0 starts from I/D, so its sum is the halting sum of ids[0], read
+    from the channel set's one kept solve; every later stage is one
+    :func:`_krylov_sum` from the refreshed state.
     """
     ids = tuple(_check_id(inst, a) for a in ids)
     if len(ids) > config.SEQUENCE_MAX_LEN:
@@ -517,12 +580,9 @@ def sequence_operator(
         if pos == 0:
             acc = ch.halting_sums()[a]
         else:
-            acc = _sandwich_series(
-                ch.measure_pick(a),
-                ch.continue_step,
-                state,
-                f"sequence {ids} stage {pos}",
-            )
+            acc = _krylov_sum(
+                {a: ch.measure_pick(a)}, ch, state, f"sequence {ids} stage {pos}"
+            )[a]
         state = ch.refresh(a, acc)
     return _outcome(state, ("sequence",) + ids)
 
@@ -578,18 +638,15 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
     parts = []
 
     # (i) sandwiched series bound for groups of mutually disjoint projectors;
-    # every group's series starts at I/D and takes the continue step, so one
-    # run of iterates serves them all
+    # every group's sum starts at I/D, so all read the channel set's one
+    # solve from I/D, the one the halting operators read
     eye = np.eye(D) / D
     joint = {}
     for group in _disjoint_groups(inst):
         joint[group] = np.eye(D, dtype=complex)
         for i in group:
             joint[group] = joint[group] @ inst.embedded(i)
-    lhs = _series_sums(
-        {group: _projector_pick(p, m) for group, p in joint.items()},
-        ch.continue_step, eye, "identity (i)",
-    )
+    lhs = ch.mixed_sums({group: _projector_pick(p, m) for group, p in joint.items()})
     slack = min(
         (min_slack(lhs[group], p @ eye @ p / len(group)) for group, p in joint.items()),
         default=np.inf,

@@ -110,9 +110,9 @@ def test_iterate_stops_at_the_first_iterate_reaching_the_overlap(monkeypatch):
     # a fixed horizon applies the averaged patch channel (every id
     # absorbed) t_max times
     calls = []
-    step = ChannelSet.continue_step_local
+    step = ChannelSet.continue_step
     monkeypatch.setattr(
-        ChannelSet, "continue_step_local",
+        ChannelSet, "continue_step",
         lambda self, op, absorbed: calls.append(absorbed) or step(self, op, absorbed),
     )
     bench.cp_map_iterate(inst, np.eye(2) / 2.0, 7)

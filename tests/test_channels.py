@@ -21,6 +21,8 @@ from qlll.instance import QlllInstance, basis_projector, random_rank_projector
 from qlll.oracles import (
     Pick,
     SeriesStartError,
+    _krylov_solve,
+    _krylov_sum,
     _sandwich_series,
     build_channels,
     halting_operator,
@@ -175,7 +177,7 @@ def test_local_patch_and_continue_match_dense(case):
     absorbed = ch.continue_step(op, frozenset({inst.m - 1}))
     assert np.abs(absorbed - (cont + refreshed / inst.m)).max() < TOL
     # every id absorbed: the averaged patch channel
-    every = ch.continue_step_local(op, frozenset(range(inst.m)))
+    every = ch.continue_step(op, frozenset(range(inst.m)))
     assert np.abs(every - averaged).max() < TOL
 
 
@@ -252,7 +254,7 @@ def test_entangled_counterexample_event_matches_dense(a):
             assert np.abs(ch.patch(i, op) - patched).max() < TOL
         every = frozenset(range(inst.m))
         averaged = sum(dense_channels(inst, i, op)[2] for i in every) / inst.m
-        assert np.abs(ch.continue_step_local(op, every) - averaged).max() < TOL
+        assert np.abs(ch.continue_step(op, every) - averaged).max() < TOL
 
 
 def test_channels_take_real_and_transposed_operators():
@@ -270,7 +272,7 @@ def test_channels_take_real_and_transposed_operators():
                 assert got.dtype == complex
                 assert np.abs(got - channel(i, exact)).max() == 0.0
         assert np.abs(
-            ch.continue_step_local(probe, every) - ch.continue_step_local(exact, every)
+            ch.continue_step(probe, every) - ch.continue_step(exact, every)
         ).max() == 0.0
 
 
@@ -292,8 +294,8 @@ def test_basis_events_run_no_layout_sandwich(monkeypatch):
         ch.patch(i, op)
         ch.complement(i, op)
         ch.measure(i, op)
-    ch.continue_step_local(op, every)
-    ch.continue_step_local(op)
+    ch.continue_step(op, every)
+    ch.continue_step(op)
     assert calls == []
     # a dense event still runs one sandwich for its complement and one for
     # its measurement
@@ -301,9 +303,9 @@ def test_basis_events_run_no_layout_sandwich(monkeypatch):
     ch = build_channels(QlllInstance.build(8, 2, events + [((1, 5), dense)]))
     ch.patch(4, op)
     assert len(calls) == 2
-    ch.continue_step_local(op, every | {4})
+    ch.continue_step(op, every | {4})
     assert len(calls) == 4
-    ch.continue_step_local(op)
+    ch.continue_step(op)
     assert len(calls) == 5
 
 
@@ -315,15 +317,13 @@ def test_shared_halting_pass_matches_per_id_series(seed):
     assert ch.halting_operators() is shared
     D = inst.shape.dim
     for a in range(inst.m):
-        alone = _sandwich_series(
-            ch.measure_pick(a), ch.continue_step, np.eye(D) / D, "alone"
-        )
+        alone = _krylov_sum({a: ch.measure_pick(a)}, ch, np.eye(D) / D, "alone")[a]
         fresh = halting_operator(inst, a)
         assert np.abs(shared[a].operator - alone).max() < TOL
         assert np.abs(shared[a].operator - fresh.operator).max() < TOL
         assert shared[a].provenance == ("halt", a)
         resolvent = halting_operator_resolvent(inst, a, ch)
-        assert np.abs(shared[a].operator - resolvent.operator).max() < 1e-9
+        assert np.abs(shared[a].operator - resolvent.operator).max() < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -337,6 +337,11 @@ def test_series_rejects_start_that_is_not_psd(start):
 
     with pytest.raises(SeriesStartError, match="series start"):
         _sandwich_series(Pick(np.trace, ident), ident, start, "probe")
+    # the conjugate-gradient route checks its start the same way
+    qubits = len(start).bit_length() - 1
+    ch = build_channels(QlllInstance.build(qubits, 2, [((0,), np.diag([0.0, 1.0]))]))
+    with pytest.raises(SeriesStartError, match="series start"):
+        _krylov_solve(ch, start, "probe")
     assert issubclass(SeriesStartError, ValueError)
 
 

@@ -196,8 +196,30 @@ def test_dimacs_tautology_and_repeats():
 
 def test_dimacs_takes_the_tokens_int_takes():
     # a sign, digit separators and tabs or non-breaking spaces between tokens
-    inst = instance_from_dimacs("p cnf 10 x\n+1 1_0 0\r\n -2\u00a03\t0\n")
+    inst = instance_from_dimacs("p cnf 10 2\n+1 1_0 0\r\n -2\u00a03\t0\n")
     assert [ev.vars for ev in inst.events] == [(0, 9), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # more clauses than the header declares, and fewer
+        ("p cnf 3 1\n1 0\n2 0\n3 0\n",
+         "line 1 column 9: header declares 1 clauses, the input has 3"),
+        ("c two\n p cnf 3 2\n1 2 0\n",
+         "line 2 column 10: header declares 2 clauses, the input has 1"),
+        ("p cnf 10 x\n1 0\n",
+         "line 1 column 10: clause count 'x' is not a nonnegative integer"),
+        ("p cnf x 1\n1 0\n",
+         "line 1 column 7: variable count 'x' is not a nonnegative integer"),
+        ("p  cnf\t-3 1\n1 0\n",
+         "line 1 column 8: variable count '-3' is not a nonnegative integer"),
+    ],
+)
+def test_dimacs_header_counts_are_checked(text, message):
+    with pytest.raises(ValueError) as err:
+        instance_from_dimacs(text)
+    assert str(err.value) == message
 
 
 def test_dimacs_solver_round():

@@ -270,9 +270,9 @@ def test_invariant_failure_exits_three(tmp_path, capsys, monkeypatch):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: halting operators:")
-    assert "did not converge within 1 terms" in lines[0]
-    # the measured value: the last increment trace of the open ids
-    assert "id 0: last increment trace 2.500e-01" in lines[0]
+    assert "conjugate gradients did not converge within 1 iterations" in lines[0]
+    # the measured value: the solve's relative residual against its stop
+    assert "relative residual 3.536e-01 > 1e-12" in lines[0]
 
 
 def test_witness_galton_watson_value(tmp_path, capsys):
@@ -477,6 +477,10 @@ DIMACS_DIAGNOSTICS = [
      "line 3 column 3: clause token 'p' is not an integer"),
     ("p cnf 2 1\n1 3 0\n", "literal 3 outside declared variables"),
     ("p cnf 3 2\n1 2 0\n3\n", "unterminated clause in DIMACS input"),
+    ("p cnf 3 1\n1 0\n2 0\n3 0\n",
+     "line 1 column 9: header declares 1 clauses, the input has 3"),
+    ("p cnf x 1\n1 0\n",
+     "line 1 column 7: variable count 'x' is not a nonnegative integer"),
 ]
 
 

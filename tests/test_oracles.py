@@ -10,6 +10,7 @@ from qlll.instance import (
     spectral_report,
 )
 from qlll.oracles import (
+    ChannelSet,
     OutcomeOperator,
     build_channels,
     first_violation_gap_bound,
@@ -23,7 +24,7 @@ from qlll.oracles import (
     verify_cp_identities,
 )
 from helpers import kernel_projector
-from qlll.tensor import make_rng, min_slack, psd_leq
+from qlll.tensor import devectorize, make_rng, min_slack, pseudoinverse, psd_leq, vectorize
 from qlll.witness import build_resample_dag, dag_probability, label_intersection
 from qlll.quantum import run_trajectory_batch
 
@@ -198,9 +199,9 @@ def test_halting_bound_noncommuting_seeds():
 def test_halting_resolvent_cross_check():
     for inst in (diag3(), random_noncommuting(42)):
         for a in range(inst.m):
-            series = halting_operator(inst, a)
+            solved = halting_operator(inst, a)
             resolvent = halting_operator_resolvent(inst, a)
-            assert np.abs(series.operator - resolvent.operator).max() < 1e-9
+            assert np.abs(solved.operator - resolvent.operator).max() < 1e-13
 
 
 def test_outcome_operator_validation():
@@ -288,35 +289,41 @@ def hadamard_pairs():
 def test_cp_identity_groups_share_one_series(monkeypatch):
     inst = hadamard_pairs()
     contexts, sums = [], {}
-    series = oracles._series_sums
+    solve, mixed = oracles._krylov_solve, ChannelSet.mixed_sums
 
-    def recording(picks, step, start, context):
+    def recording_solve(channels, start, context):
         contexts.append(context)
-        out = series(picks, step, start, context)
+        return solve(channels, start, context)
+
+    def recording_sums(self, picks):
+        out = mixed(self, picks)
         sums.update(out)
         return out
 
-    monkeypatch.setattr(oracles, "_series_sums", recording)
+    monkeypatch.setattr(oracles, "_krylov_solve", recording_solve)
+    monkeypatch.setattr(ChannelSet, "mixed_sums", recording_sums)
     report = verify_cp_identities(inst)
     monkeypatch.undo()
-    assert contexts == ["identity (i)"]
+    # every group reads the one solve from I/D that the halting operators read
+    assert contexts == ["halting operators"]
     groups = oracles._disjoint_groups(inst)
     assert len(groups) == 7 and set(sums) == set(groups)
 
-    # each group against its own series, run alone
+    # each group against the dense resolvent (I - T)^+ applied to I/D
     ch = build_channels(inst)
     D, m = inst.shape.dim, inst.m
     eye = np.eye(D) / D
+    core = pseudoinverse(np.eye(D * D) - ch.continue_superoperator().matrix)
+    x = devectorize(core @ vectorize(eye))
     slacks = []
     for group in groups:
         p = np.eye(D, dtype=complex)
         for i in group:
             p = p @ inst.embedded(i)
-        alone = oracles._sandwich_series(
-            oracles._projector_pick(p, m), ch.continue_step, eye, str(group))
-        assert np.abs(sums[group] - alone).max() <= 1e-12
+        want = p @ x @ p / m
+        assert np.abs(sums[group] - want).max() <= 1e-13
         rhs = p @ eye @ p / len(group)
-        slacks.append(min_slack(alone, rhs))
+        slacks.append(min_slack(want, rhs))
         assert abs(min_slack(sums[group], rhs) - slacks[-1]) <= 1e-12
     part = {e["lemma"]: e for e in report["parts"]}["sandwich-series-group-bound"]
     assert abs(part["slack_min"] - min(slacks)) <= 1e-12

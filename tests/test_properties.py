@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlll.instance import QlllInstance, random_rank_projector
-from qlll.oracles import DENSE_STEP_MAX_D, build_channels
+from qlll.oracles import build_channels
 from qlll.tensor import (
     HilbertShape,
     LocalPlan,
@@ -140,10 +140,10 @@ def test_measure_trace_matches_the_embedded_projector(config, seed):
 
 @st.composite
 def tiny_instances(draw):
-    """Instances with D <= DENSE_STEP_MAX_D and one to four events."""
+    """Instances with D <= 16 and one to four events."""
     d = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.integers(1, {2: 4, 3: 2, 4: 2}[d]))
-    assert d ** n <= DENSE_STEP_MAX_D
+    assert d ** n <= 16
     supports = [
         tuple(draw(st.permutations(range(n)))[:draw(st.integers(1, n))])
         for _ in range(draw(st.integers(1, 4)))
@@ -157,5 +157,5 @@ def test_dense_continue_step_matches_local(inst, seed):
     ch = build_channels(inst)
     s = random_op(make_rng(seed), inst.shape.dim)
     for absorbed in (frozenset(), frozenset({seed % inst.m})):
-        dense = ch.continue_step(s, absorbed)
-        assert np.abs(dense - ch.continue_step_local(s, absorbed)).max() < TOL
+        dense = ch.continue_superoperator(absorbed).apply(s)
+        assert np.abs(dense - ch.continue_step(s, absorbed)).max() < TOL

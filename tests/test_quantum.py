@@ -269,7 +269,7 @@ def test_channels_reuse_the_state_vector_layouts(monkeypatch):
     for i in range(inst.m):
         ch.patch(i, op)
         assert ch._blocks[i] is event_table(inst).block(i)
-    ch.continue_step_local(op, frozenset(range(inst.m)))
+    ch.continue_step(op, frozenset(range(inst.m)))
     assert built == []
 
 
