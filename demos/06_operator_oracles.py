@@ -23,12 +23,12 @@ inst = QlllInstance.build(
 channels = build_channels(inst)
 
 # the unnormalized state reached when some projector fires first, computed
-# two ways: summed series and resolvent
+# two ways: a conjugate-gradient solve and the dense resolvent
 for a in range(inst.m):
-    series = halting_operator(inst, a, channels)
+    solved = halting_operator(inst, a, channels)
     resolvent = halting_operator_resolvent(inst, a, channels)
-    gap = float(np.abs(series.operator - resolvent.operator).max())
-    print(f"event {a}: halting probability {series.probability:.6f}"
+    gap = float(np.abs(solved.operator - resolvent.operator).max())
+    print(f"event {a}: halting probability {solved.probability:.6f}"
           f"  route residual {gap:.2e}")
 
 print("\nfirst-violation bounds for event 2:")

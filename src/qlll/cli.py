@@ -342,9 +342,9 @@ def _cmd_oracle(cfg: argparse.Namespace):
     verdicts = []
     if cfg.halting is not None:
         rep = first_violation_gap_bound(inst, cfg.halting, channels)
-        series = halting_operator(inst, cfg.halting, channels)
+        solved = halting_operator(inst, cfg.halting, channels)
         resolvent = halting_operator_resolvent(inst, cfg.halting, channels)
-        residual = float(np.abs(series.operator - resolvent.operator).max())
+        residual = float(np.abs(solved.operator - resolvent.operator).max())
         rep["route_residual"] = residual
         rep["route_pass"] = residual <= RESIDUAL_TOL
         verdicts.append(rep["dimension_bound"]["pass"])

@@ -6,9 +6,9 @@ sum of the iterates; both apply each pick once.  The values are checked
 against the per-term series (every term applies every open pick), kept here
 as a reference.  In place of a solve it runs to a trace stop of 1e-17, so
 its own truncation stays far below the tolerance; in place of a running-sum
-series it keeps that series' stop rule, so the two are the same sum.  Work counts wrap the channel methods, so
-the claims "one solve per pass" and "one pick per id per pass" do not rest
-on wall-clock time.
+series it keeps that series' stop rule, so the two are the same sum.  Work
+counts wrap the channel methods, so the claims "one solve per pass" and
+"one pick per id per pass" do not rest on wall-clock time.
 """
 
 import numpy as np
@@ -120,8 +120,9 @@ def series_outputs():
                             (chain4(), (0, 2), [{1, 3}, {1, 3}])]:
         report = partial_dag_channel_bound(inst, seq, gaps)
         out[f"partial {seq}"] = report["probability"]
-    for inst, ids, gap in [(three_disjoint(), (1, 2), (0,)), (chain4(), (1, 2), (3,))]:
-        out[f"traced {ids}"] = traced_continuation_bound(inst, ids, gap)["slack_min"]
+    for name, inst, ids, gap in [("three disjoint", three_disjoint(), (1, 2), (0,)),
+                                 ("chain4", chain4(), (1, 2), (3,))]:
+        out[f"traced {name} {ids}"] = traced_continuation_bound(inst, ids, gap)["slack_min"]
     return out
 
 
@@ -166,8 +167,7 @@ def test_halting_pass_applies_each_pick_once(monkeypatch):
     assert counts.calls["solve"] == 1
     assert counts.calls["series"] == 0
     assert counts.calls["measure"] == inst.m
-    # one continue step per iteration plus one for the true residual; the
-    # geometric series took 105
+    # one continue step per iteration plus one for the true residual
     assert counts.calls["continue_step"] <= 40
 
 
@@ -178,5 +178,4 @@ def test_counterexample_runs_three_series_passes(monkeypatch):
     assert counts.calls["solve"] == 3
     assert counts.calls["series"] == 0
     assert counts.calls["measure"] == 3 + 2
-    # the geometric series took more than 1,000
     assert counts.calls["continue_step"] <= 40
