@@ -42,8 +42,8 @@ from .instance import (
     SpectralReport,
     basis_projector,
     certificate_from_x,
-    certificate_search,
     check_lovasz,
+    checked_certificate_search,
     find_certificate,
     instance_digest,
     instance_from_dict,

@@ -32,11 +32,8 @@ from .instance import (
 )
 from .logs import log_from_dict
 from .oracles import (
-    RESIDUAL_TOL,
     build_channels,
     first_violation_gap_bound,
-    halting_operator,
-    halting_operator_resolvent,
     sequence_operator,
     shortclaim_suite,
     verify_cp_identities,
@@ -342,15 +339,9 @@ def _cmd_oracle(cfg: argparse.Namespace):
     verdicts = []
     if cfg.halting is not None:
         rep = first_violation_gap_bound(inst, cfg.halting, channels)
-        solved = halting_operator(inst, cfg.halting, channels)
-        resolvent = halting_operator_resolvent(inst, cfg.halting, channels)
-        residual = float(np.abs(solved.operator - resolvent.operator).max())
-        rep["route_residual"] = residual
-        rep["route_pass"] = residual <= RESIDUAL_TOL
         verdicts.append(rep["dimension_bound"]["pass"])
         if not rep["gap_bound"]["vacuous"]:
             verdicts.append(rep["gap_bound"]["pass"])
-        verdicts.append(rep["route_pass"])
         result["halting"] = rep
     if cfg.sequence is not None:
         ids = _parse_ids(cfg.sequence, "--sequence")

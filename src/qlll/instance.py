@@ -238,21 +238,16 @@ def find_certificate(inst: QlllInstance, epsilon: float = 0.0):
     Starting from x = R/(1-eps) and sweeping x_i <- R_i / ((1-eps) *
     prod_{j ~ i} (1-x_j)) only ever increases x, so the least fixed point is
     reached whenever one exists below 1.  Returns a certificate that
-    check_lovasz accepts, or None when the search fails; certificate_search
-    also gives the reason.
+    check_lovasz accepts, or None when the search fails;
+    checked_certificate_search also gives the reason.
     """
-    return certificate_search(inst, epsilon)[0]
-
-
-def certificate_search(inst: QlllInstance, epsilon: float = 0.0):
-    """find_certificate with the reason a search failed: (cert, None) on
-    success, else (None, reason); see :func:`checked_certificate_search`."""
-    return checked_certificate_search(inst, epsilon)[:2]
+    return checked_certificate_search(inst, epsilon)[0]
 
 
 def checked_certificate_search(inst: QlllInstance, epsilon: float = 0.0):
-    """certificate_search with the final check_lovasz result it ran:
-    (cert, None, check) on success, else (None, reason, None) where reason is
+    """find_certificate with the reason a search failed and the final
+    check_lovasz result it ran: (cert, None, check) on success, else
+    (None, reason, None) where reason is
 
     - "infeasible": a value climbed past CERT_X_CEILING; the iteration is
       monotone, so no fixed point lies below the ceiling;

@@ -17,16 +17,16 @@ whose local matrix is zero off some local basis states is read and written
 only on the register rows and columns of its nonzero states, addressed by
 their positions; an event nonzero on every local state runs as layout
 sandwiches.
-Dense superoperators are quadratically bigger than states: the matrix forms,
-the resolvent route and the lemma suite are gated on a small dimension
-budget (D <= 64 by default).
+Dense superoperators are quadratically bigger than states: the one dense
+route, the resolvent reference halting_operator_resolvent, and the lemma
+suite are gated on a small dimension budget (D <= 64 by default).
 
-Conventions: channels act on D x D operators; their matrix forms act on
-column-stacked vectors.  The continue channel T averages the complement
-sandwiches (1/m) sum_i (I - P_i) rho (I - P_i); its geometric series diverges
-on states the process never leaves, which is why every sum here is
-sandwiched by a measurement first (the increments then shrink geometrically
-and the sum is the quantity of interest).
+Conventions: channels act on D x D operators; the resolvent reference and
+the lemma suite act on column-stacked vectors.  The continue channel T
+averages the complement sandwiches (1/m) sum_i (I - P_i) rho (I - P_i); its
+geometric series diverges on states the process never leaves, which is why
+every sum here is sandwiched by a measurement first (the increments then
+shrink geometrically and the sum is the quantity of interest).
 
 Solve form: every pick is a projector sandwich L s L that annihilates the
 common kernel P0 of the events, so sum_t pick(T^t s) = pick(X) with
@@ -41,7 +41,7 @@ operators and identity (i) read one kept solve from I/D.
 Series form, kept where the step patches absorbed ids and so is not
 self-adjoint (partial_dag_channel_bound, traced_continuation_bound): a
 series keeps one running sum of the iterates, reads only tr(L s_t) per
-term, and applies each pick once, to the running sum at that pick's stop.
+term, and applies the pick once, to the running sum at the stop.
 Every continue step runs as m local channels summed into one array.
 """
 
@@ -60,9 +60,7 @@ from .tensor import (
     EventBlock,
     HilbertShape,
     LocalPlan,
-    conjugation_superoperator,
     devectorize,
-    embed,
     is_hermitian,
     make_rng,
     min_slack,
@@ -72,30 +70,14 @@ from .tensor import (
     sandwich_local,
     vectorize,
 )
+# looked up here by the benchmark's tracer (perfbench/tracing.py)
+from .tensor import embed  # noqa: F401
 from .witness import build_partial_resample_dag, build_resample_dag, dag_probability, label_intersection
 
 OUTCOME_PSD_TOL = 1e-9
 SLACK_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
 EQUALITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """Dense matrix form of a linear map on operators."""
-
-    shape: HilbertShape
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        d2 = self.shape.dim ** 2
-        if self.matrix.shape != (d2, d2):
-            raise ValueError(
-                f"superoperator matrix must be {d2} x {d2}, got {self.matrix.shape}"
-            )
-
-    def apply(self, op: np.ndarray) -> np.ndarray:
-        return devectorize(self.matrix @ vectorize(np.asarray(op, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -152,10 +134,8 @@ class ChannelSet:
     trace over the event, refilled maximally mixed at the positions
     plan.index gives every local state) in one pass.  An all-zero event has
     an empty K and changes nothing.  An event nonzero on every local state
-    runs as layout sandwiches.
-    Dense matrix forms are built on demand within the superoperator budget,
-    as cross-checks; no step runs through them.  Every sum over the continue
-    iterates from I/D (the halting operators of all ids, identity (i) of
+    runs as layout sandwiches.  Every sum over the continue iterates from
+    I/D (the halting operators of all ids, identity (i) of
     verify_cp_identities) reads one conjugate-gradient solve, made on first
     request and kept.
     """
@@ -310,43 +290,6 @@ class ChannelSet:
             ]
         return self._halting
 
-    # dense matrix forms
-
-    def _embedded(self, i: int) -> np.ndarray:
-        self.shape.check_budget(config.SUPEROP_BUDGET_D)
-        p = self.instance.projectors[i]
-        return embed(p.local_matrix, p.qudits, self.shape)
-
-    def measure_superoperator(self, i: int) -> Superoperator:
-        p = self._embedded(i)
-        return Superoperator(self.shape, conjugation_superoperator(p, p))
-
-    def continue_superoperator(self, absorbed: frozenset = frozenset()) -> Superoperator:
-        D = self.shape.dim
-        eye = np.eye(D)
-        mat = np.zeros((D * D, D * D), dtype=complex)
-        for i in range(self.m):
-            if i in absorbed:
-                mat += self.patch_superoperator(i).matrix
-            else:
-                c = eye - self._embedded(i)
-                mat += conjugation_superoperator(c, c)
-        return Superoperator(self.shape, mat / self.m)
-
-    def refresh_superoperator(self, i: int) -> Superoperator:
-        self.shape.check_budget(config.SUPEROP_BUDGET_D)
-        return Superoperator(
-            self.shape, _channel_matrix(lambda op: self.refresh(i, op), self.shape)
-        )
-
-    def patch_superoperator(self, i: int) -> Superoperator:
-        c = np.eye(self.shape.dim) - self._embedded(i)
-        mat = conjugation_superoperator(c, c) + (
-            self.refresh_superoperator(i).matrix
-            @ self.measure_superoperator(i).matrix
-        )
-        return Superoperator(self.shape, mat)
-
 
 def _channel_matrix(fn, shape: HilbertShape) -> np.ndarray:
     D = shape.dim
@@ -390,46 +333,6 @@ class Pick(NamedTuple):
 def _projector_pick(p: np.ndarray, m: int) -> Pick:
     """p s p / m for a Hermitian projector p, as a series pick."""
     return Pick(lambda s: np.vdot(p, s) / m, lambda s: p @ s @ p / m)
-
-
-def _series_sums(picks: dict, step, start, context: str) -> dict:
-    """Sum pick(step^t(start)) over t >= 0 for every pick, on one shared run
-    of iterates s_t = step^t(start).
-
-    Picks are linear, so each sum is the pick of the running sum of the
-    iterates: a term reads only each open pick's trace, and a pick is
-    applied once, to the running sum at its stop.  Every pick and step is a
-    CP map and the start is checked Hermitian PSD, so every term is PSD and
-    its trace is its trace norm: each sum stops at its own first term with
-    trace below the series tolerance, that term included.  pick must
-    annihilate the fixed points of step for the terms to decay; every
-    caller sandwiches with a measurement, which does exactly that.
-    """
-    s = np.asarray(start, dtype=complex)
-    _check_series_start(s, context)
-    total = np.zeros_like(s)
-    sums = {}
-    last = {}
-    open_keys = list(picks)
-    for _ in range(config.SERIES_MAX_TERMS):
-        total += s
-        still = []
-        for key in open_keys:
-            last[key] = float(picks[key].trace(s).real)
-            if last[key] >= config.SERIES_TRACE_TOL:
-                still.append(key)
-            else:
-                sums[key] = picks[key].apply(total)
-        open_keys = still
-        if not open_keys:
-            return {key: sums[key] for key in picks}
-        s = step(s)
-    still = "; ".join(f"{key}: last increment trace {last[key]:.3e}" for key in open_keys)
-    raise InvariantError(
-        f"{context}: operator series did not converge within "
-        f"{config.SERIES_MAX_TERMS} terms ({still})",
-        max(last[key] for key in open_keys),
-    )
 
 
 def _krylov_solve(channels: ChannelSet, start, context: str) -> np.ndarray:
@@ -515,8 +418,32 @@ def _krylov_sum(picks: dict, channels: ChannelSet, start, context: str) -> dict:
 
 
 def _sandwich_series(pick: Pick, step, start, context: str) -> np.ndarray:
-    """Sum pick(step^t(start)) over t >= 0; see :func:`_series_sums`."""
-    return _series_sums({"series": pick}, step, start, context)["series"]
+    """Sum pick(step^t(start)) over t >= 0, on one running sum of the
+    iterates s_t = step^t(start).
+
+    The pick is linear, so the sum is the pick of the running sum: a term
+    reads only the pick's trace, and the pick is applied once, to the
+    running sum at the stop.  The pick and step are CP maps and the start is
+    checked Hermitian PSD, so every term is PSD and its trace is its trace
+    norm: the sum stops at its first term with trace below the series
+    tolerance, that term included.  The pick must annihilate the fixed
+    points of step for the terms to decay; every caller sandwiches with a
+    measurement, which does exactly that.
+    """
+    s = np.asarray(start, dtype=complex)
+    _check_series_start(s, context)
+    total = np.zeros_like(s)
+    for _ in range(config.SERIES_MAX_TERMS):
+        total += s
+        last = float(pick.trace(s).real)
+        if last < config.SERIES_TRACE_TOL:
+            return pick.apply(total)
+        s = step(s)
+    raise InvariantError(
+        f"{context}: operator series did not converge within "
+        f"{config.SERIES_MAX_TERMS} terms (series: last increment trace {last:.3e})",
+        last,
+    )
 
 
 def _check_id(inst: QlllInstance, a: int) -> int:
@@ -544,17 +471,18 @@ def halting_operator_resolvent(
 ) -> OutcomeOperator:
     """Same operator via the pseudo-inverse of (identity - continue channel).
 
-    Cross-check route only: the pseudo-inverse silently drops the continue
-    channel's fixed space, which the measurement sandwich annihilates anyway.
+    The module's one dense route, a reference for the conjugate-gradient
+    solve within the superoperator budget: the D^2 x D^2 matrix of the
+    continue step is built one matrix unit at a time from the local channel.
+    The pseudo-inverse silently drops the continue channel's fixed space,
+    which the measurement sandwich annihilates anyway.
     """
     a = _check_id(inst, a)
     inst.shape.check_budget(config.SUPEROP_BUDGET_D)
     ch = channels if channels is not None else build_channels(inst)
     D = inst.shape.dim
-    t_mat = ch.continue_superoperator().matrix
-    core = pseudoinverse(np.eye(D * D) - t_mat)
-    pick = ch.measure_superoperator(a).matrix
-    x = devectorize(pick @ core @ vectorize(np.eye(D) / D)) / inst.m
+    core = pseudoinverse(np.eye(D * D) - _channel_matrix(ch.continue_step, inst.shape))
+    x = ch.measure(a, devectorize(core @ vectorize(np.eye(D) / D))) / inst.m
     return _outcome(x, ("halt-resolvent", a))
 
 

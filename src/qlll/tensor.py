@@ -334,11 +334,6 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
     return vec.reshape(dim, dim, order="F")
 
 
-def conjugation_superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Matrix of the map X -> left @ X @ right on column-stacked vectors."""
-    return np.kron(np.asarray(right).T, np.asarray(left))
-
-
 def pseudoinverse(op: np.ndarray, rcond: float = config.PINV_RCOND) -> np.ndarray:
     """Moore-Penrose pseudoinverse with a fixed relative singular-value cutoff."""
     return np.linalg.pinv(np.asarray(op, dtype=complex), rcond=rcond)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import dense_refresh
 from qlll import bench, oracles
 from qlll.instance import QlllInstance, basis_projector, random_rank_projector
 from qlll.oracles import (
@@ -81,15 +82,6 @@ def random_operator(dim, seed):
     rng = make_rng(seed + 1)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return g / np.linalg.norm(g)
-
-
-def dense_refresh(op, qudits, shape):
-    """(1/d^k) sum_ab E_ab op E_ba over the matrix units of the support:
-    the partial trace over the support, refilled maximally mixed."""
-    dk = shape.d ** len(qudits)
-    units = [embed(np.eye(dk)[:, [a]] @ np.eye(dk)[[b]], qudits, shape)
-             for a in range(dk) for b in range(dk)]
-    return sum(u @ op @ u.T for u in units) / dk
 
 
 def dense_channels(inst, i, op):
@@ -179,20 +171,6 @@ def test_local_patch_and_continue_match_dense(case):
     # every id absorbed: the averaged patch channel
     every = ch.continue_step(op, frozenset(range(inst.m)))
     assert np.abs(every - averaged).max() < TOL
-
-
-def test_local_channels_match_matrix_forms():
-    small = random_instance((4, 2, [(3, 1), (2,)]), 11)
-    ch = build_channels(small)
-    op = random_operator(small.shape.dim, 4)
-    for i in range(small.m):
-        for local, form in (
-            (ch.measure, ch.measure_superoperator),
-            (ch.refresh, ch.refresh_superoperator),
-            (ch.patch, ch.patch_superoperator),
-        ):
-            assert np.abs(local(i, op) - form(i).apply(op)).max() < TOL
-    assert np.abs(ch.continue_step(op) - ch.continue_superoperator().apply(op)).max() < TOL
 
 
 def dense_cp_map_iterate(inst, rho, t_max):

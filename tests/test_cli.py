@@ -350,10 +350,28 @@ def test_oracle_halting_and_suites(tmp_path, capsys):
     result = last_json(out)["result"]
     assert abs(result["halting"]["probability"] - 0.375) < 1e-9
     assert result["halting"]["dimension_bound"]["pass"]
-    assert result["halting"]["route_residual"] < 1e-9
+    assert "route_residual" not in result["halting"]
     assert result["cp_identities"]["pass"]
     assert result["shortclaim"]["pass"]
     assert 0.0 <= result["sequence"]["probability"] <= 1.0
+
+
+def test_oracle_halting_past_the_superoperator_budget(tmp_path, capsys):
+    # D = 128: the halting report runs on the local channels; the lemma
+    # suite still stops at the superoperator budget
+    m = 7
+    path = write_instance(tmp_path, QlllInstance.build(m, 2, [((q,), P1) for q in range(m)]))
+    code, out, _ = run_cli(["oracle", "--instance", path, "--halting", "0"], capsys)
+    assert code == 0
+    halting = last_json(out)["result"]["halting"]
+    # the process halts unless every qubit starts in |0>, each id first alike
+    assert abs(halting["probability"] - (1 - 2.0 ** -m) / m) < 1e-12
+    assert halting["dimension_bound"]["pass"]
+    assert halting["gap_bound"]["pass"] and not halting["gap_bound"]["vacuous"]
+    assert "route_residual" not in halting
+    code, _, err = run_cli(["oracle", "--instance", path, "--shortclaim", "0"], capsys)
+    assert code == 1
+    assert "budget 64" in err
 
 
 def test_oracle_requires_a_request(tmp_path, capsys):

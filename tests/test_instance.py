@@ -12,8 +12,8 @@ from qlll.instance import (
     QlllInstance,
     basis_projector,
     certificate_from_x,
-    certificate_search,
     check_lovasz,
+    checked_certificate_search,
     find_certificate,
     instance_digest,
     instance_from_dict,
@@ -198,7 +198,7 @@ def test_find_certificate_counterexample_infeasible():
         inst = counterexample_events(a)
         assert find_certificate(inst, 0.0) is None
         assert scalar_sweep_certificate(inst, 0.0) is None
-        assert certificate_search(inst, 0.0) == (None, "infeasible")
+        assert checked_certificate_search(inst, 0.0) == (None, "infeasible", None)
 
 
 def critical_pair(first_rank):
@@ -210,13 +210,14 @@ def critical_pair(first_rank):
 def test_certificate_search_reports_why_it_failed():
     # R = 1/4 for both sits at the critical point: the sweep creeps
     # toward x = 1/2 and still moves when the sweep cap runs out
-    assert certificate_search(critical_pair(1)) == (None, "sweep_cap")
+    assert checked_certificate_search(critical_pair(1)) == (None, "sweep_cap", None)
     assert find_certificate(critical_pair(1)) is None
     # R = (1/2, 1/4) has no fixed point below one, so x climbs the ceiling
-    assert certificate_search(critical_pair(2)) == (None, "infeasible")
+    assert checked_certificate_search(critical_pair(2)) == (None, "infeasible", None)
     assert find_certificate(critical_pair(2)) is None
-    cert, reason = certificate_search(bad_event_pair())
+    cert, reason, check = checked_certificate_search(bad_event_pair())
     assert reason is None and cert == find_certificate(bad_event_pair())
+    assert check.ok
 
 
 def scalar_sweep_certificate(inst, epsilon):

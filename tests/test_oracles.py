@@ -72,26 +72,6 @@ def random_density(rng, dim):
     return rho / np.trace(rho)
 
 
-def test_channel_matrices_agree_with_direct_application():
-    inst = diag3()
-    ch = build_channels(inst)
-    rng = make_rng(11)
-    D = inst.shape.dim
-    for i in range(inst.m):
-        mats = [
-            (ch.measure_superoperator(i), lambda op, i=i: ch.measure(i, op)),
-            (ch.refresh_superoperator(i), lambda op, i=i: ch.refresh(i, op)),
-            (ch.patch_superoperator(i), lambda op, i=i: ch.patch(i, op)),
-        ]
-        for sup, fn in mats:
-            for _ in range(10):
-                op = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
-                assert np.abs(sup.apply(op) - fn(op)).max() < 1e-10
-    sup = ch.continue_superoperator()
-    op = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
-    assert np.abs(sup.apply(op) - ch.continue_step(op)).max() < 1e-10
-
-
 def test_measure_on_maximally_mixed_gives_projector():
     inst = diag3()
     ch = build_channels(inst)
@@ -145,22 +125,15 @@ def test_patch_is_trace_preserving():
 
 
 def test_channel_budget_rejected():
-    # D = 128: the local channels run, the matrix forms and the resolvent
-    # stop at the superoperator budget
+    # D = 128: the local channels run, the resolvent stops at the
+    # superoperator budget
     events = [([q], Q1) for q in range(7)]
     inst = QlllInstance.build(7, 2, events)
     ch = build_channels(inst)
     rho = np.eye(inst.shape.dim) / inst.shape.dim
     assert abs(np.trace(ch.patch(0, rho)) - 1) < 1e-12
-    for form in (
-        lambda: ch.measure_superoperator(0),
-        lambda: ch.continue_superoperator(),
-        lambda: ch.refresh_superoperator(0),
-        lambda: ch.patch_superoperator(0),
-        lambda: halting_operator_resolvent(inst, 0, ch),
-    ):
-        with pytest.raises(ValueError, match="budget 64"):
-            form()
+    with pytest.raises(ValueError, match="budget 64"):
+        halting_operator_resolvent(inst, 0, ch)
     # D = 4096 is past the density budget
     wide = QlllInstance.build(12, 2, [([q], Q1) for q in range(12)])
     with pytest.raises(ValueError, match="budget 2048"):
@@ -309,11 +282,14 @@ def test_cp_identity_groups_share_one_series(monkeypatch):
     groups = oracles._disjoint_groups(inst)
     assert len(groups) == 7 and set(sums) == set(groups)
 
-    # each group against the dense resolvent (I - T)^+ applied to I/D
-    ch = build_channels(inst)
+    # each group against the dense resolvent (I - T)^+ applied to I/D, with
+    # T = (1/m) sum_i C_i . C_i as a matrix on column-stacked vectors,
+    # vec(C X C) = (C^T kron C) vec(X)
     D, m = inst.shape.dim, inst.m
     eye = np.eye(D) / D
-    core = pseudoinverse(np.eye(D * D) - ch.continue_superoperator().matrix)
+    comps = [np.eye(D) - inst.embedded(i) for i in range(m)]
+    t_mat = sum(np.kron(c.T, c) for c in comps) / m
+    core = pseudoinverse(np.eye(D * D) - t_mat)
     x = devectorize(core @ vectorize(eye))
     slacks = []
     for group in groups:

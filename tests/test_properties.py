@@ -5,12 +5,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dense_refresh
 from qlll.instance import QlllInstance, random_rank_projector
 from qlll.oracles import build_channels
 from qlll.tensor import (
     HilbertShape,
     LocalPlan,
-    conjugation_superoperator,
     devectorize,
     embed,
     make_rng,
@@ -109,7 +109,8 @@ def test_vectorize_round_trip_and_conjugation(dim, seed):
     rng = make_rng(seed)
     x, a, b = (random_op(rng, dim) for _ in range(3))
     assert np.array_equal(devectorize(vectorize(x)), x)
-    conj = conjugation_superoperator(a, b)
+    # column-stacking: vec(a x b) = (b^T kron a) vec(x)
+    conj = np.kron(b.T, a)
     assert np.abs(vectorize(a @ x @ b) - conj @ vectorize(x)).max() < TOL
 
 
@@ -155,7 +156,16 @@ def tiny_instances(draw):
 @given(tiny_instances(), seeds)
 def test_dense_continue_step_matches_local(inst, seed):
     ch = build_channels(inst)
-    s = random_op(make_rng(seed), inst.shape.dim)
+    D = inst.shape.dim
+    s = random_op(make_rng(seed), D)
     for absorbed in (frozenset(), frozenset({seed % inst.m})):
-        dense = ch.continue_superoperator(absorbed).apply(s)
+        # (1/m) sum_i C_i s C_i, plus the refreshed P_i s P_i of absorbed ids
+        dense = np.zeros((D, D), dtype=complex)
+        for i, proj in enumerate(inst.projectors):
+            p = inst.embedded(i)
+            c = np.eye(D) - p
+            dense += c @ s @ c
+            if i in absorbed:
+                dense += dense_refresh(p @ s @ p, proj.qudits, inst.shape)
+        dense /= inst.m
         assert np.abs(dense - ch.continue_step(s, absorbed)).max() < TOL

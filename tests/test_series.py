@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from qlll import bench, config, oracles
+from qlll.errors import InvariantError
 from qlll.instance import QlllInstance, basis_projector, random_rank_projector
 from qlll.oracles import (
     ChannelSet,
@@ -67,8 +68,11 @@ def per_term(monkeypatch):
             picks, self.continue_step, np.eye(D) / D, "mixed", REFERENCE_TRACE_STOP
         )
 
+    def series(pick, step, start, context):
+        return per_term_series({"series": pick}, step, start, context)["series"]
+
     def use():
-        monkeypatch.setattr(oracles, "_series_sums", per_term_series)
+        monkeypatch.setattr(oracles, "_sandwich_series", series)
         monkeypatch.setattr(oracles, "_krylov_sum", krylov)
         monkeypatch.setattr(ChannelSet, "mixed_sums", mixed)
 
@@ -135,6 +139,19 @@ def test_running_sum_matches_per_term_series(per_term):
         assert np.abs(np.asarray(new[key]) - np.asarray(old[key])).max() < TOL, key
 
 
+def test_series_non_convergence_reports_the_last_increment(monkeypatch):
+    monkeypatch.setattr(config, "SERIES_MAX_TERMS", 2)
+    with pytest.raises(InvariantError) as err:
+        traced_continuation_bound(chain4(), (1, 2), (3,))
+    assert str(err.value) == (
+        "traced bound (1, 2): operator series did not converge within 2 terms"
+        " (series: last increment trace 7.812e-03)"
+    )
+    # the second term: every complement kills p, and only the absorbed id's
+    # patch keeps I/D, so its pick trace is tr(p) / (D m^2) = 2 / (16 * 16)
+    assert err.value.value == 2 ** -7
+
+
 def test_counterexample_still_matches_closed_form():
     for a in (0.3, 0.7, 0.95, 0.999):
         assert abs(bench.counterexample_exact(a)
@@ -147,7 +164,7 @@ class Counts:
         for name in ("measure", "continue_step"):
             self._wrap(monkeypatch, ChannelSet, name)
         self._wrap(monkeypatch, oracles, "_krylov_solve", "solve")
-        self._wrap(monkeypatch, oracles, "_series_sums", "series")
+        self._wrap(monkeypatch, oracles, "_sandwich_series", "series")
 
     def _wrap(self, monkeypatch, owner, attr, key=None):
         inner = getattr(owner, attr)

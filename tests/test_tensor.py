@@ -4,7 +4,6 @@ import pytest
 from helpers import kernel_projector
 from qlll.tensor import (
     HilbertShape,
-    conjugation_superoperator,
     devectorize,
     embed,
     is_hermitian,
@@ -165,7 +164,8 @@ def test_vectorize_kron_identity():
             rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3)
         )
         lhs = vectorize(a @ x @ b)
-        rhs = conjugation_superoperator(a, b) @ vectorize(x)
+        # column-stacking: vec(a x b) = (b^T kron a) vec(x)
+        rhs = np.kron(b.T, a) @ vectorize(x)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
