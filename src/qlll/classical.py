@@ -114,10 +114,7 @@ class _ResamplePlan:
             else ev.violating
             for ev in events
         )
-        graph = classical_intersection_graph(inst)
-        self.gamma_plus = tuple(
-            tuple(sorted(graph.gamma_plus(i))) for i in range(inst.m)
-        )
+        self.gamma_plus = classical_intersection_graph(inst).gamma_plus_sorted
 
 
 def _resample_plan(inst: ClassicalInstance) -> _ResamplePlan:

@@ -11,6 +11,7 @@ fails (the one-line message carries the measured value).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -669,9 +670,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parsing leaves no state on it."""
+    return build_parser()
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     """The parsed flags, plus the seed: drawn and flagged when not given."""
-    cfg = build_parser().parse_args(argv)
+    cfg = _parser().parse_args(argv)
     if cfg.command is None:
         raise CliError("a subcommand is required (see --help)")
     cfg.seed_was_random = cfg.seed is None

@@ -35,10 +35,14 @@ CLASSICAL_DEFAULT_BUDGET = 1_000_000
 QUANTUM_STEPS_PER_PROJECTOR = 1_000   # default max_steps = 1000 * m
 GW_VERTEX_CAP = 10_000
 
-# vectorised trajectory engine
+# state-vector engines
 BATCH_STATE_ENTRIES = 1 << 26  # n_traj * D complex amplitudes, about 1 GiB
-BATCH_FREEZE_TOL = 1e-14       # total bad-event weight below this is settled
-BATCH_FREEZE_EVERY = 16        # steps between settled-row sweeps
+# settled rows: both the batch engine and the one-row solver check their rows
+# every BATCH_FREEZE_EVERY steps.  A batch row is settled once its total
+# bad-event weight is below BATCH_FREEZE_TOL, a one-row run only once that
+# weight is exactly zero, so stopping leaves its state and log bit-exact.
+BATCH_FREEZE_TOL = 1e-14
+BATCH_FREEZE_EVERY = 16
 
 # combinatorics
 DAG_EXACT_RATIONAL_MAX = 12    # exact Fraction arithmetic up to this many vertices

@@ -12,6 +12,7 @@ computed once per instance, kept on it and shared read-only by every caller.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -151,6 +152,12 @@ class IntersectionGraph:
 
     def gamma_plus(self, i: int) -> frozenset:
         return self.neighbors[i] | {i}
+
+    @functools.cached_property
+    def gamma_plus_sorted(self) -> tuple:
+        """gamma_plus(i) for every i as a tuple in increasing id order; built
+        on first use and kept on the graph."""
+        return tuple(tuple(sorted(nb | {i})) for i, nb in enumerate(self.neighbors))
 
 
 def support_graph(supports) -> IntersectionGraph:

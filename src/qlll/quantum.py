@@ -35,7 +35,7 @@ The step costs what its rows need:
 Every engine checks its rows for unit norm (_check_norm).  Entry points:
 
 - run_quantum_solver: one trajectory with its own seed, log and optional
-  outcome trace.
+  outcome trace; it stops measuring once no event has weight on its state.
 - run_exact_solver: cyclic-order solver for commuting families that succeeds
   once every event in a row comes out satisfied; one trajectory, like the
   above.
@@ -208,6 +208,17 @@ def _total_weight(states, rows, events: EventTable) -> np.ndarray:
     return total
 
 
+def _weightless(states, rows, events: EventTable) -> bool:
+    """True when V^dag psi is exactly zero for every event and every row psi
+    of states[rows]: each later measurement then has weight 0 and, by
+    _measure_rows' zero-weight rule, changes nothing."""
+    for i in range(events.m):
+        plan, f = events.plan(i), _range_factor(events, i)
+        if (f.vh @ plan.gather(states, rows, f.pos)).any():
+            return False
+    return True
+
+
 def _kernel_weight(states, events: EventTable) -> np.ndarray:
     """Squared norm of every row after projecting out each event in turn;
     for a commuting family this is the overlap with the common kernel."""
@@ -251,7 +262,15 @@ def run_quantum_solver(
     max_steps: int | None = None,
     record_outcomes: bool = False,
 ) -> Trajectory:
-    """Run one trajectory of the uniform measure-and-resample process."""
+    """Run one trajectory of the uniform measure-and-resample process.
+
+    Every config.BATCH_FREEZE_EVERY steps the run checks whether it has
+    settled: no event has weight on the state (_weightless).  A settled run
+    stops measuring, since every later step would be satisfied with weight 0
+    and change neither the state nor the log; the log still reports
+    total_steps = max_steps.  A run that records its outcome trace never
+    stops early, because the trace lists every step.
+    """
     inst.shape.check_budget(config.STATE_BUDGET_D)
     m = inst.m
     if max_steps is None:
@@ -269,10 +288,12 @@ def run_quantum_solver(
         i = int(rng.integers(0, m))
         violated = bool(_measure_rows(states, row, events.plan(i), _range_factor(events, i), rng)[0])
         _check_norm(states)
-        if trace is not None:
-            trace.append((i, violated))
         if violated:
             entries.append((step, i))
+        if trace is not None:
+            trace.append((i, violated))
+        elif (step + 1) % config.BATCH_FREEZE_EVERY == 0 and _weightless(states, row, events):
+            break  # the steps left change neither the state nor the log
     log = ExecutionLog(tuple(entries), total_steps=steps, seed=seed)
     return Trajectory(states[0], log, tuple(trace) if trace is not None else None)
 

@@ -47,8 +47,8 @@ class WitnessTree:
     parents: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(l) for l in self.labels))
-        object.__setattr__(self, "parents", tuple(int(p) for p in self.parents))
+        object.__setattr__(self, "labels", tuple(map(int, self.labels)))
+        object.__setattr__(self, "parents", tuple(map(int, self.parents)))
         if not self.labels:
             raise ValueError("a witness tree has at least its root")
         if len(self.labels) != len(self.parents):
@@ -346,24 +346,21 @@ def simulate_galton_watson(
     Each vertex labelled i considers every j in gamma_plus(i) once,
     independently spawning a j-child with probability x_j.
     """
-    rnd = random.Random(seed)
+    draw = random.Random(seed).random
     x = cert.x
-    options = {}
+    options = graph.gamma_plus_sorted
     labels = [root_label]
     parents = [-1]
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        lab = labels[v]
-        if lab not in options:
-            options[lab] = sorted(graph.gamma_plus(lab))
-        for j in options[lab]:
-            if rnd.random() < x[j]:
+    # breadth first: labels[v:] is the queue of vertices still to expand
+    v = 0
+    while v < len(labels):
+        for j in options[labels[v]]:
+            if draw() < x[j]:
                 if len(labels) >= config.GW_VERTEX_CAP:
                     return None
                 labels.append(j)
                 parents.append(v)
-                queue.append(len(labels) - 1)
+        v += 1
     return WitnessTree(tuple(labels), tuple(parents))
 
 
@@ -390,7 +387,7 @@ def enumerate_proper_trees(
         if key in memo:
             return memo[key]
         found = []
-        options = sorted(graph.gamma_plus(label))
+        options = graph.gamma_plus_sorted[label]
         for r in range(0, len(options) + 1):
             for child_labels in itertools.combinations(options, r):
                 if 1 + r > budget:

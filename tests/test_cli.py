@@ -472,6 +472,23 @@ def test_output_file_and_random_seed(tmp_path, capsys):
     assert data["seed_was_random"]
 
 
+def test_cached_parser_keeps_no_state(tmp_path, capsys):
+    # every main() call in a process parses with the same parser
+    assert cli._parser() is cli._parser()
+    args = ["gap", "--instance", write_instance(tmp_path, disjoint_pair())]
+    code, seeded, _ = run_cli(args + ["--seed", "5"], capsys)
+    assert code == 0 and not last_json(seeded)["seed_was_random"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and last_json(out)["seed_was_random"]
+    code, out, err = run_cli(args + ["--no-such-flag"], capsys)
+    assert (code, out) == (1, "") and "--no-such-flag" in err
+    code, out, _ = run_cli(args + ["--seed", "5"], capsys)
+    assert (code, out) == (0, seeded)
+    for help_args in (["--help"], ["gap", "--help"]):
+        code, out, _ = run_cli(help_args, capsys)
+        assert code == 0 and out.startswith("usage: qlll")
+
+
 def test_json_parse_diagnostic(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"n": 2,\n "d": }')

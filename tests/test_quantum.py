@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qlll import bench, oracles, tensor
+from qlll import bench, config, oracles, quantum, tensor
 from qlll.instance import QlllInstance, basis_projector, event_table, intersection_graph
 from qlll.quantum import (
     ExactSolverConfig,
@@ -157,6 +157,44 @@ def test_exact_solver_log_is_pinned(seed):
     cfg = ExactSolverConfig(p=2, m_prime=3.0, fixed_order=(2, 0, 1))
     log = run_exact_solver(hadamard_chain(), cfg, seed=seed).trajectory.log
     assert (log.entries, log.total_steps) == PINNED_EXACT_LOGS[seed]
+
+
+def basis_ring():
+    """Commuting ring of four |111> events on (2i, 2i+1, 2i+2 mod 8)."""
+    p111 = basis_projector(8, [7])
+    return QlllInstance.build(8, 2, [((2 * i, 2 * i + 1, (2 * i + 2) % 8), p111)
+                                     for i in range(4)])
+
+
+@pytest.mark.parametrize("make", [basis_ring, hadamard_chain, entangled_chain])
+def test_settled_stop_is_exact(make):
+    # a traced run never stops early: the untraced run must end the same
+    inst = make()
+    for seed in range(10):
+        a = run_quantum_solver(inst, seed, 200)
+        b = run_quantum_solver(inst, seed, 200, record_outcomes=True)
+        assert a.log.entries == b.log.entries
+        assert a.log.total_steps == b.log.total_steps == 200
+        assert a.state.tobytes() == b.state.tobytes()
+
+
+def test_settled_run_stops_measuring(monkeypatch):
+    calls = []
+    measure = quantum._measure_rows
+
+    def counted(*args):
+        calls.append(1)
+        return measure(*args)
+
+    monkeypatch.setattr(quantum, "_measure_rows", counted)
+    every = config.BATCH_FREEZE_EVERY
+    for seed in range(5):
+        calls.clear()
+        log = run_quantum_solver(disjoint_pair(), seed, 400).log
+        assert log.total_steps == 400
+        # settled right after the last violation; the next sweep stops the run
+        last = log.entries[-1][0] if log.entries else 0
+        assert len(calls) == every * (last // every + 1) < 400
 
 
 def test_budget_rejected():
