@@ -292,19 +292,16 @@ def _cmd_exact_solve(cfg: argparse.Namespace):
     solver_cfg = ExactSolverConfig(
         p=cfg.p, m_prime=m_prime, fixed_order=tuple(range(inst.m))
     )
-    rep = spectral_report(inst)
     child_seeds = make_rng(cfg.seed).integers(0, 2**63 - 1, size=runs)
-    successes = 0
-    min_overlap = None
+    overlaps = []
     steps = []
     for child in child_seeds:
         run = run_exact_solver(inst, solver_cfg, int(child))
         steps.append(run.trajectory.log.total_steps)
         if run.success:
-            successes += 1
-            state = run.trajectory.state
-            overlap = float(np.real(np.vdot(state, rep.p0 @ state)))
-            min_overlap = overlap if min_overlap is None else min(min_overlap, overlap)
+            overlaps.append(run.kernel_weight)
+    successes = len(overlaps)
+    min_overlap = min(overlaps, default=None)
     result = {
         "p": cfg.p,
         "m_prime": m_prime,

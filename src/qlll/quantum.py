@@ -38,7 +38,7 @@ Every engine checks its rows for unit norm (_check_norm).  Entry points:
   outcome trace; it stops measuring once no event has weight on its state.
 - run_exact_solver: cyclic-order solver for commuting families that succeeds
   once every event in a row comes out satisfied; one trajectory, like the
-  above.
+  above.  A success reports kernel_weight, read through the range factors.
 - run_trajectory_batch: many trajectories at once.  Statistically equivalent
   to run_quantum_solver but consumes randomness in a different order, so
   individual trajectories differ for the same seed.
@@ -221,12 +221,15 @@ def _weightless(states, rows, events: EventTable) -> bool:
 
 def _kernel_weight(states, events: EventTable) -> np.ndarray:
     """Squared norm of every row after projecting out each event in turn;
-    for a commuting family this is the overlap with the common kernel."""
-    cur = states
+    for a commuting family this is the overlap with the common kernel.
+    Each (I - P) psi is x - V (V^dag x) on the event's nonzero states x."""
+    cur = states.copy()
+    rows = np.arange(cur.shape[0])
     for i in range(events.m):
-        plan = events.plan(i)
-        x = plan.to_front(cur)
-        cur = plan.from_front(x - events.events[i].local_matrix @ x)
+        plan, f = events.plan(i), _range_factor(events, i)
+        x = plan.gather(cur, rows, f.pos)  # a copy
+        x -= f.v @ (f.vh @ x)
+        plan.scatter(cur, rows, x, f.pos)
     return (np.abs(cur) ** 2).sum(axis=1)
 
 
@@ -543,6 +546,7 @@ class ExactSolverConfig:
 class ExactRunResult:
     success: bool
     trajectory: Trajectory
+    kernel_weight: float | None
 
 
 def run_exact_solver(
@@ -551,9 +555,9 @@ def run_exact_solver(
     """Measure events in a fixed cyclic order until all pass in a row.
 
     A violated outcome resamples the event and resets the pass counter; the
-    counter reaching m ends the run in success, whose final state then lies
-    in the common kernel of all events (verified to 1e-8).  The iteration
-    budget is ceil((m+1)(p*m_prime+1)); exceeding it ends the run in failure.
+    counter reaching m ends the run in success, whose kernel_weight (overlap
+    with the common kernel; None on failure) is checked to be 1 within 1e-8.
+    Past ceil((m+1)(p*m_prime+1)) iterations the run ends in failure.
     """
     inst.shape.check_budget(config.STATE_BUDGET_D)
     m = inst.m
@@ -581,11 +585,10 @@ def run_exact_solver(
             consecutive += 1
         it += 1
     success = consecutive == m
-    if success and m > 0:
-        weight = float(_kernel_weight(states, events)[0])
-        if weight < 1.0 - 1e-8:
-            raise InvariantError(
-                f"successful run left the common kernel (weight {weight:.3e})", weight
-            )
+    weight = float(_kernel_weight(states, events)[0]) if success else None
+    if success and weight < 1.0 - 1e-8:
+        raise InvariantError(
+            f"successful run left the common kernel (weight {weight:.3e})", weight
+        )
     log = ExecutionLog(tuple(entries), total_steps=it, seed=seed)
-    return ExactRunResult(success, Trajectory(states[0], log, None))
+    return ExactRunResult(success, Trajectory(states[0], log, None), weight)

@@ -438,6 +438,14 @@ def test_criterion_11_cli_byte_determinism(tmp_path):
             "--instance", str(inst_path), "--seed", "7", "--trajectories", "1",
         ],
         [sys.executable, "-m", "qlll.cli", "counterexample", "--a", "0.8", "--seed", "5"],
+        [
+            sys.executable, "-m", "qlll.cli", "exact-solve",
+            "--instance", str(inst_path), "--seed", "7", "--runs", "20",
+        ],
+        [
+            sys.executable, "-m", "qlll.cli", "converge",
+            "--instance", str(inst_path), "--seed", "7", "--t", "10", "--samples", "50",
+        ],
     ]
     failures = []
     for cmd in commands:
@@ -450,6 +458,6 @@ def test_criterion_11_cli_byte_determinism(tmp_path):
     _report(
         11,
         not failures,
-        failures or "fixed-seed solve-quantum and counterexample outputs"
-        " byte-identical across runs",
+        failures or "fixed-seed solve-quantum, counterexample, exact-solve and"
+        " converge outputs byte-identical across runs",
     )

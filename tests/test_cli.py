@@ -14,6 +14,8 @@ from qlll.instance import (
     random_rank_projector,
 )
 
+from helpers import hadamard_chain, hadamard_ring, random_qubit_pair
+
 P1 = np.array([[0.0, 0.0], [0.0, 1.0]])
 
 
@@ -321,8 +323,8 @@ def test_exact_solve_subcommand(tmp_path, capsys):
 
 
 def test_exact_solve_rounds_the_overlap(tmp_path, capsys):
-    # on random rank-1 qubit events the overlap lands a few ulps below one
-    # (0.9999999999999981 here); the report keeps 12 decimals, so
+    # on random rank-1 qubit events the kernel weight lands a few ulps below
+    # one (0.9999999999999987 here); the report keeps 12 decimals, so
     # rounding-level changes in the step leave its bytes alone
     rng = np.random.default_rng(5)
     turned = QlllInstance.build(
@@ -337,6 +339,78 @@ def test_exact_solve_rounds_the_overlap(tmp_path, capsys):
     assert code == 0
     overlap = last_json(out)["result"]["min_success_overlap"]
     assert overlap == round(overlap, 12) == 1.0
+
+
+def _solved(p, m_prime, cap, runs, successes, mean_steps):
+    return {"p": p, "m_prime": m_prime, "iteration_cap": cap, "runs": runs,
+            "successes": successes, "success_frequency": successes / runs,
+            "target_frequency": 1.0 - 1.0 / p, "min_success_overlap": 1.0,
+            "mean_steps": mean_steps}
+
+
+# exact-solve results recorded while min_success_overlap was read from the
+# spectral projector P0
+EXACT_SOLVE_ARGS = {"23": ["--p", "4", "--runs", "50"], "7": ["--p", "2", "--runs", "200"]}
+PINNED_EXACT_SOLVE = [
+    (hadamard_chain, "23", 2, {"feasible": False, "p": 4}),
+    (hadamard_chain, "7", 2, {"feasible": False, "p": 2}),
+    (random_qubit_pair, "23", 0, _solved(4, 2.0, 27, 50, 50, 4.82)),
+    (random_qubit_pair, "7", 0, _solved(2, 2.0, 15, 200, 196, 5.215)),
+    (hadamard_ring, "23", 0, _solved(4, 0.94427190999645, 24, 50, 50, 5.34)),
+    (hadamard_ring, "7", 0, _solved(2, 0.94427190999645, 15, 200, 199, 5.47)),
+]
+
+
+@pytest.mark.parametrize("make,seed,code,result", PINNED_EXACT_SOLVE)
+def test_exact_solve_results_are_pinned(tmp_path, capsys, make, seed, code, result):
+    path = write_instance(tmp_path, make())
+    got, out, _ = run_cli(
+        ["exact-solve", "--instance", path, "--seed", seed, *EXACT_SOLVE_ARGS[seed]],
+        capsys,
+    )
+    assert (got, last_json(out)["result"]) == (code, result)
+
+
+def test_exact_solve_needs_no_spectral_report(tmp_path, capsys, monkeypatch):
+    def refuse(inst):
+        raise AssertionError("exact-solve called spectral_report")
+
+    monkeypatch.setattr(cli, "spectral_report", refuse)
+    path = write_instance(tmp_path, hadamard_ring())
+    code, out, _ = run_cli(
+        ["exact-solve", "--instance", path, "--seed", "3", "--runs", "5"], capsys
+    )
+    assert code == 0
+    assert last_json(out)["result"]["min_success_overlap"] == 1.0
+
+
+def test_exact_solve_past_the_dense_budget(tmp_path, capsys):
+    # D = 4096: above the spectral report's dense budget, within the state
+    # budget the exact solver keeps
+    p111 = basis_projector(8, [7])
+    ring = QlllInstance.build(
+        12, 2, [((2 * i, 2 * i + 1, (2 * i + 2) % 12), p111) for i in range(6)]
+    )
+    path = write_instance(tmp_path, ring)
+    code, out, err = run_cli(
+        ["exact-solve", "--instance", path, "--seed", "3", "--runs", "5"], capsys
+    )
+    assert code == 0, err
+    result = last_json(out)["result"]
+    assert result["successes"] >= 1
+    assert result["min_success_overlap"] == 1.0
+
+
+def test_exact_solve_without_projectors(tmp_path, capsys):
+    path = write_instance(tmp_path, QlllInstance.build(2, 2, []))
+    code, out, err = run_cli(
+        ["exact-solve", "--instance", path, "--seed", "3", "--runs", "4"], capsys
+    )
+    assert code == 0, err
+    result = last_json(out)["result"]
+    assert result["successes"] == 4
+    assert result["min_success_overlap"] == 1.0
+    assert result["mean_steps"] == 0.0
 
 
 def test_oracle_halting_and_suites(tmp_path, capsys):

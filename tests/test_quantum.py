@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from qlll import bench, config, oracles, quantum, tensor
-from qlll.instance import QlllInstance, basis_projector, event_table, intersection_graph
+from qlll.instance import (
+    QlllInstance,
+    basis_projector,
+    event_table,
+    intersection_graph,
+    spectral_report,
+)
 from qlll.quantum import (
     ExactSolverConfig,
     _check_norm,
@@ -13,6 +19,8 @@ from qlll.quantum import (
     tau_check,
 )
 from qlll.witness import tree_from_nested
+
+from helpers import basis_ring, hadamard_chain, hadamard_ring, random_qubit_pair
 
 Q1 = np.array([[0, 0], [0, 1]], dtype=complex)
 Q0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -132,17 +140,6 @@ def test_scalar_outcome_stream_is_pinned(seed):
     assert (ids, hits) == PINNED_TRACES[seed]
 
 
-def hadamard_chain():
-    """basis_chain turned by a Hadamard on every qubit: commuting events
-    with dense local matrices."""
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    hh = np.kron(h, h)
-    p11 = hh @ basis_projector(4, [3]) @ hh
-    return QlllInstance.build(
-        3, 2, [((0, 1), p11), ((1, 2), p11), ((2,), h @ basis_projector(2, [0]) @ h)]
-    )
-
-
 # exact-solver logs recorded before the exact solver ran on the block step
 PINNED_EXACT_LOGS = {
     0: (((0, 2),), 4),
@@ -157,13 +154,6 @@ def test_exact_solver_log_is_pinned(seed):
     cfg = ExactSolverConfig(p=2, m_prime=3.0, fixed_order=(2, 0, 1))
     log = run_exact_solver(hadamard_chain(), cfg, seed=seed).trajectory.log
     assert (log.entries, log.total_steps) == PINNED_EXACT_LOGS[seed]
-
-
-def basis_ring():
-    """Commuting ring of four |111> events on (2i, 2i+1, 2i+2 mod 8)."""
-    p111 = basis_projector(8, [7])
-    return QlllInstance.build(8, 2, [((2 * i, 2 * i + 1, (2 * i + 2) % 8), p111)
-                                     for i in range(4)])
 
 
 @pytest.mark.parametrize("make", [basis_ring, hadamard_chain, entangled_chain])
@@ -195,6 +185,47 @@ def test_settled_run_stops_measuring(monkeypatch):
         # settled right after the last violation; the next sweep stops the run
         last = log.entries[-1][0] if log.entries else 0
         assert len(calls) == every * (last // every + 1) < 400
+
+
+@pytest.mark.parametrize("inst", [
+    basis_ring(), hadamard_ring(), random_qubit_pair(),
+    *(inst for inst, _ in bench.certified_commuting_corpus(3, seed=47)),
+])
+def test_kernel_weight_matches_the_kernel_projector(inst):
+    # the range-factor readout against <psi|P0|psi> from the eigendecomposition
+    p0 = spectral_report(inst).p0
+    rng = np.random.default_rng(11)
+    dim = inst.shape.dim
+    states = rng.normal(size=(6, dim)) + 1j * rng.normal(size=(6, dim))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    kernel = p0[:, np.linalg.norm(p0, axis=0).argmax()]
+    states[0] = kernel / np.linalg.norm(kernel)
+    before = states.copy()
+    weight = quantum._kernel_weight(states, event_table(inst))
+    exact = np.einsum("bi,ij,bj->b", states.conj(), p0, states).real
+    assert np.abs(weight - exact).max() <= 1e-12
+    assert abs(weight[0] - 1.0) <= 1e-12
+    assert np.array_equal(states, before)
+
+
+def test_exact_solver_reports_its_kernel_weight():
+    inst = hadamard_ring()
+    # a cap of (m + 1) steps: some runs fail
+    cfg = ExactSolverConfig(p=2, m_prime=0.0, fixed_order=(0, 1, 2, 3))
+    p0 = spectral_report(inst).p0
+    outcomes = set()
+    for seed in range(40):
+        run = run_exact_solver(inst, cfg, seed)
+        outcomes.add(run.success)
+        if run.success:
+            state = run.trajectory.state
+            assert abs(run.kernel_weight - np.vdot(state, p0 @ state).real) <= 1e-12
+        else:
+            assert run.kernel_weight is None
+    assert outcomes == {True, False}
+    empty = QlllInstance.build(2, 2, [])
+    run = run_exact_solver(empty, ExactSolverConfig(p=2, m_prime=0.0, fixed_order=()), 0)
+    assert run.success and run.kernel_weight == 1.0
 
 
 def test_budget_rejected():
