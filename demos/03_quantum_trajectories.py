@@ -1,5 +1,5 @@
 """Measure-and-refresh trajectories on a commuting instance: violation
-logs, batch statistics, and the horizon-independent violation bound."""
+logs, batch statistics, and the violation bound at two horizons."""
 
 import numpy as np
 
@@ -29,7 +29,8 @@ batch = run_trajectory_batch(inst, seed=21, n_traj=5000, max_steps=400)
 print(f"\n5000 trajectories: mean violations {batch.violations.mean():.3f}")
 
 # the audit replays the batch at two horizons a factor ten apart and
-# checks the count sits below sum x/(1-x) at both
+# checks the mean count sits below sum x/(1-x) at both; the count may
+# still grow between them
 report = bench.violation_audit(inst, cert, trajectories=5000, max_steps=400, seed=22)
 print("bound:", round(report["bound"], 4))
 for entry in report["horizons"]:
@@ -37,4 +38,4 @@ for entry in report["horizons"]:
         f"  horizon {entry['steps']:4d}: mean {entry['mean']:.4f}"
         f" +- {entry['sigma']:.4f}  within bound: {entry['within_bound']}"
     )
-print("horizon independent:", report["horizon_independent"])
+print("within the bound at every horizon:", report["pass"])

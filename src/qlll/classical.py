@@ -299,23 +299,3 @@ def instance_from_dimacs(text: str) -> ClassicalInstance:
             f" clauses, the input has {len(events)}"
         )
     return ClassicalInstance((2,) * nvars, tuple(events))
-
-
-def classical_to_dict(inst: ClassicalInstance) -> dict:
-    return {
-        "variables": list(inst.domains),
-        "events": [
-            {"vars": list(ev.vars), "violating": sorted(map(list, ev.violating))}
-            for ev in inst.events
-        ],
-    }
-
-
-def classical_from_dict(data: dict) -> ClassicalInstance:
-    events = tuple(
-        ClassicalEvent(
-            i, tuple(e["vars"]), frozenset(tuple(a) for a in e["violating"])
-        )
-        for i, e in enumerate(data["events"])
-    )
-    return ClassicalInstance(tuple(data["variables"]), events)

@@ -13,7 +13,7 @@ RANK_INTEGER_TOL = 1e-8        # |tr P - round(tr P)|
 COMMUTE_TOL = 1e-10            # pairwise commutator norm for "verified commuting"
 
 # spectral tolerances
-PSD_TOL = 1e-9                 # relative slack allowed in psd_leq
+PSD_TOL = 1e-9                 # negative eigenvalue allowed in a density matrix
 KERNEL_EIG_TOL = 1e-9          # eigenvalues below this (relative) count as zero
 EIG_DISTINCT_TOL = 1e-9        # eigenvalues closer than this are one level
 PINV_RCOND = 1e-12             # singular values below rcond * sigma_max are zero

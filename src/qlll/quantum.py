@@ -29,8 +29,8 @@ The step costs what its rows need:
 - live rows: run_trajectory_batch keeps an index of the rows still running,
   draws one id per live row each step and groups the rows by id with one
   stable argsort; rows leave the index when they reach
-  stop_after_violations or when the freeze sweep (one product per distinct
-  support) finds their total bad-event weight negligible.
+  stop_after_violations or when the freeze sweep finds their total
+  bad-event weight, read through the same range factors, negligible.
 
 Every engine checks its rows for unit norm (_check_norm).  Entry points:
 
@@ -46,9 +46,10 @@ Every engine checks its rows for unit norm (_check_norm).  Entry points:
   violation probabilities and ground-space overlap over samples.  Samples
   run as rows of one block, each stopping at its own time, and draw from one
   random stream per call.
-- tau_check: witness-tree pass/fail experiment (resample the vertex support,
-  then measure the transposed projector, deepest vertices first).  Samples
-  run as rows that visit the vertices together, from one stream per call.
+
+_measure_rows is the only code that measures an event; _event_weights,
+_weightless and _kernel_weight read weights through the same range factors
+without measuring.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .errors import InvariantError
 from .instance import QlllInstance, event_table, spectral_report
 from .logs import ExecutionLog
 from .tensor import EventTable, LocalPlan, make_rng
-from .witness import WitnessTree
 
 NORM_TOL = 1e-10
 
@@ -186,26 +186,14 @@ def _groups(ids: np.ndarray):
         yield int(sorted_ids[lo]), order[lo:hi]
 
 
-def _event_weights(states, events: EventTable) -> np.ndarray:
-    """(B, m) array of |P_i psi|^2 for every row psi of states."""
-    rows = np.arange(states.shape[0])
+def _event_weights(states, rows, events: EventTable) -> np.ndarray:
+    """(B, m) array of |P_i psi|^2 for every row psi of states[rows]."""
     out = np.empty((rows.size, events.m))
     for i in range(events.m):
         plan, f = events.plan(i), _range_factor(events, i)
         c = f.vh @ plan.gather(states, rows, f.pos)
         out[:, i] = _row_weights(c, rows.size, plan.rest_dim)
     return out
-
-
-def _total_weight(states, rows, events: EventTable) -> np.ndarray:
-    """sum_i <psi|P_i|psi> for every row psi of states[rows], one product
-    per distinct support."""
-    total = np.zeros(rows.size)
-    for plan, _, h, pos in events.support_sums():
-        y = plan.gather(states, rows, pos)
-        quad = (y.conj() * (h @ y)).real
-        total += quad.reshape(y.shape[0], rows.size, plan.rest_dim).sum(axis=(0, 2))
-    return total
 
 
 def _weightless(states, rows, events: EventTable) -> bool:
@@ -384,7 +372,7 @@ def run_trajectory_batch(
         if stop_after_violations is not None:
             live = live[violations[live] < stop_after_violations]
         if (step + 1) % config.BATCH_FREEZE_EVERY == 0 and live.size:
-            weight = _total_weight(states, live, events)
+            weight = _event_weights(states, live, events).sum(axis=1)
             live = live[weight >= config.BATCH_FREEZE_TOL]
         if (step + 1) in horizon_set:
             snapshots[step + 1] = violations.copy()
@@ -402,58 +390,6 @@ def run_trajectory_batch(
         n_traj=n_traj,
         max_steps=max_steps,
     )
-
-
-def tau_check(
-    tree: WitnessTree, inst: QlllInstance, seed: int, samples: int
-) -> float:
-    """Estimate the pass rate of the witness-tree check experiment.
-
-    Each sample starts from a uniform basis state and visits the vertices
-    deepest level first.  At a vertex with label i the qudits of event i are
-    resampled fresh, then the transpose of the event's projector is measured;
-    the sample fails on a satisfied outcome.  The pass rate converges to the
-    product of the relative dimensions of the vertex labels.
-    """
-    inst.shape.check_budget(config.STATE_BUDGET_D)
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    for lab in tree.labels:
-        if not 0 <= lab < inst.m:
-            raise ValueError(f"tree label {lab} outside instance range")
-    depths = tree.depths()
-    order = sorted(range(len(tree.labels)), key=lambda v: (-depths[v], v))
-    events = event_table(inst)
-
-    rng = make_rng(seed)
-    n, d = inst.shape.n, inst.shape.d
-    chunk = _chunk_rows(inst.shape.dim)
-    passes = 0
-    for lo in range(0, samples, chunk):
-        states = _basis_states(rng, min(chunk, samples - lo), n, d)
-        live = np.arange(states.shape[0])
-        for v in order:
-            lab = tree.labels[v]
-            plan, f = events.plan(lab), _range_factor(events, lab)
-            B, rest = live.size, plan.rest_dim
-            post = np.ascontiguousarray(plan.gather(states, live).reshape(plan.dk, B, rest))
-            _refill_rows(states, live, post, plan, rng)
-            # P^T = conj(V) V^T: measure through V^T, project with conj(V)
-            c = f.vh.conj() @ plan.gather(states, live, f.pos)
-            w = _row_weights(c, B, rest)
-            hit = rng.random(B) < w
-            live = live[hit]
-            if live.size == 0:
-                break
-            r = c.shape[0]
-            c = c.reshape(r, B, rest)[:, hit].reshape(r, -1)
-            post = (f.v.conj() @ c).reshape(-1, live.size, rest)
-            post /= np.sqrt(w[hit])[:, None]
-            states[live] = 0.0
-            plan.scatter(states, live, post, f.pos)
-        _check_norm(states)
-        passes += live.size
-    return passes / samples
 
 
 @dataclass(frozen=True)
@@ -507,7 +443,7 @@ def run_converger(
             for i, at in _groups(ids):
                 _measure_rows(states, live[at], events.plan(i), _range_factor(events, i), rng)
         _check_norm(states)
-        acc += _event_weights(states, events).sum(axis=0)
+        acc += _event_weights(states, np.arange(tau.size), events).sum(axis=0)
         acc_ground += float(overlap(states).sum())
     return ConvergerResult(
         mean_violation_prob=np.clip(acc / samples, 0.0, 1.0),

@@ -233,7 +233,6 @@ class EventTable:
         self.factors = {}
         self._layouts = {}
         self._blocks = {}
-        self._support_sums = None
 
     def layout(self, qudits: tuple) -> LocalPlan:
         """The LocalPlan of a tuple of qudits, one per distinct tuple."""
@@ -251,17 +250,6 @@ class EventTable:
             event = self.events[i]
             b = self._blocks[i] = _restricted(self.layout(event.qudits), event.local_matrix)
         return b
-
-    def support_sums(self) -> list:
-        """EventBlock of H for each distinct support, where H is the sum of
-        the local matrices of its events, so a total weight takes one
-        product per support."""
-        if self._support_sums is None:
-            sums = {}
-            for e in self.events:
-                sums[e.qudits] = sums.get(e.qudits, 0) + e.local_matrix
-            self._support_sums = [_restricted(self.layout(q), h) for q, h in sums.items()]
-        return self._support_sums
 
 
 def _restricted(plan: LocalPlan, a: np.ndarray) -> EventBlock:
@@ -345,27 +333,9 @@ def is_hermitian(op: np.ndarray, tol: float = config.HERMITIAN_TOL) -> bool:
     return float(np.abs(op - op.conj().T).max(initial=0.0)) <= tol * scale
 
 
-def psd_leq(x: np.ndarray, y: np.ndarray, tol: float = config.PSD_TOL):
-    """Decide X <= Y in the PSD order.
-
-    Returns ``(ok, witness)``; on failure the witness holds the most negative
-    eigenvalue of Y - X and its eigenvector.
-    """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if not is_hermitian(x) or not is_hermitian(y):
-        raise ValueError("psd_leq needs Hermitian operators")
-    diff = y - x
-    evals, evecs = np.linalg.eigh((diff + diff.conj().T) / 2)
-    lam = float(evals[0])
-    scale = max(1.0, float(np.linalg.norm(y, 2)))
-    ok = lam >= -tol * scale
-    witness = None if ok else {"eigenvalue": lam, "eigenvector": evecs[:, 0]}
-    return ok, witness
-
-
 def min_slack(x: np.ndarray, y: np.ndarray) -> float:
-    """Smallest eigenvalue of Y - X; negative values witness psd_leq failure."""
+    """Smallest eigenvalue of Y - X; negative values witness that X <= Y
+    fails in the PSD order."""
     diff = np.asarray(y, dtype=complex) - np.asarray(x, dtype=complex)
     return float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0])
 

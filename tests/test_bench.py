@@ -2,6 +2,7 @@
 bound-violating family, violation audits, occurrence-probability reports,
 and the weak/strong convergence metrics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -237,7 +238,6 @@ def test_violation_audit_single_projector():
     assert final["steps"] == 200
     assert abs(final["mean"] - 1.0) <= 3.0 * final["sigma"]
     assert final["within_bound"]
-    assert report["horizon_independent"]
     assert report["pass"]
 
 
@@ -250,6 +250,21 @@ def test_violation_audit_disjoint_pair():
     assert report["bound"] == pytest.approx(2.0, abs=1e-9)
     final = report["horizons"][-1]
     assert abs(final["mean"] - 2.0) <= 3.0 * final["sigma"]
+    assert report["pass"]
+
+
+def test_violation_audit_passes_a_count_still_growing_within_the_bound():
+    # four |111> events on (2i, 2i+1, 2i+2) of 9 qubits: the count still
+    # grows between 20 and 200 steps, as a count may, yet both means sit far
+    # below sum x/(1-x)
+    chain9 = QlllInstance.build(
+        9, 2, [((2 * i, 2 * i + 1, 2 * i + 2), basis_projector(8, [7])) for i in range(4)]
+    )
+    report = bench.violation_audit(chain9, find_certificate(chain9), 8000, 200, seed=5)
+    early, final = report["horizons"]
+    assert (early["steps"], final["steps"]) == (20, 200)
+    assert final["mean"] > early["mean"]
+    assert final["mean"] < 0.7 * report["bound"]
     assert report["pass"]
 
 
@@ -444,6 +459,29 @@ def test_random_instance_corpus():
     assert kinds == {True, False}
     again = bench.random_instance_corpus(50, seed=99)
     assert [instance_digest(i) for i in corpus] == [instance_digest(i) for i in again]
+
+
+# sha256 over the instance digests of one corpus, in order, for every seed
+# that the acceptance criteria and the tests draw
+CORPUS_DIGESTS = [
+    ("certified_commuting_corpus", 10, 41, {}, "29f2f6451cd4d0d9"),
+    ("certified_commuting_corpus", 3, 43, {"epsilon": 0.1}, "7d47e87ed7180bb6"),
+    ("certified_commuting_corpus", 3, 47, {}, "973015530ff2bfcc"),
+    ("certified_commuting_corpus", 12, 2026, {}, "a7a26aa4207febdc"),
+    ("certified_commuting_corpus", 6, 7, {"epsilon": 0.1}, "b65457f52a947201"),
+    ("certified_commuting_corpus", 20, 71, {}, "e758985ed8a9e632"),
+    ("certified_commuting_corpus", 5, 91, {}, "f6390bb725e0dec3"),
+    ("random_instance_corpus", 50, 23, {}, "72147941aeff0f79"),
+    ("random_instance_corpus", 50, 99, {}, "815bc22aacf0585d"),
+]
+
+
+@pytest.mark.parametrize("name, count, seed, kwargs, digest", CORPUS_DIGESTS)
+def test_corpus_draws_are_pinned(name, count, seed, kwargs, digest):
+    corpus = getattr(bench, name)(count, seed, **kwargs)
+    insts = [c[0] if isinstance(c, tuple) else c for c in corpus]
+    joined = "".join(instance_digest(inst) for inst in insts)
+    assert hashlib.sha256(joined.encode()).hexdigest()[:16] == digest
 
 
 def test_chain_cnf_corpus():

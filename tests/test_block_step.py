@@ -93,14 +93,20 @@ def test_block_step_matches_dense(seed, rank, which, off_ones):
     dense = np.abs(states @ p.T) ** 2
     weights = dense.sum(axis=1)
     events = event_table(inst)
-    assert np.abs(_event_weights(states, events)[:, which] - weights).max() <= TOL
+    every = np.arange(states.shape[0])
+    assert np.abs(_event_weights(states, every, events)[:, which] - weights).max() <= TOL
+    # every event on a subset of rows, out of order, as the freeze sweep
+    # reads its live rows
+    some = every[::-3]
+    each = [embed(e.local_matrix, e.qudits, inst.shape) for e in inst.projectors]
+    dense_some = np.stack([(np.abs(states[some] @ q.T) ** 2).sum(axis=1) for q in each], axis=1)
+    assert np.abs(_event_weights(states, some, events) - dense_some).max() <= TOL
     flat = weights == 0.0
     assert flat[24:].all() == off_ones
     assert (weights[20:24] > 0).all() and (weights[20:24] < 1e-6).all()
 
     out = states.copy()
-    rows = np.arange(states.shape[0])
-    hit = _measure_rows(out, rows, events.plan(which), _range_factor(events, which), rng)
+    hit = _measure_rows(out, every, events.plan(which), _range_factor(events, which), rng)
     assert not hit[flat].any()
     assert np.array_equal(out[flat], states[flat])
     sat = ~hit
@@ -179,4 +185,5 @@ def test_rank_zero_event_reads_nothing():
     assert batch.violations.any()
     assert np.isin(batch.first_labels, [-1, 1]).all()
     states = np.eye(4, dtype=complex)
-    assert np.array_equal(_event_weights(states, event_table(inst)), [[0, 0], [0, 1], [0, 0], [0, 1]])
+    weights = _event_weights(states, np.arange(4), event_table(inst))
+    assert np.array_equal(weights, [[0, 0], [0, 1], [0, 0], [0, 1]])

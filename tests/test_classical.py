@@ -11,9 +11,7 @@ from qlll.classical import (
     ClassicalRunResult,
     ClassicalEvent,
     ClassicalInstance,
-    classical_from_dict,
     classical_intersection_graph,
-    classical_to_dict,
     event_probability,
     expected_resamples_bound,
     instance_from_dimacs,
@@ -228,15 +226,6 @@ def test_dimacs_solver_round():
     assert not result.exhausted
     x = result.assignment
     assert (x[0] == 1 or x[1] == 0) and (x[1] == 1 or x[2] == 1)
-
-
-def test_json_round_trip():
-    inst = ClassicalInstance(
-        (2, 3), (ClassicalEvent(0, (0, 1), frozenset({(0, 2), (1, 0)})),)
-    )
-    again = classical_from_dict(classical_to_dict(inst))
-    assert again.domains == inst.domains
-    assert again.events == inst.events
 
 
 def test_negative_budget_rejected():

@@ -17,9 +17,7 @@ from qlll.quantum import (
     run_exact_solver,
     run_quantum_solver,
     run_trajectory_batch,
-    tau_check,
 )
-from qlll.witness import tree_from_nested
 
 Q1 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -70,7 +68,6 @@ ENGINES = {
         inst, ExactSolverConfig(p=2, m_prime=3.0, fixed_order=(0, 1, 2)), seed=0),
     "trajectory_batch": lambda inst: run_trajectory_batch(inst, seed=0, n_traj=20, max_steps=30),
     "converger": lambda inst: run_converger(inst, seed=0, t=30, samples=20),
-    "tau_check": lambda inst: tau_check(tree_from_nested((0, ())), inst, seed=0, samples=20),
 }
 
 

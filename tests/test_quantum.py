@@ -16,9 +16,7 @@ from qlll.quantum import (
     run_exact_solver,
     run_quantum_solver,
     run_trajectory_batch,
-    tau_check,
 )
-from qlll.witness import tree_from_nested
 
 from helpers import basis_ring, hadamard_chain, hadamard_ring, random_qubit_pair
 
@@ -359,34 +357,6 @@ def test_batch_mean_bound_single_projector():
     assert abs(mean - 1.0) < 3 * sigma
 
 
-def test_tau_check_single_vertex():
-    inst = QlllInstance.build(1, 2, [([0], Q0)])
-    freq = tau_check(tree_from_nested((0, ())), inst, seed=2, samples=3000)
-    assert abs(freq - 0.5) < 3 * np.sqrt(0.25 / 3000)
-
-
-def test_tau_check_two_vertex_product():
-    # chain of two rank-1 events sharing a qubit: pass rate (1/2)*(1/2)
-    p01 = basis_projector(4, [1])
-    inst = QlllInstance.build(2, 2, [([0], Q1), ([0, 1], p01)])
-    tree = tree_from_nested((1, ((0, ()),)))
-    freq = tau_check(tree, inst, seed=4, samples=3000)
-    expect = 0.25 * 0.5  # product of the two relative dimensions
-    assert abs(freq - expect) < 3 * np.sqrt(expect * (1 - expect) / 3000)
-
-
-def test_tau_check_zero_projector():
-    inst = zero_instance()
-    freq = tau_check(tree_from_nested((0, ())), inst, seed=1, samples=200)
-    assert freq == 0.0
-
-
-def test_tau_check_unknown_label():
-    inst = single_qubit_instance()
-    with pytest.raises(ValueError):
-        tau_check(tree_from_nested((3, ())), inst, seed=0, samples=10)
-
-
 def test_converger_t_zero_gives_relative_dimensions():
     inst = disjoint_pair()
     result = run_converger(inst, seed=6, t=0, samples=4000)
@@ -427,15 +397,12 @@ def test_converger_matches_channel_average(make):
     assert abs(result.ground_overlap - series.ground_overlap.mean()) < 3 * sigma
 
 
-def test_converger_and_tau_check_deterministic_in_seed():
+def test_converger_deterministic_in_seed():
     inst = entangled_chain()
     a = run_converger(inst, seed=4, t=6, samples=300)
     b = run_converger(inst, seed=4, t=6, samples=300)
     assert np.array_equal(a.mean_violation_prob, b.mean_violation_prob)
     assert a.ground_overlap == b.ground_overlap
-    tree = tree_from_nested((1, ((0, ()),)))
-    rates = {tau_check(tree, inst, seed=s, samples=500) for s in (5, 5, 5)}
-    assert len(rates) == 1
 
 
 def test_exact_solver_single_projector():
