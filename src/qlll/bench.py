@@ -409,8 +409,10 @@ def conjecture_test(
     intersects = label_intersection(intersection_graph(inst))
 
     if mode == "exact":
-        if len(labels) > 3:
-            raise ValueError("exact mode handles at most 3 vertices")
+        if len(labels) > config.SEQUENCE_MAX_LEN:
+            raise ValueError(
+                f"exact mode handles at most {config.SEQUENCE_MAX_LEN} vertices"
+            )
         total = inst.m ** len(labels)
         if total > budget:
             raise ValueError(

@@ -228,16 +228,16 @@ def _cmd_solve_quantum(cfg: argparse.Namespace):
 
 
 def _horizon(cfg: argparse.Namespace):
-    """--t when given; otherwise None once --epsilon is checked, and the
-    caller derives the horizon from it."""
+    """--t when given; otherwise None, and the caller derives the horizon
+    from --epsilon.  --epsilon is checked whenever it is given."""
+    if cfg.epsilon is not None and not 0.0 < cfg.epsilon < 1.0:
+        raise CliError("--epsilon must lie strictly between 0 and 1")
     if cfg.t is not None:
         if cfg.t < 0:
             raise CliError("--t must be nonnegative")
         return cfg.t
     if cfg.epsilon is None:
         raise CliError("provide --t or --epsilon")
-    if not 0.0 < cfg.epsilon < 1.0:
-        raise CliError("--epsilon must lie strictly between 0 and 1")
     return None
 
 

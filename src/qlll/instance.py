@@ -104,12 +104,6 @@ class QlllInstance:
     def relative_dimensions(self) -> np.ndarray:
         return np.array([relative_dimension(p, self.shape) for p in self.projectors])
 
-    @property
-    def commutation_status(self) -> str:
-        if self._commuting is None:
-            return "unchecked"
-        return "commuting" if self._commuting else "noncommuting"
-
     def is_commuting(self) -> bool:
         """Pairwise commutation of all embedded projectors, checked locally.
 

@@ -28,20 +28,23 @@ geometric series diverges on states the process never leaves, which is why
 every sum here is sandwiched by a measurement first (the increments then
 shrink geometrically and the sum is the quantity of interest).
 
-Solve form: every pick is a projector sandwich L s L that annihilates the
-common kernel P0 of the events, so sum_t pick(T^t s) = pick(X) with
-(I - T) X = s - P0 s P0.  T is self-adjoint and positive in the
-Hilbert-Schmidt inner product, so X comes from conjugate gradients
-(_krylov_solve), one continue step per iteration, about sqrt(kappa) steps
-where the series takes kappa; the stop rule and the error it implies on a
-pick's trace are in its docstring.  The halting operators, the sequence
-stages and identity (i) of verify_cp_identities run this way; the halting
-operators and identity (i) read one kept solve from I/D.
+sequence_operator and partial_dag_channel_bound run one stage loop
+(_stage_state): a stage sums the measured iterates of its start, then
+refreshes its id.  Solve form, for a stage that absorbs nothing: the
+measurement annihilates the common kernel P0 of the events, so
+sum_t measure(a, T^t s) / m = measure(a, X) / m with (I - T) X =
+s - P0 s P0.  T is self-adjoint and positive in the Hilbert-Schmidt inner
+product, so X comes from conjugate gradients (_krylov_solve), one continue
+step per iteration, about sqrt(kappa) steps where the series takes kappa;
+the stop rule and the error it implies on a measured trace are in its
+docstring.  The halting operators, identity (i) of verify_cp_identities
+and stage 0 read one kept solve from I/D.
 
-Series form, kept where the step patches absorbed ids and so is not
-self-adjoint (partial_dag_channel_bound, traced_continuation_bound): a
-series keeps one running sum of the iterates, reads only tr(L s_t) per
-term, and applies the pick once, to the running sum at the stop.
+Series form, only where the step patches absorbed ids and so is not
+self-adjoint (absorbing stages, traced_continuation_bound):
+_sandwich_series keeps one running sum of the iterates, reads only the
+trace of the measured term per term, and measures the running sum once,
+at the stop; a group of disjoint ids is measured one id after another.
 Every continue step runs as m local channels summed into one array.
 """
 
@@ -49,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,7 +74,7 @@ from .tensor import (
 )
 # looked up here by the benchmark's tracer (perfbench/tracing.py)
 from .tensor import embed  # noqa: F401
-from .witness import build_partial_resample_dag, build_resample_dag, dag_probability, label_intersection
+from .witness import build_partial_resample_dag, dag_probability, label_intersection
 
 OUTCOME_PSD_TOL = 1e-9
 SLACK_TOL = 1e-9
@@ -135,8 +137,7 @@ class ChannelSet:
     plan.index gives every local state) in one pass.  An all-zero event has
     an empty K and changes nothing.  An event nonzero on every local state
     runs as layout sandwiches.  Every sum over the continue iterates from
-    I/D (the halting operators of all ids, identity (i) of
-    verify_cp_identities) reads one conjugate-gradient solve, made on first
+    I/D reads mixed_solve, one conjugate-gradient solve made on first
     request and kept.
     """
 
@@ -151,7 +152,6 @@ class ChannelSet:
         self._local_comp = [np.eye(len(p)) - p for p in self._local]
         self._block_count = sum(b.pos is not None for b in self._blocks)
         self._mixed = None
-        self._halting_sums = None
         self._halting = None
         self._trace_reads = {}
 
@@ -193,12 +193,12 @@ class ChannelSet:
         at, weights = read
         return op.take(at) @ weights
 
-    def measure_pick(self, i: int) -> Pick:
-        """measure(i) / m as a series pick."""
-        m = self.m
-        return Pick(
-            lambda s: self.measure_trace(i, s) / m, lambda s: self.measure(i, s) / m
-        )
+    def measure_all(self, ids, op: np.ndarray) -> np.ndarray:
+        """Measure the listed ids one after another; for mutually disjoint
+        events, the measurement of their joint violation."""
+        for i in ids:
+            op = self.measure(i, op)
+        return op
 
     def complement(self, i: int, op: np.ndarray) -> np.ndarray:
         b = self._blocks[i]
@@ -266,27 +266,22 @@ class ChannelSet:
     def _refill(self, plan: LocalPlan, op: np.ndarray) -> np.ndarray:
         return refill_mixed(partial_trace(op, plan.qudits, self.shape), plan)
 
-    def mixed_sums(self, picks: dict) -> dict:
-        """Sum pick(T^t(I/D)) over t >= 0 for every pick, read from one
-        :func:`_krylov_solve` from I/D, made on first request and kept."""
+    def mixed_solve(self) -> np.ndarray:
+        """X = sum_t T^t(I/D) less its fixed part, from one
+        :func:`_krylov_solve`, made on first request and kept."""
         if self._mixed is None:
             D = self.shape.dim
             self._mixed = _krylov_solve(self, np.eye(D) / D, "halting operators")
-        return {key: pick.apply(self._mixed) for key, pick in picks.items()}
-
-    def halting_sums(self) -> list:
-        """Every id's halting sum, measure(a, X) / m for the kept solve X
-        from I/D; each measure pick is applied once."""
-        if self._halting_sums is None:
-            sums = self.mixed_sums({a: self.measure_pick(a) for a in range(self.m)})
-            self._halting_sums = [sums[a] for a in range(self.m)]
-        return self._halting_sums
+        return self._mixed
 
     def halting_operators(self) -> list:
-        """Halting operator of every id, from halting_sums; kept."""
+        """Halting operator of every id, measure(a, X) / m for X the kept
+        solve from I/D; kept."""
         if self._halting is None:
+            x = self.mixed_solve()
             self._halting = [
-                _outcome(op, ("halt", a)) for a, op in enumerate(self.halting_sums())
+                _outcome(self.measure(a, x) / self.m, ("halt", a))
+                for a in range(self.m)
             ]
         return self._halting
 
@@ -322,19 +317,6 @@ def _check_series_start(start: np.ndarray, context: str) -> None:
         )
 
 
-class Pick(NamedTuple):
-    """A projector sandwich s -> L s L (times a constant) in a series:
-    ``trace(s)`` is tr(apply(s)), read without applying it."""
-
-    trace: Callable
-    apply: Callable
-
-
-def _projector_pick(p: np.ndarray, m: int) -> Pick:
-    """p s p / m for a Hermitian projector p, as a series pick."""
-    return Pick(lambda s: np.vdot(p, s) / m, lambda s: p @ s @ p / m)
-
-
 def _krylov_solve(channels: ChannelSet, start, context: str) -> np.ndarray:
     """X = sum_t T^t b, b = start - P0 start P0, by conjugate gradients on
     (I - T) X = b.
@@ -344,18 +326,19 @@ def _krylov_solve(channels: ChannelSet, start, context: str) -> np.ndarray:
     inner product <X, Y> = tr(X^dag Y), T is self-adjoint and positive
     with norm at most 1, and its fixed points are the operators P0 Y P0,
     to which b is orthogonal.  So I - T is positive definite on b's side
-    and the solve needs one continue step per iteration.  A pick L s L with
-    L P0 = 0 then has sum_t pick(T^t start) = pick(X): the P0 start P0
-    part is fixed by T and killed by the pick.
+    and the solve needs one continue step per iteration.  A sandwich
+    L s L with L P0 = 0, such as a measurement, then has
+    sum_t L T^t(start) L = L X L: the P0 start P0 part is fixed by T and
+    killed by the sandwich.
 
     Stop rule: ||r|| <= SERIES_TRACE_TOL ||b|| in the Hilbert-Schmidt norm,
     for r = b - (I - T) x, checked again on the true operator after the
-    loop (one more continue step).  For a pick c L s L with L a rank-k
+    loop (one more continue step).  For c L s L with L a rank-k
     projector, the error on its trace is c |<L, (I - T)^+ r>|
     <= c sqrt(k) ||r|| / mu, mu the least eigenvalue of I - T on b's side.
     mu >= eps / 2 for eps the least nonzero eigenvalue of
     H = (1/m) sum_i P_i, since <Y, (I - T) Y> >= (<Y, H Y> + <Y, Y H>) / 2.
-    The measure picks P_i s P_i / m together have trace tr(H x) =
+    The measurements P_i s P_i / m together have trace tr(H x) =
     tr(b) - tr(r), within sqrt(D) ||r|| of tr(b).  P0 is only as exact as
     the spectral report's zero cut.
 
@@ -410,35 +393,29 @@ def _krylov_solve(channels: ChannelSet, start, context: str) -> np.ndarray:
     return x
 
 
-def _krylov_sum(picks: dict, channels: ChannelSet, start, context: str) -> dict:
-    """Sum pick(T^t(start)) over t >= 0 for every pick, from one
-    :func:`_krylov_solve`; each pick is applied once."""
-    x = _krylov_solve(channels, start, context)
-    return {key: pick.apply(x) for key, pick in picks.items()}
+def _sandwich_series(ch: ChannelSet, ids, absorbed, start, context: str) -> np.ndarray:
+    """Sum measure_all(ids, s_t) / m over t >= 0, on one running sum of the
+    iterates s_t = T^t(start), T the continue step with ``absorbed`` patched.
 
-
-def _sandwich_series(pick: Pick, step, start, context: str) -> np.ndarray:
-    """Sum pick(step^t(start)) over t >= 0, on one running sum of the
-    iterates s_t = step^t(start).
-
-    The pick is linear, so the sum is the pick of the running sum: a term
-    reads only the pick's trace, and the pick is applied once, to the
-    running sum at the stop.  The pick and step are CP maps and the start is
-    checked Hermitian PSD, so every term is PSD and its trace is its trace
-    norm: the sum stops at its first term with trace below the series
-    tolerance, that term included.  The pick must annihilate the fixed
-    points of step for the terms to decay; every caller sandwiches with a
-    measurement, which does exactly that.
+    The measurement is linear, so the sum is the measured running sum: a
+    term reads only the trace of its measured term, and the ids are
+    measured once, at the stop.  Measurement and step are CP maps and the
+    start is checked Hermitian PSD, so every term is PSD and its trace is
+    its trace norm: the sum stops at its first term with trace below the
+    series tolerance, that term included.  The measurement annihilates the
+    fixed points of the step, so the terms decay.
     """
     s = np.asarray(start, dtype=complex)
     _check_series_start(s, context)
+    *before, last_id = ids
     total = np.zeros_like(s)
     for _ in range(config.SERIES_MAX_TERMS):
         total += s
-        last = float(pick.trace(s).real)
+        term = ch.measure_trace(last_id, ch.measure_all(before, s))
+        last = float((term / ch.m).real)
         if last < config.SERIES_TRACE_TOL:
-            return pick.apply(total)
-        s = step(s)
+            return ch.measure_all(ids, total) / ch.m
+        s = ch.continue_step(s, absorbed)
     raise InvariantError(
         f"{context}: operator series did not converge within "
         f"{config.SERIES_MAX_TERMS} terms (series: last increment trace {last:.3e})",
@@ -486,32 +463,40 @@ def halting_operator_resolvent(
     return _outcome(x, ("halt-resolvent", a))
 
 
+def _stage_state(ch: ChannelSet, ids, absorbed_sets, context: str) -> np.ndarray:
+    """Unnormalized state after the stages ``ids`` from I/D: stage i sums
+    the measured iterates until ids[i] comes out, absorbing the ids in
+    absorbed_sets[i], then refreshes ids[i].
+
+    A stage that absorbs nothing is one conjugate-gradient solve; stage 0
+    starts from I/D and reads the channel set's kept solve.  Only a stage
+    that absorbs ids runs :func:`_sandwich_series`.
+    """
+    D = ch.shape.dim
+    state = np.eye(D, dtype=complex) / D
+    for pos, (a, absorbed) in enumerate(zip(ids, absorbed_sets)):
+        stage = f"{context} stage {pos}"
+        if absorbed:
+            acc = _sandwich_series(ch, (a,), absorbed, state, stage)
+        else:
+            x = ch.mixed_solve() if pos == 0 else _krylov_solve(ch, state, stage)
+            acc = ch.measure(a, x) / ch.m
+        state = ch.refresh(a, acc)
+    return state
+
+
 def sequence_operator(
     inst: QlllInstance, ids, channels: ChannelSet | None = None
 ) -> OutcomeOperator:
     """Unnormalized state after the first ``len(ids)`` violations are exactly
-    ``ids`` in order, each followed by its resampling refresh.
-
-    Stage 0 starts from I/D, so its sum is the halting sum of ids[0], read
-    from the channel set's one kept solve; every later stage is one
-    :func:`_krylov_sum` from the refreshed state.
-    """
+    ``ids`` in order, each followed by its resampling refresh."""
     ids = tuple(_check_id(inst, a) for a in ids)
     if len(ids) > config.SEQUENCE_MAX_LEN:
         raise ValueError(
             f"sequence of {len(ids)} ids exceeds the cap {config.SEQUENCE_MAX_LEN}"
         )
     ch = channels if channels is not None else build_channels(inst)
-    D = inst.shape.dim
-    state = np.eye(D, dtype=complex) / D
-    for pos, a in enumerate(ids):
-        if pos == 0:
-            acc = ch.halting_sums()[a]
-        else:
-            acc = _krylov_sum(
-                {a: ch.measure_pick(a)}, ch, state, f"sequence {ids} stage {pos}"
-            )[a]
-        state = ch.refresh(a, acc)
+    state = _stage_state(ch, ids, [frozenset()] * len(ids), f"sequence {ids}")
     return _outcome(state, ("sequence",) + ids)
 
 
@@ -569,14 +554,12 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
     # every group's sum starts at I/D, so all read the channel set's one
     # solve from I/D, the one the halting operators read
     eye = np.eye(D) / D
-    joint = {}
-    for group in _disjoint_groups(inst):
-        joint[group] = np.eye(D, dtype=complex)
-        for i in group:
-            joint[group] = joint[group] @ inst.embedded(i)
-    lhs = ch.mixed_sums({group: _projector_pick(p, m) for group, p in joint.items()})
+    x = ch.mixed_solve()
     slack = min(
-        (min_slack(lhs[group], p @ eye @ p / len(group)) for group, p in joint.items()),
+        (
+            min_slack(ch.measure_all(g, x) / m, ch.measure_all(g, eye) / len(g))
+            for g in _disjoint_groups(inst)
+        ),
         default=np.inf,
     )
     parts.append(_report_entry(
@@ -808,19 +791,7 @@ def partial_dag_channel_bound(inst: QlllInstance, relevant_ids, irrelevant_sets)
         )
     sets = _validate_gap_sets(inst, ids, irrelevant_sets, intersects)
 
-    ch = build_channels(inst)
-    D = inst.shape.dim
-    m = inst.m
-    state = np.eye(D, dtype=complex) / D
-    for i, a in enumerate(ids):
-        acc = _sandwich_series(
-            ch.measure_pick(a),
-            lambda s: ch.continue_step(s, sets[i]),
-            state,
-            f"partial sequence {ids} stage {i}",
-        )
-        state = ch.refresh(a, acc)
-
+    state = _stage_state(build_channels(inst), ids, sets, f"partial sequence {ids}")
     prob = float(np.trace(state).real)
     weight = float(dag_probability(dag, ids))
     rel = inst.relative_dimensions()
@@ -858,21 +829,9 @@ def traced_continuation_bound(inst: QlllInstance, set_ids, gap_ids) -> dict:
                 raise ValueError(f"gap id {x} intersects set id {a}")
 
     ch = build_channels(inst)
-    D = inst.shape.dim
-    m = inst.m
-    k = len(ids)
-    p = np.eye(D, dtype=complex)
-    for i in ids:
-        p = p @ inst.embedded(i)
-    absorbed = frozenset(gap)
-    eye = np.eye(D) / D
-    acc = _sandwich_series(
-        _projector_pick(p, m),
-        lambda s: ch.continue_step(s, absorbed),
-        eye,
-        f"traced bound {ids}",
-    )
-    rhs = p @ eye @ p / k
+    eye = np.eye(inst.shape.dim) / inst.shape.dim
+    acc = _sandwich_series(ch, ids, frozenset(gap), eye, f"traced bound {ids}")
+    rhs = ch.measure_all(ids, eye) / len(ids)
     qudits = sorted({q for x in gap for q in inst.projectors[x].qudits})
     if qudits:
         acc = partial_trace(acc, qudits, inst.shape)

@@ -71,12 +71,11 @@ NORM_TOL = 1e-10
 
 class _Factor(NamedTuple):
     """An event's range factor V (P = V V^dag) as v = V and vh = V^dag on
-    the local basis states keep where P is nonzero (None: all of them), and
-    pos, their register positions (tensor.EventBlock)."""
+    the local basis states where P is nonzero, and pos, their register
+    positions (tensor.EventBlock; None when that is every local state)."""
 
     v: np.ndarray
     vh: np.ndarray
-    keep: np.ndarray | None
     pos: np.ndarray | None
 
 
@@ -96,7 +95,7 @@ def _range_factor(events: EventTable, i: int) -> _Factor:
                 f"projector {i}: range factor misses the matrix by {drift:.3e}"
             )
         f = events.factors[i] = _Factor(
-            np.ascontiguousarray(v), np.ascontiguousarray(v.conj().T), b.keep, b.pos
+            np.ascontiguousarray(v), np.ascontiguousarray(v.conj().T), b.pos
         )
     return f
 

@@ -207,13 +207,12 @@ class LocalPlan:
 
 class EventBlock(NamedTuple):
     """Where one event sits on the register.  plan is its support's layout;
-    keep the local basis states K where its local matrix is nonzero
-    (nonzero_states; None when that is all of them); p the matrix on K (the
-    whole matrix when keep is None); pos the (|K|, rest) register positions
-    of K's states, from plan.index (None with keep).  Arrays are read-only."""
+    p the local matrix on the local basis states K where it is nonzero
+    (nonzero_states; the whole matrix when that is all of them); pos the
+    (|K|, rest) register positions of K's states, from plan.index (None
+    when K is every local state).  Arrays are read-only."""
 
     plan: LocalPlan
-    keep: np.ndarray | None
     p: np.ndarray
     pos: np.ndarray | None
 
@@ -256,9 +255,9 @@ def _restricted(plan: LocalPlan, a: np.ndarray) -> EventBlock:
     """The EventBlock of local matrix a on the plan's qudits."""
     keep = nonzero_states(a)
     if keep is None:
-        b = EventBlock(plan, None, a.copy(), None)
+        b = EventBlock(plan, a.copy(), None)
     else:
-        b = EventBlock(plan, keep, a[np.ix_(keep, keep)], plan.index[keep])
+        b = EventBlock(plan, a[np.ix_(keep, keep)], plan.index[keep])
     for arr in b[1:]:
         if arr is not None:
             arr.setflags(write=False)

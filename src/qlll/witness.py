@@ -72,12 +72,6 @@ class WitnessTree:
             kids[self.parents[v]].append(v)
         return kids
 
-    def depths(self) -> tuple:
-        out = [0] * len(self.labels)
-        for v in range(1, len(self.labels)):
-            out[v] = out[self.parents[v]] + 1
-        return tuple(out)
-
     def is_proper(self) -> bool:
         for kids in self.children():
             labs = [self.labels[c] for c in kids]

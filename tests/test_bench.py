@@ -326,6 +326,18 @@ def test_exact_mode_within_bound_on_commuting_trees():
         assert report.gap_bound == pytest.approx(report.product_bound, abs=1e-9)
 
 
+def test_exact_mode_takes_four_vertices_within_the_budget():
+    inst = diag3()
+    tree = tree_from_nested((2, ((1, ((2, ((1, ()),)),)),)))
+    assert len(tree.labels) == 4
+    with pytest.raises(ValueError, match="needs 81 sequences, budget is 80"):
+        bench.conjecture_test(inst, tree, "exact", 80)
+    report = bench.conjecture_test(inst, tree, "exact", 81)
+    assert report.samples == 81
+    assert 0.0 < report.probability <= report.product_bound + 1e-9
+    assert report.gap_bound == pytest.approx(report.product_bound, abs=1e-9)
+
+
 def test_monte_carlo_mode_commuting():
     inst = diag3()
     tree = tree_from_nested((2, ((1, ()),)))
@@ -340,9 +352,9 @@ def test_monte_carlo_mode_commuting():
 
 def test_conjecture_budget_and_mode_errors():
     inst = diag3()
-    big = tree_from_nested((2, ((1, ((2, ((1, ()),)),)),)))
-    assert len(big.labels) == 4
-    with pytest.raises(ValueError):
+    big = tree_from_nested((2, ((1, ((2, ((1, ((2, ()),)),)),)),)))
+    assert len(big.labels) == 5
+    with pytest.raises(ValueError, match="at most 4 vertices"):
         bench.conjecture_test(inst, big, "exact", 10**6)
     pair = tree_from_nested((2, ((1, ()),)))
     with pytest.raises(ValueError):

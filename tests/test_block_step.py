@@ -19,7 +19,7 @@ from qlll.quantum import (
     _range_factor,
     run_trajectory_batch,
 )
-from qlll.tensor import embed, make_rng
+from qlll.tensor import embed, make_rng, nonzero_states
 
 TOL = 1e-12
 N = 8
@@ -45,10 +45,12 @@ def all_ones_on(qudits) -> np.ndarray:
 
 def full_factor(inst, i) -> np.ndarray:
     """The range factor V of event i on every local basis state, zero off
-    its keep."""
+    its nonzero states."""
     f = _range_factor(event_table(inst), i)
-    v = np.zeros((inst.projectors[i].local_matrix.shape[0], f.v.shape[1]), dtype=complex)
-    v[slice(None) if f.keep is None else f.keep] = f.v
+    local = inst.projectors[i].local_matrix
+    keep = nonzero_states(local)
+    v = np.zeros((local.shape[0], f.v.shape[1]), dtype=complex)
+    v[slice(None) if keep is None else keep] = f.v
     return v
 
 

@@ -20,10 +20,8 @@ from helpers import dense_refresh
 from qlll import bench, oracles
 from qlll.instance import QlllInstance, basis_projector, random_rank_projector
 from qlll.oracles import (
-    Pick,
     SeriesStartError,
     _krylov_solve,
-    _krylov_sum,
     _sandwich_series,
     build_channels,
     halting_operator,
@@ -295,7 +293,7 @@ def test_shared_halting_pass_matches_per_id_series(seed):
     assert ch.halting_operators() is shared
     D = inst.shape.dim
     for a in range(inst.m):
-        alone = _krylov_sum({a: ch.measure_pick(a)}, ch, np.eye(D) / D, "alone")[a]
+        alone = ch.measure(a, _krylov_solve(ch, np.eye(D) / D, "alone")) / inst.m
         fresh = halting_operator(inst, a)
         assert np.abs(shared[a].operator - alone).max() < TOL
         assert np.abs(shared[a].operator - fresh.operator).max() < TOL
@@ -310,14 +308,11 @@ def test_shared_halting_pass_matches_per_id_series(seed):
     ids=["negative-eigenvalue", "non-hermitian"],
 )
 def test_series_rejects_start_that_is_not_psd(start):
-    def ident(s):
-        return s
-
-    with pytest.raises(SeriesStartError, match="series start"):
-        _sandwich_series(Pick(np.trace, ident), ident, start, "probe")
-    # the conjugate-gradient route checks its start the same way
     qubits = len(start).bit_length() - 1
     ch = build_channels(QlllInstance.build(qubits, 2, [((0,), np.diag([0.0, 1.0]))]))
+    with pytest.raises(SeriesStartError, match="series start"):
+        _sandwich_series(ch, (0,), frozenset(), start, "probe")
+    # the conjugate-gradient route checks its start the same way
     with pytest.raises(SeriesStartError, match="series start"):
         _krylov_solve(ch, start, "probe")
     assert issubclass(SeriesStartError, ValueError)

@@ -515,6 +515,19 @@ def test_cpmap_epsilon_horizon(tmp_path, capsys):
     assert result["final_ground_overlap"] >= 0.9
 
 
+@pytest.mark.parametrize("args", [
+    ["converge", "--t", "5", "--epsilon", "2.0", "--samples", "50"],
+    ["cpmap", "--t", "3", "--epsilon", "1.5"],
+    ["cpmap", "--t", "3", "--epsilon", "-0.5"],
+    ["cpmap", "--epsilon", "0.0"],
+])
+def test_epsilon_checked_with_and_without_t(args, tmp_path, capsys):
+    path = write_instance(tmp_path, disjoint_pair())
+    code, out, err = run_cli(args + ["--instance", path], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: --epsilon must lie strictly between 0 and 1\n"
+
+
 def test_cpmap_epsilon_stops_at_the_first_reaching_iterate(tmp_path, capsys):
     path = write_instance(tmp_path, disjoint_pair())
     code, out, _ = run_cli(["cpmap", "--instance", path, "--epsilon", "0.1"], capsys)

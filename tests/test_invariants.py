@@ -107,7 +107,7 @@ def test_falling_ground_overlap(monkeypatch):
 def test_series_non_convergence(monkeypatch):
     monkeypatch.setattr(config, "SERIES_MAX_TERMS", 2)
     with pytest.raises(InvariantError, match="did not converge") as err:
-        build_channels(three_qubits()).halting_sums()
+        build_channels(three_qubits()).halting_operators()
     assert err.value.value >= config.SERIES_TRACE_TOL
 
 

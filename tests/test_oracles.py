@@ -10,7 +10,6 @@ from qlll.instance import (
     spectral_report,
 )
 from qlll.oracles import (
-    ChannelSet,
     OutcomeOperator,
     build_channels,
     first_violation_gap_bound,
@@ -260,26 +259,23 @@ def hadamard_pairs():
 
 def test_cp_identity_groups_share_one_series(monkeypatch):
     inst = hadamard_pairs()
-    contexts, sums = [], {}
-    solve, mixed = oracles._krylov_solve, ChannelSet.mixed_sums
+    contexts, solves = [], []
+    solve = oracles._krylov_solve
 
     def recording_solve(channels, start, context):
         contexts.append(context)
-        return solve(channels, start, context)
-
-    def recording_sums(self, picks):
-        out = mixed(self, picks)
-        sums.update(out)
-        return out
+        solves.append(solve(channels, start, context))
+        return solves[-1]
 
     monkeypatch.setattr(oracles, "_krylov_solve", recording_solve)
-    monkeypatch.setattr(ChannelSet, "mixed_sums", recording_sums)
     report = verify_cp_identities(inst)
     monkeypatch.undo()
     # every group reads the one solve from I/D that the halting operators read
     assert contexts == ["halting operators"]
     groups = oracles._disjoint_groups(inst)
-    assert len(groups) == 7 and set(sums) == set(groups)
+    assert len(groups) == 7
+    ch = build_channels(inst)
+    sums = {group: ch.measure_all(group, solves[0]) / inst.m for group in groups}
 
     # each group against the dense resolvent (I - T)^+ applied to I/D, with
     # T = (1/m) sum_i C_i . C_i as a matrix on column-stacked vectors,

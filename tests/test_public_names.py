@@ -1,30 +1,49 @@
-"""Every public module-level function and class of the package is used.
+"""Every public definition of the package is used.
 
-A name counts as used when code in src/qlll, demos/ or perfbench/ refers to
-it outside its own definition (a name, an attribute, an import, or a string
-that a getattr-style lookup reads), or when qlll/__init__.py exports it.
-Tests do not count: a function that only its tests call is dead code.
+The definitions checked are the module-level functions and classes, and the
+methods and properties of the public classes.  A name counts as used when
+code in src/qlll, demos/ or perfbench/ refers to it outside its own
+definition (a name, an attribute, an import, or a string that a
+getattr-style lookup reads), or when qlll/__init__.py exports a module-level
+name.  A method is reached only as an attribute, so only attributes and
+strings count for it: a local variable of the same name does not.  A
+method that overrides one of a base class counts as used, since
+the base class's callers reach it.  Tests do not count: a function that
+only its tests call is dead code.
 """
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qlll"
 
 
-def names_in(node) -> set:
-    out = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            out.add(sub.asname or sub.name.rsplit(".", 1)[-1])
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
-            out.add(sub.value)
-    return out
+def names_of(node, attributes_only=False):
+    """The names one node refers to, not those of its children."""
+    if isinstance(node, ast.Name) and not attributes_only:
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias) and not attributes_only:
+        yield node.asname or node.name.rsplit(".", 1)[-1]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+        yield node.value
+
+
+def references(node, attributes_only=False) -> Counter:
+    return Counter(name for sub in ast.walk(node) for name in names_of(sub, attributes_only))
+
+
+def is_public_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
+def overrides(module, cls_name: str, name: str) -> bool:
+    cls = getattr(importlib.import_module(f"qlll.{module}"), cls_name)
+    return any(hasattr(base, name) for base in cls.__mro__[1:])
 
 
 def test_every_public_definition_is_referenced():
@@ -32,16 +51,24 @@ def test_every_public_definition_is_referenced():
     trees = {path: ast.parse(path.read_text()) for path in sources}
     exported = {alias.asname or alias.name for node in ast.walk(trees[PACKAGE / "__init__.py"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    everywhere = {
+        kind: sum((references(tree, kind) for tree in trees.values()), Counter())
+        for kind in (False, True)
+    }
+
+    def used(node, attributes_only=False) -> bool:
+        # every reference in every source but those inside the definition itself
+        inside = references(node, attributes_only)
+        return everywhere[attributes_only][node.name] > inside[node.name]
+
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            if node.name in exported:
-                continue
-            # every top-level statement of every source but the definition itself
-            used = any(node.name in names_in(stmt) for tree in trees.values()
-                       for stmt in tree.body if stmt is not node)
-            if not used:
+        for node in filter(is_public_def, trees[path].body):
+            if node.name not in exported and not used(node):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in filter(is_public_def, node.body):
+                if not used(method, True) and not overrides(path.stem, node.name, method.name):
+                    unused.append(f"{path.name}:{method.lineno} {node.name}.{method.name}")
     assert not unused, "public definitions that nothing uses: " + ", ".join(unused)

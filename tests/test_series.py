@@ -2,13 +2,14 @@
 
 Sums from the continue step with nothing absorbed come from one
 conjugate-gradient solve each, and the absorbed-set series keep one running
-sum of the iterates; both apply each pick once.  The values are checked
-against the per-term series (every term applies every open pick), kept here
-as a reference.  In place of a solve it runs to a trace stop of 1e-17, so
-its own truncation stays far below the tolerance; in place of a running-sum
-series it keeps that series' stop rule, so the two are the same sum.  Work
-counts wrap the channel methods, so the claims "one solve per pass" and
-"one pick per id per pass" do not rest on wall-clock time.
+sum of the iterates; both measure each id once.  The values are checked
+against per-term series (every iterate is summed on its own), kept here as
+a reference.  In place of a solve it runs to a trace stop of 1e-17, so its
+own truncation stays far below the tolerance; in place of a running-sum
+series it measures every term and keeps that series' stop rule, so the two
+are the same sum.  Work counts wrap the channel methods, so the claims
+"one solve per pass" and "one measurement per id per pass" do not rest on
+wall-clock time.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 from qlll import bench, config, oracles
 from qlll.errors import InvariantError
-from qlll.instance import QlllInstance, basis_projector, random_rank_projector
+from qlll.instance import QlllInstance, basis_projector, random_rank_projector, spectral_report
 from qlll.oracles import (
     ChannelSet,
     build_channels,
@@ -32,49 +33,60 @@ REFERENCE_TRACE_STOP = 1e-17
 Q1 = np.diag([0.0, 1.0]).astype(complex)
 
 
-def per_term_series(picks, step, start, context, stop=config.SERIES_TRACE_TOL):
-    """Sum pick(step^t(start)) term by term: every open pick is applied to
-    every iterate, and each sum stops on the trace of its own term, below
-    ``stop``."""
+def per_term_series(term, step, start, stop, trace=np.trace):
+    """Sum term(step^t(start)) term by term, up to the first term whose
+    ``trace`` is below ``stop``, that term included."""
     s = np.asarray(start, dtype=complex)
-    acc = {key: np.zeros_like(s) for key in picks}
-    open_keys = list(picks)
+    acc = np.zeros_like(s)
     for _ in range(config.SERIES_MAX_TERMS):
-        still = []
-        for key in open_keys:
-            term = picks[key].apply(s)
-            acc[key] += term
-            if float(term.trace().real) >= stop:
-                still.append(key)
-        open_keys = still
-        if not open_keys:
+        t = term(s)
+        acc += t
+        if float(trace(t).real) < stop:
             return acc
         s = step(s)
-    raise AssertionError(f"{context}: reference series did not converge")
+    raise AssertionError("reference series did not converge")
+
+
+def measured_by(channels, ids):
+    """s -> the ids measured one after another, over m, from channel
+    measurements alone."""
+
+    def measured(s):
+        for i in ids:
+            s = channels.measure(i, s)
+        return s / channels.m
+
+    return measured
 
 
 @pytest.fixture
 def per_term(monkeypatch):
-    """Run every solve and series as the per-term reference series."""
+    """Run every solve and series as a per-term reference series."""
 
-    def krylov(picks, channels, start, context):
+    def solve(channels, start, context):
+        # the solve's X: the iterates of start less its fixed part, summed
+        # until the measured trace tr(H s_t) of a term is below the stop
+        p0 = spectral_report(channels.instance).p0
+        ids = range(channels.m)
         return per_term_series(
-            picks, channels.continue_step, start, context, REFERENCE_TRACE_STOP
+            lambda s: s,
+            channels.continue_step,
+            start - p0 @ start @ p0,
+            REFERENCE_TRACE_STOP,
+            lambda s: sum(np.trace(channels.measure(i, s)) for i in ids) / channels.m,
         )
 
-    def mixed(self, picks):
-        D = self.shape.dim
+    def series(channels, ids, absorbed, start, context):
         return per_term_series(
-            picks, self.continue_step, np.eye(D) / D, "mixed", REFERENCE_TRACE_STOP
+            measured_by(channels, ids),
+            lambda s: channels.continue_step(s, absorbed),
+            start,
+            config.SERIES_TRACE_TOL,
         )
-
-    def series(pick, step, start, context):
-        return per_term_series({"series": pick}, step, start, context)["series"]
 
     def use():
+        monkeypatch.setattr(oracles, "_krylov_solve", solve)
         monkeypatch.setattr(oracles, "_sandwich_series", series)
-        monkeypatch.setattr(oracles, "_krylov_sum", krylov)
-        monkeypatch.setattr(ChannelSet, "mixed_sums", mixed)
 
     return use
 
@@ -139,6 +151,25 @@ def test_running_sum_matches_per_term_series(per_term):
         assert np.abs(np.asarray(new[key]) - np.asarray(old[key])).max() < TOL, key
 
 
+def test_partial_bound_without_gaps_is_the_sequence_operator():
+    # no stage absorbs an id, so both run the same solves, and both must
+    # land on the per-term reference run to the 1e-17 trace stop
+    inst, ids = chain4(), (0, 2)
+    partial = partial_dag_channel_bound(inst, ids, [set(), set()])["probability"]
+    sequence = sequence_operator(inst, ids).probability
+    assert abs(partial - sequence) <= 1e-15
+    ch = build_channels(inst)
+    state = np.eye(inst.shape.dim, dtype=complex) / inst.shape.dim
+    for a in ids:
+        acc = per_term_series(
+            measured_by(ch, (a,)), ch.continue_step, state, REFERENCE_TRACE_STOP
+        )
+        state = ch.refresh(a, acc)
+    want = np.trace(state).real
+    assert abs(partial - want) <= 1e-14
+    assert abs(sequence - want) <= 1e-14
+
+
 def test_series_non_convergence_reports_the_last_increment(monkeypatch):
     monkeypatch.setattr(config, "SERIES_MAX_TERMS", 2)
     with pytest.raises(InvariantError) as err:
@@ -177,10 +208,10 @@ class Counts:
         monkeypatch.setattr(owner, attr, counted)
 
 
-def test_halting_pass_applies_each_pick_once(monkeypatch):
+def test_halting_pass_measures_each_id_once(monkeypatch):
     inst = exact_channel_instance()
     counts = Counts(monkeypatch)
-    build_channels(inst).halting_sums()
+    build_channels(inst).halting_operators()
     assert counts.calls["solve"] == 1
     assert counts.calls["series"] == 0
     assert counts.calls["measure"] == inst.m
@@ -191,8 +222,9 @@ def test_halting_pass_applies_each_pick_once(monkeypatch):
 def test_counterexample_runs_three_series_passes(monkeypatch):
     counts = Counts(monkeypatch)
     bench.counterexample_exact(0.95)
-    # the shared stage-0 solve, then stage 1 of each order
+    # the shared stage-0 solve, then stage 1 of each order; each stage
+    # measures its own id
     assert counts.calls["solve"] == 3
     assert counts.calls["series"] == 0
-    assert counts.calls["measure"] == 3 + 2
+    assert counts.calls["measure"] == 2 + 2
     assert counts.calls["continue_step"] <= 40
