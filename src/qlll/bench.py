@@ -92,7 +92,7 @@ class ConvergenceSeries:
             raise ValueError("series arrays disagree on length")
         for arr in (self.ground_overlap, self.violation_probs):
             arr = np.asarray(arr, dtype=float)
-            if arr.min() < -SERIES_VALUE_TOL or arr.max() > 1.0 + SERIES_VALUE_TOL:
+            if not -SERIES_VALUE_TOL <= arr.min() <= arr.max() <= 1.0 + SERIES_VALUE_TOL:
                 raise ValueError("recorded probabilities must lie in [0, 1]")
 
 

@@ -4,10 +4,10 @@ An instance is a list of local projectors, each marking the *bad* subspace of
 the qudits it acts on.  This module owns the intersection structure between
 events, relative dimensions, Lovasz-condition checking with the epsilon
 strengthening, certificate search, and the spectral summary (gap, kernel
-projector) used by the convergence analyses.  spectral_report is the only
-place the averaged Hamiltonian and its kernel projector are built, and
-event_table the only place an event's register layout is worked out; each is
-computed once per instance, kept on it and shared read-only by every caller.
+projector) used by the convergence analyses.  event_table is the one stored
+form of every event and its register layout; spectral_report, the only place
+the averaged Hamiltonian and its kernel projector are built, reads the events
+through it.  Each is built once per instance and shared read-only.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class QlllInstance:
     def __init__(self, shape: HilbertShape, projectors):
         self.shape = shape
         self.projectors = tuple(projectors)
-        self._embedded = {}
         self._spectral = None
         self._events = None  # EventTable, see event_table
         self._commuting = None
@@ -94,12 +93,10 @@ class QlllInstance:
         return len(self.projectors)
 
     def embedded(self, i: int) -> np.ndarray:
-        """Projector i acting on the full register (cached)."""
-        if i not in self._embedded:
-            self.shape.check_budget(config.DENSITY_BUDGET_D)
-            p = self.projectors[i]
-            self._embedded[i] = embed(p.local_matrix, p.qudits, self.shape)
-        return self._embedded[i]
+        """Projector i on the full register: a dense reference, built per call."""
+        self.shape.check_budget(config.DENSITY_BUDGET_D)
+        p = self.projectors[i]
+        return embed(p.local_matrix, p.qudits, self.shape)
 
     def relative_dimensions(self) -> np.ndarray:
         return np.array([relative_dimension(p, self.shape) for p in self.projectors])
@@ -349,9 +346,13 @@ def spectral_report(inst: QlllInstance) -> SpectralReport:
         raise ValueError("spectral report needs at least one projector")
     inst.shape.check_budget(config.DENSITY_BUDGET_D)
     D = inst.shape.dim
+    # every block added at its register positions, in id order: the sum of the
+    # embedded projectors less its additions of exact zeros, so the same bits
+    blocks = [event_table(inst).block(i) for i in range(inst.m)]
+    at = [b.plan.index if b.pos is None else b.pos for b in blocks]
     h = np.zeros((D, D), dtype=complex)
-    for i in range(inst.m):
-        h += inst.embedded(i)
+    for b, pos in zip(blocks, at):
+        h[pos[:, None, :], pos[None, :, :]] += b.p[:, :, None]
     h /= inst.m
     ev, vecs = np.linalg.eigh(h)
 
@@ -365,8 +366,10 @@ def spectral_report(inst: QlllInstance) -> SpectralReport:
     p0 = vz @ vz.conj().T
 
     if ground_dim and abs(ev[0]) < config.EIG_DISTINCT_TOL:
-        for i in range(inst.m):
-            leak = float(np.abs(inst.embedded(i) @ p0).max())
+        for i, (b, pos) in enumerate(zip(blocks, at)):
+            # P_i p0 is p times p0's rows at K's positions, zero elsewhere
+            rows = p0[pos].reshape(len(pos), D * b.plan.rest_dim)
+            leak = float(np.abs(b.p @ rows).max(initial=0.0))
             if leak > 1e-8:
                 raise InvariantError(
                     f"kernel projector is not annihilated by event {i} ({leak:.3e})",

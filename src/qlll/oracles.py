@@ -50,8 +50,9 @@ Every continue step runs as m local channels summed into one array.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -101,13 +102,13 @@ class OutcomeOperator:
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError(f"outcome operator must be square, got {op.shape}")
         herm = np.abs(op - op.conj().T).max()
-        if herm > config.HERMITIAN_TOL * max(1.0, np.abs(op).max()):
+        if not herm <= config.HERMITIAN_TOL * max(1.0, np.abs(op).max()):
             raise ValueError(f"outcome operator is not Hermitian ({herm:.2e})")
         lo = float(np.linalg.eigvalsh((op + op.conj().T) / 2)[0])
-        if lo < -OUTCOME_PSD_TOL:
+        if not lo >= -OUTCOME_PSD_TOL:
             raise ValueError(f"outcome operator has eigenvalue {lo:.2e} < 0")
         tr = np.trace(op)
-        if abs(tr - self.probability) > OUTCOME_PSD_TOL:
+        if not abs(tr - self.probability) <= OUTCOME_PSD_TOL:
             raise ValueError(
                 f"probability {self.probability} does not match trace {tr}"
             )
@@ -536,12 +537,8 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
     ch = build_channels(inst)
     D = inst.shape.dim
     m = inst.m
-    graph = intersection_graph(inst)
-    pairs = [
-        (i, j)
-        for i, j in combinations(range(m), 2)
-        if j not in graph.gamma(i)
-    ]
+    groups = _disjoint_groups(inst)
+    pairs = [g for g in groups if len(g) == 2]
     rng = make_rng(seed)
     inputs = []
     for _ in range(10):
@@ -558,7 +555,7 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
     slack = min(
         (
             min_slack(ch.measure_all(g, x) / m, ch.measure_all(g, eye) / len(g))
-            for g in _disjoint_groups(inst)
+            for g in groups
         ),
         default=np.inf,
     )
@@ -598,11 +595,15 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
             lemma, passed=resid < EQUALITY_TOL, residual=resid, seeds=[seed]
         )
 
+    # pair_part reads every input of one pair in a row: one product per pair
+    @functools.lru_cache(maxsize=1)
+    def joint(a, b):
+        return inst.embedded(a) @ inst.embedded(b)
+
     def measure_order(a, b, op):
         ab = ch.measure(a, ch.measure(b, op))
         ba = ch.measure(b, ch.measure(a, op))
-        joint = inst.embedded(a) @ inst.embedded(b)
-        both = joint @ op @ joint.conj().T
+        both = joint(a, b) @ op @ joint(a, b).conj().T
         return max(np.abs(ab - ba).max(), np.abs(ab - both).max())
 
     def refresh_order(a, b, op):
@@ -759,12 +760,9 @@ def _validate_gap_sets(inst, ids, gap_sets, intersects):
     sets = []
     for i, raw in enumerate(gap_sets):
         gap = frozenset(_check_id(inst, x) for x in raw)
-        for x in gap:
-            for j in range(i, len(ids)):
-                if x == ids[j] or intersects(x, ids[j]):
-                    raise ValueError(
-                        f"gap id {x} intersects the later relevant id {ids[j]}"
-                    )
+        for x, later in product(gap, ids[i:]):
+            if x == later or intersects(x, later):
+                raise ValueError(f"gap id {x} intersects the later relevant id {later}")
         sets.append(gap)
     return sets
 
@@ -823,10 +821,8 @@ def traced_continuation_bound(inst: QlllInstance, set_ids, gap_ids) -> dict:
         if intersects(a, b):
             raise ValueError(f"set ids {a} and {b} must be disjoint")
     gap = tuple(_check_id(inst, x) for x in gap_ids)
-    for x in gap:
-        for a in ids:
-            if x == a or intersects(x, a):
-                raise ValueError(f"gap id {x} intersects set id {a}")
+    # absorbed before the first set id, so disjoint from every set id
+    _validate_gap_sets(inst, ids, [gap] + [()] * (len(ids) - 1), intersects)
 
     ch = build_channels(inst)
     eye = np.eye(inst.shape.dim) / inst.shape.dim

@@ -9,11 +9,13 @@ reruns stay deterministic.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -445,10 +447,15 @@ def test_criterion_11_cli_byte_determinism(tmp_path):
             "--instance", str(inst_path), "--seed", "7", "--t", "10", "--samples", "50",
         ],
     ]
+    # the subcommands import the qlll these tests import, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(bench.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
     failures = []
     for cmd in commands:
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        first = subprocess.run(cmd, capture_output=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, env=env)
         if first.returncode != 0 or second.returncode != 0:
             failures.append(f"{cmd[3]} exited {first.returncode}/{second.returncode}")
         elif first.stdout != second.stdout:

@@ -137,6 +137,14 @@ def test_iterate_rejects_bad_inputs():
         bench.cp_map_iterate(wide, np.eye(2) / 2.0, 1)
 
 
+def test_convergence_series_rejects_nan():
+    steps, rho = np.arange(2), np.eye(2) / 2
+    with pytest.raises(ValueError, match="must lie in"):
+        bench.ConvergenceSeries(steps, np.array([0.5, np.nan]), np.zeros((2, 1)), rho)
+    with pytest.raises(ValueError, match="must lie in"):
+        bench.ConvergenceSeries(steps, np.array([0.5, 0.6]), np.array([[0.1], [np.nan]]), rho)
+
+
 def test_series_csv_shape():
     inst = single_event()
     series = bench.cp_map_iterate(inst, np.eye(2) / 2.0, 3)

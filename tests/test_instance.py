@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -25,8 +26,10 @@ from qlll.instance import (
     support_graph,
     symmetric_condition,
 )
+import helpers
 from helpers import kernel_projector
 from qlll import bench, config
+from qlll import instance as instance_module
 from qlll.tensor import HilbertShape, make_rng
 
 Q1 = np.array([[0, 0], [0, 1]], dtype=complex)  # |1><1|
@@ -393,6 +396,94 @@ def test_spectral_gap_variational_form():
         psi = comp @ psi
         psi /= np.linalg.norm(psi)
         assert (psi.conj() @ h @ psi).real >= rep.delta - 1e-9
+
+
+def table_shapes():
+    """Events with unsorted qudits, on qutrits, dense and complex, with
+    negative real entries and all zero; and a ring of dense events."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    minus = np.kron(h @ np.diag([0.0, 1.0]) @ h, np.diag([1.0, 0.0]))
+    rng = make_rng(19)
+    return {
+        "unsorted": QlllInstance.build(4, 2, [
+            ((3, 0), basis_projector(4, [1])),
+            ((2, 1, 0), basis_projector(8, [5, 6])),
+            ((1, 3), np.zeros((4, 4))),
+        ]),
+        "qutrits": QlllInstance.build(3, 3, [
+            ((2, 0), basis_projector(9, [4, 7])),
+            ((1,), basis_projector(3, [2])),
+        ]),
+        "dense complex": QlllInstance.build(4, 2, [
+            ((q, (q + 2) % 4), random_rank_projector(4, 1 + q % 2, rng))
+            for q in (3, 0, 1)
+        ]),
+        "negative real": QlllInstance.build(3, 2, [((2, 0), minus), ((1, 2), minus)]),
+        "hadamard ring": helpers.hadamard_ring(),
+    }
+
+
+@pytest.mark.parametrize("name", list(table_shapes()))
+def test_hamiltonian_from_the_event_table_is_the_dense_sum(monkeypatch, name):
+    inst = table_shapes()[name]
+    fed = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: fed.append(h.copy()) or eigh(h))
+    spectral_report(inst)
+    dense = np.zeros((inst.shape.dim,) * 2, dtype=complex)
+    for i in range(inst.m):
+        dense += inst.embedded(i)
+    dense /= inst.m
+    assert fed[0].tobytes() == dense.tobytes()
+
+
+# eigenvalues and p0 bytes of the dense-sum route; D <= 256 with events whose
+# spectra do not depend on the BLAS thread count
+SPECTRAL_PINS = {
+    "hadamard_chain": "4503340157151abd96ac88e05c246b64f41e5de5028bdf7e42684260c430b31f",
+    "random_qubit_pair": "55a6ba3ff175f336548146a4a75db9fff7f097c8efb899f5e761b5366e7e8355",
+    "basis_ring": "b6aedc18f4070edaa44c672e5c0abe958c4ac24190090b402b2640391652ec03",
+}
+
+
+@pytest.mark.parametrize("name", list(SPECTRAL_PINS))
+def test_spectral_report_bytes_are_pinned(name):
+    rep = spectral_report(getattr(helpers, name)())
+    digest = hashlib.sha256(rep.eigenvalues.tobytes() + rep.p0.tobytes()).hexdigest()
+    assert digest == SPECTRAL_PINS[name]
+
+
+def arrays_in(value):
+    """Every numpy array reachable from value through containers and
+    object attributes."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from arrays_in(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from arrays_in(v)
+    elif hasattr(value, "__dict__"):
+        yield from arrays_in(vars(value))
+
+
+def test_spectral_report_keeps_no_dense_event_copy(monkeypatch):
+    # nine |111> events on a ring of nine qubits, D = 512
+    inst = QlllInstance.build(9, 2, [
+        ((i, (i + 1) % 9, (i + 2) % 9), basis_projector(8, [7])) for i in range(9)
+    ])
+    dims = []
+    embed = instance_module.embed
+    monkeypatch.setattr(
+        instance_module, "embed",
+        lambda op, qudits, shape: dims.append(shape.dim) or embed(op, qudits, shape),
+    )
+    rep = spectral_report(inst)
+    assert rep.ground_dim > 0 and inst.is_commuting()
+    assert 512 not in dims
+    kept = {k: v for k, v in vars(inst).items() if k != "_spectral"}
+    assert not [a.shape for a in arrays_in(kept) if a.shape == (512, 512)]
 
 
 def commutation_status(inst):

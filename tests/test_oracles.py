@@ -184,6 +184,15 @@ def test_outcome_operator_validation():
         OutcomeOperator(np.eye(2) * 0.25, 0.9, ("bad",))  # probability != trace
 
 
+def test_outcome_operator_rejects_nan():
+    off = np.eye(2) * 0.5
+    off[0, 1] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        OutcomeOperator(off, 1.0, ("bad",))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        OutcomeOperator(np.diag([np.nan, 0.5]), 0.5, ("bad",))
+
+
 def test_sequence_length_one_matches_halting():
     inst = diag3()
     for a in range(inst.m):
@@ -437,6 +446,13 @@ def test_traced_bound_requires_disjoint_gap():
     inst = diag3()
     with pytest.raises(ValueError):
         traced_continuation_bound(inst, (2,), (1,))
+
+
+def test_traced_bound_gap_must_miss_every_set_id():
+    # diag3: 0 and 2 are disjoint, 1 meets 2, the later set id
+    for inst, ids, gap in ((diag3(), (0, 2), (1,)), (three_disjoint(), (1, 2), (2,))):
+        with pytest.raises(ValueError, match="gap id"):
+            traced_continuation_bound(inst, ids, gap)
 
 
 def test_halting_matches_trajectory_frequencies():
