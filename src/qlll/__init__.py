@@ -62,7 +62,6 @@ from .oracles import (
     halting_operator,
     halting_operator_resolvent,
     partial_dag_channel_bound,
-    process_gap,
     sequence_operator,
     shortclaim_suite,
     traced_continuation_bound,

@@ -33,7 +33,7 @@ from .instance import (
     random_rank_projector,
     spectral_report,
 )
-from .oracles import ChannelSet, build_channels, process_gap, sequence_operator
+from .oracles import ChannelSet, build_channels, sequence_operator
 from .quantum import run_quantum_solver, run_trajectory_batch
 from .tensor import is_hermitian, make_rng
 # looked up here by the benchmark's tracer (perfbench/tracing.py)
@@ -401,7 +401,7 @@ def conjecture_test(
     product_bound = float(np.prod([rel[lab] for lab in labels]))
     if product_bound <= 0.0:
         raise ValueError("structure labels a zero-rank event")
-    gap = process_gap(inst)
+    gap = spectral_report(inst).gap
     if gap < config.GAP_VACUOUS_TOL:
         gap_bound = None
     else:

@@ -9,9 +9,10 @@ resample budget runs out.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -49,7 +50,6 @@ class ClassicalEvent:
 class ClassicalInstance:
     domains: tuple  # domain size per variable
     events: tuple
-    _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "domains", tuple(int(d) for d in self.domains))
@@ -70,6 +70,11 @@ class ClassicalInstance:
     @property
     def m(self) -> int:
         return len(self.events)
+
+    @functools.cached_property
+    def _plan(self) -> _ResamplePlan:
+        """What solve_classical reads per event; built on first use and kept."""
+        return _ResamplePlan(self)
 
 
 def event_probability(inst: ClassicalInstance, i: int) -> float:
@@ -117,12 +122,6 @@ class _ResamplePlan:
         self.gamma_plus = classical_intersection_graph(inst).gamma_plus_sorted
 
 
-def _resample_plan(inst: ClassicalInstance) -> _ResamplePlan:
-    if inst._plan is None:
-        object.__setattr__(inst, "_plan", _ResamplePlan(inst))
-    return inst._plan
-
-
 def solve_classical(
     inst: ClassicalInstance, seed, max_resamples: int | None = None
 ) -> ClassicalRunResult:
@@ -141,7 +140,7 @@ def solve_classical(
         max_resamples = config.CLASSICAL_DEFAULT_BUDGET
     if max_resamples < 0:
         raise ValueError(f"max_resamples must be nonnegative, got {max_resamples}")
-    plan = _resample_plan(inst)
+    plan = inst._plan
     read, keys, gamma_plus = plan.read, plan.keys, plan.gamma_plus
     rng = make_rng(seed)
     # on Philox one bounded draw per array entry equals one scalar draw per

@@ -155,7 +155,8 @@ def _cmd_check(cfg: argparse.Namespace):
         "epsilon": cfg.epsilon,
         "x": list(cert.x),
         "x_prime": list(cert.x_prime),
-        "min_slack": float(min(checked.slacks)),
+        # an instance with no events has no slack to report
+        "min_slack": float(min(checked.slacks)) if inst.m else None,
         "expected_violations_bound": expected_violations_bound(cert),
     }
     return EXIT_OK, digest, result, None
@@ -289,9 +290,7 @@ def _cmd_exact_solve(cfg: argparse.Namespace):
         result = {"feasible": False, "p": cfg.p}
         return EXIT_CHECK_FAILED, digest, result, None
     m_prime = expected_violations_bound(cert)
-    solver_cfg = ExactSolverConfig(
-        p=cfg.p, m_prime=m_prime, fixed_order=tuple(range(inst.m))
-    )
+    solver_cfg = ExactSolverConfig(p=cfg.p, m_prime=m_prime)
     child_seeds = make_rng(cfg.seed).integers(0, 2**63 - 1, size=runs)
     overlaps = []
     steps = []
@@ -437,7 +436,7 @@ def _cmd_counterexample(cfg: argparse.Namespace):
     digest = instance_digest(cx.instance)
     result = dict(analytic)
     result["exact"] = exact
-    result["exact_matches_analytic"] = abs(exact - analytic["pr_tau"]) <= 1e-8
+    result["exact_matches_analytic"] = abs(exact - analytic["pr_tau"]) <= bench.EXACT_MATCH_TOL
     code = EXIT_OK
     if audit is not None:
         for key in (

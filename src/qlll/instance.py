@@ -16,13 +16,14 @@ import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import config
 from .errors import InvariantError
-from .tensor import EventTable, HilbertShape, embed, is_hermitian, make_rng
+from .tensor import EventTable, HilbertShape, _validate_subset, embed, is_hermitian, make_rng
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class Projector:
             raise ValueError("negative qudit index")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("local matrix must be square")
-        if not is_hermitian(m, config.HERMITIAN_TOL):
+        if not is_hermitian(m):
             raise ValueError("local matrix is not Hermitian")
         if np.abs(m @ m - m).max() > config.IDEMPOTENT_TOL:
             raise ValueError("local matrix is not idempotent")
@@ -414,9 +415,18 @@ def random_rank_projector(dim: int, rank: int, rng: np.random.Generator) -> np.n
     return q @ q.conj().T
 
 
-def _projector_from_json(entry: dict, index: int, d: int) -> Projector:
-    qudits = tuple(int(q) for q in entry["qudits"])
-    dim = d ** len(qudits)
+def _projector_from_json(entry: dict, index: int, shape: HilbertShape) -> Projector:
+    """Every integer is read with operator.index, so 0.5 or 1e400 is refused
+    rather than truncated; the qudits are checked against the register and
+    the local dimension against config.STATE_BUDGET_D before any matrix is
+    built."""
+    qudits = _validate_subset(map(operator.index, entry["qudits"]), shape.n)
+    dim = shape.d ** len(qudits)
+    if dim > config.STATE_BUDGET_D:
+        raise ValueError(
+            f"projector {index}: local dimension {dim} exceeds the dense budget "
+            f"{config.STATE_BUDGET_D}"
+        )
     kind = entry.get("kind")
     if "matrix" in entry:
         raw = np.asarray(entry["matrix"], dtype=float)
@@ -424,21 +434,21 @@ def _projector_from_json(entry: dict, index: int, d: int) -> Projector:
             raise ValueError(f"projector {index}: matrix shape {raw.shape} invalid")
         m = raw[..., 0] + 1j * raw[..., 1]
     elif kind == "basis":
-        m = basis_projector(dim, entry["states"])
+        m = basis_projector(dim, [operator.index(s) for s in entry["states"]])
     elif kind == "rank_random":
-        m = random_rank_projector(dim, int(entry["rank"]), make_rng(int(entry["seed"])))
+        rng = make_rng(operator.index(entry["seed"]))
+        m = random_rank_projector(dim, operator.index(entry["rank"]), rng)
     else:
         raise ValueError(f"projector {index}: unknown kind {kind!r}")
     return Projector(index, qudits, m)
 
 
 def instance_from_dict(data: dict) -> QlllInstance:
-    n = int(data["n"])
-    d = int(data["d"])
+    shape = HilbertShape(operator.index(data["n"]), operator.index(data["d"]))
     pros = [
-        _projector_from_json(entry, i, d) for i, entry in enumerate(data["projectors"])
+        _projector_from_json(entry, i, shape) for i, entry in enumerate(data["projectors"])
     ]
-    return QlllInstance(HilbertShape(n, d), pros)
+    return QlllInstance(shape, pros)
 
 
 def instance_to_dict(inst: QlllInstance) -> dict:

@@ -46,8 +46,6 @@ def log_from_dict(data: dict) -> ExecutionLog:
     )
 
 
-def log_from_labels(labels, seed=None) -> ExecutionLog:
-    """Convenience constructor: one entry per step, in order."""
-    return ExecutionLog(
-        tuple((i, l) for i, l in enumerate(labels)), len(tuple(labels)), seed
-    )
+def log_from_labels(labels) -> ExecutionLog:
+    """Convenience constructor: one entry per step, in order, with no seed."""
+    return ExecutionLog(tuple((i, l) for i, l in enumerate(labels)), len(tuple(labels)))

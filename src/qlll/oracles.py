@@ -46,6 +46,11 @@ _sandwich_series keeps one running sum of the iterates, reads only the
 trace of the measured term per term, and measures the running sum once,
 at the stop; a group of disjoint ids is measured one id after another.
 Every continue step runs as m local channels summed into one array.
+
+Every series start is built here, so both forms check it Hermitian PSD and
+treat one that is not as an internal fault (InvariantError, carrying the
+measured asymmetry or least eigenvalue).  The process gap the bounds scale
+by is read from the instance's spectral report, spectral_report(inst).gap.
 """
 
 from __future__ import annotations
@@ -303,19 +308,18 @@ def build_channels(inst: QlllInstance) -> ChannelSet:
     return ChannelSet(inst)
 
 
-class SeriesStartError(ValueError):
-    """An operator series was started from an operator that is not
-    Hermitian positive semidefinite."""
-
-
 def _check_series_start(start: np.ndarray, context: str) -> None:
+    """Every series start is built in this module, so one that is not
+    Hermitian PSD is an internal fault: InvariantError with the measured
+    asymmetry or least eigenvalue."""
     if not is_hermitian(start):
-        raise SeriesStartError(f"{context}: series start is not Hermitian")
+        asym = float(np.abs(start - start.conj().T).max())
+        raise InvariantError(
+            f"{context}: series start is not Hermitian (asymmetry {asym:.3e})", asym
+        )
     lo = float(np.linalg.eigvalsh((start + start.conj().T) / 2)[0])
     if lo < -OUTCOME_PSD_TOL:
-        raise SeriesStartError(
-            f"{context}: series start has eigenvalue {lo:.3e} < 0"
-        )
+        raise InvariantError(f"{context}: series start has eigenvalue {lo:.3e} < 0", lo)
 
 
 def _krylov_solve(channels: ChannelSet, start, context: str) -> np.ndarray:
@@ -564,9 +568,11 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
     ))
 
     # (ii) refresh after measure on the maximally mixed state is a rescaling
+    # by the event's relative dimension
+    rel = inst.relative_dimensions()
     resid = 0.0
     for a in range(m):
-        want = np.trace(inst.embedded(a) / D).real * eye
+        want = rel[a] * eye
         resid = max(resid, np.abs(ch.refresh(a, ch.measure(a, eye)) - want).max())
     parts.append(_report_entry(
         "refresh-after-measure", passed=resid < EQUALITY_TOL, residual=resid
@@ -639,15 +645,6 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
     return {"pass": overall, "parts": parts, "seeds": [seed]}
 
 
-def process_gap(inst: QlllInstance) -> float:
-    """Least average violation weight over states fully outside the good space.
-
-    With a nonempty good subspace this is the spectral gap; without one it is
-    the bottom of the spectrum.
-    """
-    return spectral_report(inst).gap
-
-
 def first_violation_gap_bound(
     inst: QlllInstance, a: int, channels: ChannelSet | None = None
 ) -> dict:
@@ -662,7 +659,7 @@ def first_violation_gap_bound(
         "probability": halt.probability,
         "dimension_bound": {"pass": plain > -SLACK_TOL, "slack_min": plain},
     }
-    gap = process_gap(inst)
+    gap = spectral_report(inst).gap
     if gap < config.GAP_VACUOUS_TOL:
         report["gap_bound"] = {
             "pass": None, "slack_min": None, "vacuous": True, "gap": gap,

@@ -35,10 +35,12 @@ The step costs what its rows need:
 Every engine checks its rows for unit norm (_check_norm).  Entry points:
 
 - run_quantum_solver: one trajectory with its own seed, log and optional
-  outcome trace; it stops measuring once no event has weight on its state.
-- run_exact_solver: cyclic-order solver for commuting families that succeeds
-  once every event in a row comes out satisfied; one trajectory, like the
-  above.  A success reports kernel_weight, read through the range factors.
+  outcome trace; it stops measuring once every event weight on its state
+  (_event_weights, the squared weights _measure_rows reads) is exactly 0.
+- run_exact_solver: solver for commuting families that measures the events
+  cyclically in id order and succeeds once every event in a row comes out
+  satisfied; one trajectory, like the above.  A success reports
+  kernel_weight, read through the range factors.
 - run_trajectory_batch: many trajectories at once.  Statistically equivalent
   to run_quantum_solver but consumes randomness in a different order, so
   individual trajectories differ for the same seed.
@@ -47,9 +49,9 @@ Every engine checks its rows for unit norm (_check_norm).  Entry points:
   run as rows of one block, each stopping at its own time, and draw from one
   random stream per call.
 
-_measure_rows is the only code that measures an event; _event_weights,
-_weightless and _kernel_weight read weights through the same range factors
-without measuring.
+_measure_rows is the only code that measures an event; _event_weights and
+_kernel_weight read weights through the same range factors without
+measuring.
 """
 
 from __future__ import annotations
@@ -195,17 +197,6 @@ def _event_weights(states, rows, events: EventTable) -> np.ndarray:
     return out
 
 
-def _weightless(states, rows, events: EventTable) -> bool:
-    """True when V^dag psi is exactly zero for every event and every row psi
-    of states[rows]: each later measurement then has weight 0 and, by
-    _measure_rows' zero-weight rule, changes nothing."""
-    for i in range(events.m):
-        plan, f = events.plan(i), _range_factor(events, i)
-        if (f.vh @ plan.gather(states, rows, f.pos)).any():
-            return False
-    return True
-
-
 def _kernel_weight(states, events: EventTable) -> np.ndarray:
     """Squared norm of every row after projecting out each event in turn;
     for a commuting family this is the overlap with the common kernel.
@@ -255,9 +246,10 @@ def run_quantum_solver(
     """Run one trajectory of the uniform measure-and-resample process.
 
     Every config.BATCH_FREEZE_EVERY steps the run checks whether it has
-    settled: no event has weight on the state (_weightless).  A settled run
-    stops measuring, since every later step would be satisfied with weight 0
-    and change neither the state nor the log; the log still reports
+    settled: every event weight _event_weights reads is exactly 0.  A
+    settled run stops measuring, since _measure_rows reads the same squared
+    weights, so every later step would be satisfied with weight 0 and change
+    neither the state nor the log; the log still reports
     total_steps = max_steps.  A run that records its outcome trace never
     stops early, because the trace lists every step.
     """
@@ -282,8 +274,9 @@ def run_quantum_solver(
             entries.append((step, i))
         if trace is not None:
             trace.append((i, violated))
-        elif (step + 1) % config.BATCH_FREEZE_EVERY == 0 and _weightless(states, row, events):
-            break  # the steps left change neither the state nor the log
+        elif (step + 1) % config.BATCH_FREEZE_EVERY == 0:
+            if not _event_weights(states, row, events).any():
+                break  # the steps left change neither the state nor the log
     log = ExecutionLog(tuple(entries), total_steps=steps, seed=seed)
     return Trajectory(states[0], log, tuple(trace) if trace is not None else None)
 
@@ -457,21 +450,18 @@ def run_converger(
 class ExactSolverConfig:
     """Parameters of the cyclic-order solver for commuting families.
 
-    p controls the failure budget (success probability at least 1 - 1/p),
-    m_prime upper-bounds the certificate sum x_i / (1 - x_i), and fixed_order
-    is the cyclic order in which events are measured.
+    p controls the failure budget (success probability at least 1 - 1/p)
+    and m_prime upper-bounds the certificate sum x_i / (1 - x_i).
     """
 
     p: int
     m_prime: float
-    fixed_order: tuple
 
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p < 2:
             raise ValueError("p must be an integer >= 2")
         if self.m_prime < 0:
             raise ValueError("m_prime must be nonnegative")
-        object.__setattr__(self, "fixed_order", tuple(self.fixed_order))
 
     def iteration_cap(self, m: int) -> int:
         return math.ceil((m + 1) * (self.p * self.m_prime + 1))
@@ -487,7 +477,7 @@ class ExactRunResult:
 def run_exact_solver(
     inst: QlllInstance, cfg: ExactSolverConfig, seed: int
 ) -> ExactRunResult:
-    """Measure events in a fixed cyclic order until all pass in a row.
+    """Measure events cyclically in id order until all pass in a row.
 
     A violated outcome resamples the event and resets the pass counter; the
     counter reaching m ends the run in success, whose kernel_weight (overlap
@@ -496,8 +486,6 @@ def run_exact_solver(
     """
     inst.shape.check_budget(config.STATE_BUDGET_D)
     m = inst.m
-    if sorted(cfg.fixed_order) != list(range(m)):
-        raise ValueError("fixed_order must be a permutation of the event ids")
     if not inst.is_commuting():
         raise ValueError("the exact solver requires a commuting family")
 
@@ -510,7 +498,7 @@ def run_exact_solver(
     consecutive = 0
     it = 0
     while it < cap and consecutive < m:
-        i = cfg.fixed_order[it % m]
+        i = it % m
         violated = _measure_rows(states, row, events.plan(i), _range_factor(events, i), rng)[0]
         _check_norm(states)
         if violated:

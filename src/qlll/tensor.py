@@ -321,15 +321,17 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
     return vec.reshape(dim, dim, order="F")
 
 
-def pseudoinverse(op: np.ndarray, rcond: float = config.PINV_RCOND) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a fixed relative singular-value cutoff."""
-    return np.linalg.pinv(np.asarray(op, dtype=complex), rcond=rcond)
+def pseudoinverse(op: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with the relative singular-value cutoff
+    config.PINV_RCOND."""
+    return np.linalg.pinv(np.asarray(op, dtype=complex), rcond=config.PINV_RCOND)
 
 
-def is_hermitian(op: np.ndarray, tol: float = config.HERMITIAN_TOL) -> bool:
+def is_hermitian(op: np.ndarray) -> bool:
+    """||op - op^dag||_max <= config.HERMITIAN_TOL * max(1, ||op||_max)."""
     op = np.asarray(op)
     scale = max(1.0, float(np.abs(op).max(initial=0.0)))
-    return float(np.abs(op - op.conj().T).max(initial=0.0)) <= tol * scale
+    return float(np.abs(op - op.conj().T).max(initial=0.0)) <= config.HERMITIAN_TOL * scale
 
 
 def min_slack(x: np.ndarray, y: np.ndarray) -> float:

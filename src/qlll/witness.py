@@ -210,75 +210,63 @@ def build_partial_resample_dag(seq, intersects):
     return ResampleDag(relevant, edges, partial=True), relevant
 
 
-def _out_masks(dag: ResampleDag) -> list:
-    masks = [0] * len(dag)
-    for u, v in dag.edges:
-        masks[u] |= 1 << v
-    return masks
-
-
-def dag_probability(dag: ResampleDag, seq):
-    """Probability that uniform leaf removal emits exactly seq.
-
-    Exact rational arithmetic for small DAGs, float above; the subset
-    recursion is capped at 20 vertices.
-    """
+def _leaf_removal(dag: ResampleDag, empty, step):
+    """Memoised uniform leaf removal over the vertex subsets of dag, as
+    bitmasks.  Returns (num, value): num is the number type, exact Fraction
+    up to config.DAG_EXACT_RATIONAL_MAX vertices and float above; value(mask)
+    is empty(num) for the empty set, else step(mask, leaves, value) with
+    leaves the vertices of mask that have no edge into mask.  The subset
+    recursion is capped at config.DAG_VERTEX_CAP vertices."""
     n = len(dag)
     if n > config.DAG_VERTEX_CAP:
         raise ValueError(f"DAG has {n} vertices, cap is {config.DAG_VERTEX_CAP}")
-    exact = n <= config.DAG_EXACT_RATIONAL_MAX
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    seq = tuple(seq)
-    if sorted(seq) != sorted(dag.labels):
-        return zero
-    out = _out_masks(dag)
-    memo = {}
+    num = Fraction if n <= config.DAG_EXACT_RATIONAL_MAX else float
+    out = [0] * n
+    for u, v in dag.edges:
+        out[u] |= 1 << v
+    memo = {0: empty(num)}
 
-    def prob(mask):
-        if mask == 0:
-            return one
-        if mask in memo:
-            return memo[mask]
+    def value(mask):
+        if mask not in memo:
+            leaves = [v for v in range(n) if mask >> v & 1 and not out[v] & mask]
+            memo[mask] = step(mask, leaves, value)
+        return memo[mask]
+
+    return num, value
+
+
+def dag_probability(dag: ResampleDag, seq):
+    """Probability that uniform leaf removal emits exactly seq."""
+    n = len(dag)
+    seq = tuple(seq)
+
+    def step(mask, leaves, value):
         k = n - bin(mask).count("1")
-        leaves = [v for v in range(n) if mask >> v & 1 and not out[v] & mask]
-        total = zero
+        total = num(0)
         for v in leaves:
             if dag.labels[v] == seq[k]:
-                total += prob(mask & ~(1 << v))
-        result = total / len(leaves)
-        memo[mask] = result
-        return result
+                total += value(mask & ~(1 << v))
+        return total / len(leaves)
 
-    return prob((1 << n) - 1)
+    num, value = _leaf_removal(dag, lambda num: num(1), step)
+    if sorted(seq) != sorted(dag.labels):
+        return num(0)
+    return value((1 << n) - 1)
 
 
 def dag_sequence_distribution(dag: ResampleDag) -> dict:
     """Map from emitted sequence to its probability; sums to one."""
-    n = len(dag)
-    if n > config.DAG_VERTEX_CAP:
-        raise ValueError(f"DAG has {n} vertices, cap is {config.DAG_VERTEX_CAP}")
-    exact = n <= config.DAG_EXACT_RATIONAL_MAX
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    out = _out_masks(dag)
-    memo = {}
 
-    def dist(mask):
-        if mask == 0:
-            return {(): one}
-        if mask in memo:
-            return memo[mask]
-        leaves = [v for v in range(n) if mask >> v & 1 and not out[v] & mask]
+    def step(mask, leaves, value):
         merged = {}
         for v in leaves:
-            for suffix, p in dist(mask & ~(1 << v)).items():
+            for suffix, p in value(mask & ~(1 << v)).items():
                 key = (dag.labels[v],) + suffix
-                merged[key] = merged.get(key, zero) + p / len(leaves)
-        memo[mask] = merged
+                merged[key] = merged.get(key, num(0)) + p / len(leaves)
         return merged
 
-    return dict(dist((1 << n) - 1))
+    num, value = _leaf_removal(dag, lambda num: {(): num(1)}, step)
+    return dict(value((1 << len(dag)) - 1))
 
 
 def occurs_in_log(structure, log, intersects) -> bool:

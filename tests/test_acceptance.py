@@ -33,7 +33,6 @@ from qlll.instance import (
 from qlll.oracles import (
     build_channels,
     first_violation_gap_bound,
-    process_gap,
     sequence_operator,
     shortclaim_suite,
     verify_cp_identities,
@@ -207,7 +206,7 @@ def test_criterion_05_exact_solver_success_rate():
     rates = {}
     min_overlap = 1.0
     for p in (2, 4):
-        cfg = ExactSolverConfig(p=p, m_prime=m_prime, fixed_order=tuple(range(inst.m)))
+        cfg = ExactSolverConfig(p=p, m_prime=m_prime)
         seeds = make_rng(470 + p).integers(0, 2**63 - 1, size=runs)
         successes = 0
         for child in seeds:
@@ -370,7 +369,7 @@ def test_criterion_09_correction_channel_convergence():
     epsilon = 0.1
     failures = []
     for idx, (inst, _) in enumerate(bench.certified_commuting_corpus(5, seed=91)):
-        gap = process_gap(inst)
+        gap = spectral_report(inst).gap
         t = math.ceil(inst.m / (gap * (gap + 1.0) * epsilon))
         dim = inst.shape.dim
         series = bench.cp_map_iterate(inst, np.eye(dim) / dim, t)

@@ -26,7 +26,7 @@ from qlll.instance import (
     random_rank_projector,
     spectral_report,
 )
-from qlll.oracles import ChannelSet, build_channels, halting_operator, process_gap
+from qlll.oracles import ChannelSet, build_channels, halting_operator
 from qlll.tensor import make_rng
 from qlll.witness import ResampleDag, tree_from_nested
 
@@ -83,7 +83,7 @@ def test_iterate_monotone_and_explicit_bound():
     overlaps = series.ground_overlap
     assert (np.diff(overlaps) > -1e-10).all()
     assert (overlaps > -1e-9).all() and (overlaps < 1.0 + 1e-9).all()
-    gap = process_gap(inst)
+    gap = spectral_report(inst).gap
     assert abs(gap - 1.0 / 3.0) < 1e-9
     for t in range(1, 61):
         floor = 1.0 - inst.m / (t * gap * (gap + 1.0))
@@ -92,7 +92,7 @@ def test_iterate_monotone_and_explicit_bound():
 
 def test_iterate_reaches_epsilon_within_explicit_horizon():
     for inst, eps in [(disjoint_pair(), 0.1), (diag3(), 0.2)]:
-        gap = process_gap(inst)
+        gap = spectral_report(inst).gap
         t_star = math.ceil(inst.m / (gap * (gap + 1.0) * eps))
         series = bench.cp_map_iterate(
             inst, np.eye(inst.shape.dim) / inst.shape.dim, t_star

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from helpers import dense_refresh
 from qlll import bench, oracles
 from qlll.instance import QlllInstance, basis_projector, random_rank_projector
+from qlll.errors import InvariantError
 from qlll.oracles import (
-    SeriesStartError,
     _krylov_solve,
     _sandwich_series,
     build_channels,
@@ -303,19 +303,22 @@ def test_shared_halting_pass_matches_per_id_series(seed):
 
 
 @pytest.mark.parametrize(
-    "start",
-    [np.diag([0.5, 0.5, 0.25, -0.25]), np.array([[0.5, 0.1], [0.0, 0.5]])],
+    "start, value",
+    [(np.diag([0.5, 0.5, 0.25, -0.25]), -0.25), (np.array([[0.5, 0.1], [0.0, 0.5]]), 0.1)],
     ids=["negative-eigenvalue", "non-hermitian"],
 )
-def test_series_rejects_start_that_is_not_psd(start):
+def test_series_rejects_start_that_is_not_psd(start, value):
+    # the package builds every start, so a bad one is an internal fault that
+    # carries the measured least eigenvalue or asymmetry
     qubits = len(start).bit_length() - 1
     ch = build_channels(QlllInstance.build(qubits, 2, [((0,), np.diag([0.0, 1.0]))]))
-    with pytest.raises(SeriesStartError, match="series start"):
+    with pytest.raises(InvariantError, match="probe: series start") as err:
         _sandwich_series(ch, (0,), frozenset(), start, "probe")
+    assert err.value.value == pytest.approx(value, abs=1e-15)
     # the conjugate-gradient route checks its start the same way
-    with pytest.raises(SeriesStartError, match="series start"):
+    with pytest.raises(InvariantError, match="probe: series start") as err:
         _krylov_solve(ch, start, "probe")
-    assert issubclass(SeriesStartError, ValueError)
+    assert err.value.value == pytest.approx(value, abs=1e-15)
 
 
 def test_refresh_set_ignores_id_order():

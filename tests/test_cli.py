@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qlll import bench, cli, instance
+from qlll import bench, cli, instance, oracles
 from qlll.instance import (
     QlllInstance,
     basis_projector,
@@ -277,6 +277,20 @@ def test_invariant_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert "relative residual 3.536e-01 > 1e-12" in lines[0]
 
 
+def test_stage_fault_exits_three(tmp_path, capsys, monkeypatch):
+    # the stage loop builds every stage start, so one that is not PSD is an
+    # internal fault, reported with its measured eigenvalue
+    refresh = oracles.ChannelSet.refresh
+    monkeypatch.setattr(oracles.ChannelSet, "refresh", lambda ch, i, op: -refresh(ch, i, op))
+    path = write_instance(tmp_path, disjoint_pair())
+    code, out, err = run_cli(["oracle", "--instance", path, "--sequence", "0,1"], capsys)
+    assert code == cli.EXIT_INVARIANT
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: sequence (0, 1) stage 1: series start has eigenvalue -")
+
+
 def test_witness_galton_watson_value(tmp_path, capsys):
     inst_path = write_instance(tmp_path, disjoint_pair())
     log_path = tmp_path / "log.json"
@@ -399,6 +413,17 @@ def test_exact_solve_past_the_dense_budget(tmp_path, capsys):
     result = last_json(out)["result"]
     assert result["successes"] >= 1
     assert result["min_success_overlap"] == 1.0
+
+
+def test_check_without_projectors(tmp_path, capsys):
+    # the search returns the empty certificate, which has no slack to report
+    path = write_instance(tmp_path, QlllInstance.build(2, 2, []))
+    code, out, err = run_cli(["check", "--instance", path, "--seed", "0"], capsys)
+    assert code == 0, err
+    result = last_json(out)["result"]
+    assert result["feasible"] is True
+    assert result["x"] == [] and result["min_slack"] is None
+    assert result["expected_violations_bound"] == 0.0
 
 
 def test_exact_solve_without_projectors(tmp_path, capsys):
@@ -582,6 +607,39 @@ def test_json_parse_diagnostic(tmp_path, capsys):
     code, _, err = run_cli(["gap", "--instance", str(bad)], capsys)
     assert code == 1
     assert "line 2" in err and "column" in err
+
+
+NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"
+BASIS = '"kind": "basis", "states": [0]'
+INSTANCE_DIAGNOSTICS = [
+    # checked before the d^k x d^k local matrix is built
+    ('{"n": 2, "d": 2, "projectors": [{"qudits": %s, %s}]}' % (list(range(20)), BASIS),
+     "qudit 2 outside register of 2 qudits"),
+    ('{"n": 20, "d": 2, "projectors": [{"qudits": %s, %s}]}' % (list(range(20)), BASIS),
+     "projector 0: local dimension 1048576 exceeds the dense budget 8192"),
+    # integers are read without truncation
+    ('{"n": 2, "d": 2, "projectors": [{"qudits": [0.5], %s}]}' % BASIS, NOT_AN_INTEGER),
+    ('{"n": 2, "d": 2, "projectors": [{"qudits": [0], "kind": "basis", "states": [1.7]}]}',
+     NOT_AN_INTEGER),
+    ('{"n": 1e400, "d": 2, "projectors": []}', NOT_AN_INTEGER),
+    ('{"n": 2, "d": 2.0, "projectors": []}', NOT_AN_INTEGER),
+    ('{"n": 2, "d": 2, "projectors": [{"qudits": [0], "kind": "rank_random", '
+     '"rank": 1.5, "seed": 3}]}', NOT_AN_INTEGER),
+    ('{"n": 2, "d": 2, "projectors": [{"qudits": [0], "kind": "rank_random", '
+     '"rank": 1, "seed": 3.5}]}', NOT_AN_INTEGER),
+]
+
+
+@pytest.mark.parametrize("text, message", INSTANCE_DIAGNOSTICS, ids=[
+    "qudit-outside-register", "local-dimension-over-budget", "fractional-qudit",
+    "fractional-state", "overflowing-n", "float-d", "fractional-rank", "fractional-seed",
+])
+def test_instance_diagnostic(text, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_cli(["check", "--instance", str(bad)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: {message}\n"
 
 
 DIMACS_DIAGNOSTICS = [

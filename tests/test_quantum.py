@@ -149,9 +149,15 @@ PINNED_EXACT_LOGS = {
 
 @pytest.mark.parametrize("seed", sorted(PINNED_EXACT_LOGS))
 def test_exact_solver_log_is_pinned(seed):
-    cfg = ExactSolverConfig(p=2, m_prime=3.0, fixed_order=(2, 0, 1))
-    log = run_exact_solver(hadamard_chain(), cfg, seed=seed).trajectory.log
-    assert (log.entries, log.total_steps) == PINNED_EXACT_LOGS[seed]
+    # the pins measured hadamard_chain's events in the order (2, 0, 1); the
+    # solver measures in id order, so the events are listed in that order
+    # and the logged ids mapped back
+    order = (2, 0, 1)
+    chain = hadamard_chain().projectors
+    inst = QlllInstance.build(3, 2, [(chain[i].qudits, chain[i].local_matrix) for i in order])
+    log = run_exact_solver(inst, ExactSolverConfig(p=2, m_prime=3.0), seed=seed).trajectory.log
+    entries = tuple((step, order[i]) for step, i in log.entries)
+    assert (entries, log.total_steps) == PINNED_EXACT_LOGS[seed]
 
 
 @pytest.mark.parametrize("make", [basis_ring, hadamard_chain, entangled_chain])
@@ -209,7 +215,7 @@ def test_kernel_weight_matches_the_kernel_projector(inst):
 def test_exact_solver_reports_its_kernel_weight():
     inst = hadamard_ring()
     # a cap of (m + 1) steps: some runs fail
-    cfg = ExactSolverConfig(p=2, m_prime=0.0, fixed_order=(0, 1, 2, 3))
+    cfg = ExactSolverConfig(p=2, m_prime=0.0)
     p0 = spectral_report(inst).p0
     outcomes = set()
     for seed in range(40):
@@ -222,7 +228,7 @@ def test_exact_solver_reports_its_kernel_weight():
             assert run.kernel_weight is None
     assert outcomes == {True, False}
     empty = QlllInstance.build(2, 2, [])
-    run = run_exact_solver(empty, ExactSolverConfig(p=2, m_prime=0.0, fixed_order=()), 0)
+    run = run_exact_solver(empty, ExactSolverConfig(p=2, m_prime=0.0), 0)
     assert run.success and run.kernel_weight == 1.0
 
 
@@ -407,7 +413,7 @@ def test_converger_deterministic_in_seed():
 
 def test_exact_solver_single_projector():
     inst = single_qubit_instance()
-    cfg = ExactSolverConfig(p=2, m_prime=1.0, fixed_order=(0,))
+    cfg = ExactSolverConfig(p=2, m_prime=1.0)
     wins = sum(
         run_exact_solver(inst, cfg, seed=s).success for s in range(2000)
     )
@@ -416,7 +422,7 @@ def test_exact_solver_single_projector():
 
 def test_exact_solver_zero_projectors_trivial_success():
     inst = zero_instance()
-    cfg = ExactSolverConfig(p=2, m_prime=0.0, fixed_order=(0, 1))
+    cfg = ExactSolverConfig(p=2, m_prime=0.0)
     result = run_exact_solver(inst, cfg, seed=0)
     assert result.success
     assert len(result.trajectory.log) == 0
@@ -425,8 +431,9 @@ def test_exact_solver_zero_projectors_trivial_success():
 
 
 def test_exact_solver_disjoint_pair_success_and_kernel():
-    inst = disjoint_pair()
-    cfg = ExactSolverConfig(p=4, m_prime=2.0, fixed_order=(1, 0))
+    # qubit 1's event first, as id 0
+    inst = QlllInstance.build(2, 2, [([1], Q1), ([0], Q1)])
+    cfg = ExactSolverConfig(p=4, m_prime=2.0)
     n = 1500
     wins = 0
     for s in range(n):
@@ -452,23 +459,19 @@ def test_exact_solver_rejects_noncommuting():
             ([0, 1], random_rank_projector(4, 1, rng)),
         ],
     )
-    cfg = ExactSolverConfig(p=2, m_prime=1.0, fixed_order=(0, 1))
+    cfg = ExactSolverConfig(p=2, m_prime=1.0)
     with pytest.raises(ValueError):
         run_exact_solver(inst, cfg, seed=0)
 
 
 def test_exact_solver_config_validation():
     with pytest.raises(ValueError):
-        ExactSolverConfig(p=1, m_prime=1.0, fixed_order=(0,))
+        ExactSolverConfig(p=1, m_prime=1.0)
     with pytest.raises(ValueError):
-        ExactSolverConfig(p=2, m_prime=-0.5, fixed_order=(0,))
-    inst = disjoint_pair()
-    cfg = ExactSolverConfig(p=2, m_prime=1.0, fixed_order=(0, 0))
-    with pytest.raises(ValueError):
-        run_exact_solver(inst, cfg, seed=0)
+        ExactSolverConfig(p=2, m_prime=-0.5)
 
 
 def test_exact_solver_iteration_cap():
-    cfg = ExactSolverConfig(p=3, m_prime=1.5, fixed_order=(0, 1))
+    cfg = ExactSolverConfig(p=3, m_prime=1.5)
     # (m+1)(p m' + 1) = 3 * 5.5 = 16.5 -> 17
     assert cfg.iteration_cap(2) == 17

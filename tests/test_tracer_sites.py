@@ -39,7 +39,7 @@ def test_every_traced_call_site_resolves():
 def test_traced_quantum_entry_points_give_units():
     q1 = np.diag([0.0, 1.0]).astype(complex)
     inst = QlllInstance.build(2, 2, [([0], q1), ([1], q1)])
-    cfg = ExactSolverConfig(p=2, m_prime=1.0, fixed_order=(0, 1))
+    cfg = ExactSolverConfig(p=2, m_prime=1.0)
     # (positional, keyword) arguments of one call per traced quantum layer
     calls = {
         "quantum.run_trajectory_batch": ((inst, 1, 4, 5), {}),
