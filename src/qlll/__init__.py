@@ -60,7 +60,6 @@ from .oracles import (
     build_channels,
     first_violation_gap_bound,
     halting_operator,
-    halting_operator_resolvent,
     partial_dag_channel_bound,
     sequence_operator,
     shortclaim_suite,

@@ -40,12 +40,6 @@ from .tensor import is_hermitian, make_rng
 from .tensor import embed, partial_trace  # noqa: F401
 from .witness import expected_violations_bound, label_intersection, occurs_in_log
 
-EXACT_MATCH_TOL = 1e-8        # two independent routes to the same number
-OVERLAP_MONOTONE_TOL = 1e-10  # allowed backslide in the ground overlap
-SERIES_VALUE_TOL = 1e-9
-DENSITY_TRACE_TOL = 1e-9
-METRIC_SLACK_TOL = 1e-9
-
 # the pair event weights multiply to (1/2) * (1/2)
 PAIR_PRODUCT_BOUND = 0.25
 # positive root of 10 a^2 + 3 a - 9: where the closed form crosses 1/4
@@ -62,7 +56,7 @@ def _check_density(rho, dim: int) -> np.ndarray:
         raise ValueError("density matrix must be Hermitian")
     if float(np.linalg.eigvalsh(rho).min()) < -config.PSD_TOL:
         raise ValueError("density matrix must be positive semidefinite")
-    if abs(np.trace(rho).real - 1.0) > DENSITY_TRACE_TOL:
+    if abs(np.trace(rho).real - 1.0) > config.DENSITY_TRACE_TOL:
         raise ValueError("density matrix must have unit trace")
     return rho
 
@@ -90,9 +84,10 @@ class ConvergenceSeries:
             or len(self.violation_probs) != len(steps)
         ):
             raise ValueError("series arrays disagree on length")
+        tol = config.SERIES_VALUE_TOL
         for arr in (self.ground_overlap, self.violation_probs):
             arr = np.asarray(arr, dtype=float)
-            if not -SERIES_VALUE_TOL <= arr.min() <= arr.max() <= 1.0 + SERIES_VALUE_TOL:
+            if not -tol <= arr.min() <= arr.max() <= 1.0 + tol:
                 raise ValueError("recorded probabilities must lie in [0, 1]")
 
 
@@ -134,7 +129,7 @@ def cp_map_iterate(
             break
         rho = chans.continue_step(rho, every)
         ground, viols = _readout(chans, p0, rho)
-        if ground < overlaps[-1] - OVERLAP_MONOTONE_TOL:
+        if ground < overlaps[-1] - config.OVERLAP_MONOTONE_TOL:
             raise InvariantError(
                 f"ground overlap decreased from {overlaps[-1]} to {ground}",
                 overlaps[-1] - ground,
@@ -279,7 +274,7 @@ def counterexample_audit(
     p = analytic["pr_tau"]
     sigma = math.sqrt(max(p * (1.0 - p), 1e-30) / trajectories)
     residual = abs(exact - p)
-    exact_pass = residual <= EXACT_MATCH_TOL
+    exact_pass = residual <= config.EXACT_MATCH_TOL
     mc_pass = abs(mc - p) <= 3.0 * sigma
     return {
         "a": a,
@@ -469,7 +464,7 @@ def convergence_metrics(rho, inst: QlllInstance) -> dict:
     gap = rep.gap
     if gap >= config.GAP_VACUOUS_TOL:
         ceiling = float(viols.mean()) / gap
-        if strong > ceiling + METRIC_SLACK_TOL:
+        if strong > ceiling + config.METRIC_SLACK_TOL:
             raise RuntimeError(
                 "weight outside the kernel exceeds its energy ceiling: "
                 f"{strong} > {ceiling}"

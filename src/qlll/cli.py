@@ -436,7 +436,7 @@ def _cmd_counterexample(cfg: argparse.Namespace):
     digest = instance_digest(cx.instance)
     result = dict(analytic)
     result["exact"] = exact
-    result["exact_matches_analytic"] = abs(exact - analytic["pr_tau"]) <= bench.EXACT_MATCH_TOL
+    result["exact_matches_analytic"] = abs(exact - analytic["pr_tau"]) <= config.EXACT_MATCH_TOL
     code = EXIT_OK
     if audit is not None:
         for key in (

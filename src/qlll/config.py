@@ -16,13 +16,26 @@ COMMUTE_TOL = 1e-10            # pairwise commutator norm for "verified commutin
 PSD_TOL = 1e-9                 # negative eigenvalue allowed in a density matrix
 KERNEL_EIG_TOL = 1e-9          # eigenvalues below this (relative) count as zero
 EIG_DISTINCT_TOL = 1e-9        # eigenvalues closer than this are one level
-PINV_RCOND = 1e-12             # singular values below rcond * sigma_max are zero
+NORM_TOL = 1e-10               # drift of a state vector's norm from 1
 
 # operator-series evaluation (geometric sums of the continue channel)
 SERIES_TRACE_TOL = 1e-12
 SERIES_MAX_TERMS = 100_000
 SEQUENCE_MAX_LEN = 4           # exact outcome operators for at most this many ids
 GAP_VACUOUS_TOL = 1e-10        # spectral gaps below this make the 1/(m*gap) bound vacuous
+
+# pass rules of the operator checks
+OUTCOME_PSD_TOL = 1e-9         # negative eigenvalue or trace drift of an outcome operator
+SLACK_TOL = 1e-9               # slack >= -tol counts as X <= Y in the PSD order
+RESIDUAL_TOL = 1e-9            # two routes to one operator agree within this
+EQUALITY_TOL = 1e-10           # a channel identity holds within this
+
+# pass rules of the benchmark checks
+EXACT_MATCH_TOL = 1e-8         # two independent routes to the same number
+OVERLAP_MONOTONE_TOL = 1e-10   # allowed backslide in the ground overlap
+SERIES_VALUE_TOL = 1e-9        # a probability series value outside [0, 1]
+DENSITY_TRACE_TOL = 1e-9       # |tr rho - 1| of a density matrix
+METRIC_SLACK_TOL = 1e-9        # a strong metric above its ceiling
 
 # certificate search
 CERT_MAX_SWEEPS = 10_000
@@ -52,8 +65,6 @@ DAG_VERTEX_CAP = 20            # hard cap for subset-memoised recursions
 STATE_BUDGET_D = 2 ** 13
 # density-matrix iteration keeps full D x D operators around
 DENSITY_BUDGET_D = 2 ** 11
-# superoperators are D^2 x D^2
-SUPEROP_BUDGET_D = 64
 
 
 def tolerance_snapshot() -> dict:
@@ -66,15 +77,23 @@ def tolerance_snapshot() -> dict:
         "psd_tol": PSD_TOL,
         "kernel_eig_tol": KERNEL_EIG_TOL,
         "eig_distinct_tol": EIG_DISTINCT_TOL,
-        "pinv_rcond": PINV_RCOND,
+        "norm_tol": NORM_TOL,
         "series_trace_tol": SERIES_TRACE_TOL,
         "series_max_terms": SERIES_MAX_TERMS,
         "sequence_max_len": SEQUENCE_MAX_LEN,
         "gap_vacuous_tol": GAP_VACUOUS_TOL,
+        "outcome_psd_tol": OUTCOME_PSD_TOL,
+        "slack_tol": SLACK_TOL,
+        "residual_tol": RESIDUAL_TOL,
+        "equality_tol": EQUALITY_TOL,
+        "exact_match_tol": EXACT_MATCH_TOL,
+        "overlap_monotone_tol": OVERLAP_MONOTONE_TOL,
+        "series_value_tol": SERIES_VALUE_TOL,
+        "density_trace_tol": DENSITY_TRACE_TOL,
+        "metric_slack_tol": METRIC_SLACK_TOL,
         "cert_max_sweeps": CERT_MAX_SWEEPS,
         "cert_sup_change_tol": CERT_SUP_CHANGE_TOL,
         "cert_x_ceiling": CERT_X_CEILING,
         "state_budget_d": STATE_BUDGET_D,
         "density_budget_d": DENSITY_BUDGET_D,
-        "superop_budget_d": SUPEROP_BUDGET_D,
     }

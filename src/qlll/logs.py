@@ -7,6 +7,7 @@ numbers makes logs self-describing in saved JSON reports.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -17,9 +18,13 @@ class ExecutionLog:
     seed: object = None
 
     def __post_init__(self):
+        # operator.index refuses 0.5 or 1e400 rather than truncating it
         object.__setattr__(
-            self, "entries", tuple((int(s), int(l)) for s, l in self.entries)
+            self,
+            "entries",
+            tuple((operator.index(s), operator.index(l)) for s, l in self.entries),
         )
+        object.__setattr__(self, "total_steps", operator.index(self.total_steps))
         steps = [s for s, _ in self.entries]
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ValueError("log steps must be strictly increasing")
@@ -41,7 +46,7 @@ class ExecutionLog:
 def log_from_dict(data: dict) -> ExecutionLog:
     return ExecutionLog(
         tuple((s, l) for s, l in data["entries"]),
-        int(data["total_steps"]),
+        data["total_steps"],
         data.get("seed"),
     )
 

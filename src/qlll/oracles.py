@@ -17,16 +17,13 @@ whose local matrix is zero off some local basis states is read and written
 only on the register rows and columns of its nonzero states, addressed by
 their positions; an event nonzero on every local state runs as layout
 sandwiches.
-Dense superoperators are quadratically bigger than states: the one dense
-route, the resolvent reference halting_operator_resolvent, and the lemma
-suite are gated on a small dimension budget (D <= 64 by default).
 
-Conventions: channels act on D x D operators; the resolvent reference and
-the lemma suite act on column-stacked vectors.  The continue channel T
-averages the complement sandwiches (1/m) sum_i (I - P_i) rho (I - P_i); its
-geometric series diverges on states the process never leaves, which is why
-every sum here is sandwiched by a measurement first (the increments then
-shrink geometrically and the sum is the quantity of interest).
+Conventions: channels, and the maps of the lemma suite, act on D x D
+operators.  The continue channel T averages the complement sandwiches
+(1/m) sum_i (I - P_i) rho (I - P_i); its geometric series diverges on
+states the process never leaves, which is why every sum here is sandwiched
+by a measurement first (the increments then shrink geometrically and the
+sum is the quantity of interest).
 
 sequence_operator and partial_dag_channel_bound run one stage loop
 (_stage_state): a stage sums the measured iterates of its start, then
@@ -38,7 +35,9 @@ product, so X comes from conjugate gradients (_krylov_solve), one continue
 step per iteration, about sqrt(kappa) steps where the series takes kappa;
 the stop rule and the error it implies on a measured trace are in its
 docstring.  The halting operators, identity (i) of verify_cp_identities
-and stage 0 read one kept solve from I/D.
+and stage 0 read one kept solve from I/D.  The lemma suite's
+pseudo-inverses are solves of the same loop (_cg_solve) on other
+Hilbert-Schmidt positive maps with the same kernel.
 
 Series form, only where the step patches absorbed ids and so is not
 self-adjoint (absorbing stages, traced_continuation_bound):
@@ -66,26 +65,17 @@ from .errors import InvariantError
 from .instance import QlllInstance, event_table, intersection_graph, spectral_report
 from .tensor import (
     EventBlock,
-    HilbertShape,
     LocalPlan,
-    devectorize,
     is_hermitian,
     make_rng,
     min_slack,
     partial_trace,
-    pseudoinverse,
     refill_mixed,
     sandwich_local,
-    vectorize,
 )
 # looked up here by the benchmark's tracer (perfbench/tracing.py)
 from .tensor import embed  # noqa: F401
 from .witness import build_partial_resample_dag, dag_probability, label_intersection
-
-OUTCOME_PSD_TOL = 1e-9
-SLACK_TOL = 1e-9
-RESIDUAL_TOL = 1e-9
-EQUALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,14 +100,14 @@ class OutcomeOperator:
         if not herm <= config.HERMITIAN_TOL * max(1.0, np.abs(op).max()):
             raise ValueError(f"outcome operator is not Hermitian ({herm:.2e})")
         lo = float(np.linalg.eigvalsh((op + op.conj().T) / 2)[0])
-        if not lo >= -OUTCOME_PSD_TOL:
+        if not lo >= -config.OUTCOME_PSD_TOL:
             raise ValueError(f"outcome operator has eigenvalue {lo:.2e} < 0")
         tr = np.trace(op)
-        if not abs(tr - self.probability) <= OUTCOME_PSD_TOL:
+        if not abs(tr - self.probability) <= config.OUTCOME_PSD_TOL:
             raise ValueError(
                 f"probability {self.probability} does not match trace {tr}"
             )
-        if not -OUTCOME_PSD_TOL <= self.probability <= 1 + OUTCOME_PSD_TOL:
+        if not -config.OUTCOME_PSD_TOL <= self.probability <= 1 + config.OUTCOME_PSD_TOL:
             raise ValueError(f"probability {self.probability} outside [0, 1]")
 
 
@@ -292,18 +282,6 @@ class ChannelSet:
         return self._halting
 
 
-def _channel_matrix(fn, shape: HilbertShape) -> np.ndarray:
-    D = shape.dim
-    mat = np.zeros((D * D, D * D), dtype=complex)
-    unit = np.zeros((D, D), dtype=complex)
-    for col in range(D * D):
-        unit.flat[:] = 0
-        # column-stacking: column index col is the matrix unit E_{row, c}
-        unit[col % D, col // D] = 1.0
-        mat[:, col] = vectorize(fn(unit))
-    return mat
-
-
 def build_channels(inst: QlllInstance) -> ChannelSet:
     return ChannelSet(inst)
 
@@ -318,13 +296,13 @@ def _check_series_start(start: np.ndarray, context: str) -> None:
             f"{context}: series start is not Hermitian (asymmetry {asym:.3e})", asym
         )
     lo = float(np.linalg.eigvalsh((start + start.conj().T) / 2)[0])
-    if lo < -OUTCOME_PSD_TOL:
+    if lo < -config.OUTCOME_PSD_TOL:
         raise InvariantError(f"{context}: series start has eigenvalue {lo:.3e} < 0", lo)
 
 
 def _krylov_solve(channels: ChannelSet, start, context: str) -> np.ndarray:
     """X = sum_t T^t b, b = start - P0 start P0, by conjugate gradients on
-    (I - T) X = b.
+    (I - T) X = b (:func:`_cg_solve`).
 
     T is the continue step with nothing absorbed and P0 the common-kernel
     projector of the instance's spectral report.  In the Hilbert-Schmidt
@@ -336,21 +314,35 @@ def _krylov_solve(channels: ChannelSet, start, context: str) -> np.ndarray:
     sum_t L T^t(start) L = L X L: the P0 start P0 part is fixed by T and
     killed by the sandwich.
 
+    For c L s L with L a rank-k projector, the error on its trace is
+    c |<L, (I - T)^+ r>| <= c sqrt(k) ||r|| / mu, for r the final residual
+    and mu the least eigenvalue of I - T on b's side.  mu >= eps / 2 for
+    eps the least nonzero eigenvalue of H = (1/m) sum_i P_i, since
+    <Y, (I - T) Y> >= (<Y, H Y> + <Y, Y H>) / 2.  The measurements
+    P_i s P_i / m together have trace tr(H x) = tr(b) - tr(r), within
+    sqrt(D) ||r|| of tr(b).
+    """
+    return _cg_solve(channels, lambda y: y - channels.continue_step(y), start, context)
+
+
+def _cg_solve(channels: ChannelSet, apply, start, context: str) -> np.ndarray:
+    """A^+ b for b = start - P0 start P0, by conjugate gradients from zero.
+
+    A, the map ``apply`` on D x D operators, must be self-adjoint and
+    positive semidefinite in the Hilbert-Schmidt inner product, with kernel
+    the operators P0 Y P0, for P0 the common-kernel projector of the
+    instance's spectral report; b is orthogonal to that kernel, so A is
+    positive definite on b's side.  P0 is only as exact as the spectral
+    report's zero cut.  The start is checked Hermitian PSD.
+
     Stop rule: ||r|| <= SERIES_TRACE_TOL ||b|| in the Hilbert-Schmidt norm,
-    for r = b - (I - T) x, checked again on the true operator after the
-    loop (one more continue step).  For c L s L with L a rank-k
-    projector, the error on its trace is c |<L, (I - T)^+ r>|
-    <= c sqrt(k) ||r|| / mu, mu the least eigenvalue of I - T on b's side.
-    mu >= eps / 2 for eps the least nonzero eigenvalue of
-    H = (1/m) sum_i P_i, since <Y, (I - T) Y> >= (<Y, H Y> + <Y, Y H>) / 2.
-    The measurements P_i s P_i / m together have trace tr(H x) =
-    tr(b) - tr(r), within sqrt(D) ||r|| of tr(b).  P0 is only as exact as
-    the spectral report's zero cut.
+    for r = b - A x, checked again on the true operator after the loop
+    (one more application of A).
 
     Raises InvariantError, carrying the measured value, when
-    <p, (I - T) p> <= 0 for a search direction p (T is not positive),
-    when SERIES_MAX_TERMS iterations pass without meeting the stop, or
-    when the true residual misses it.
+    <p, A p> <= 0 for a search direction p (A is not positive), when
+    SERIES_MAX_TERMS iterations pass without meeting the stop, or when the
+    true residual misses it.
     """
     s = np.asarray(start, dtype=complex)
     _check_series_start(s, context)
@@ -373,12 +365,11 @@ def _krylov_solve(channels: ChannelSet, start, context: str) -> np.ndarray:
                 f"{rel:.3e} > {config.SERIES_TRACE_TOL:.0e})",
                 rel,
             )
-        ap = p - channels.continue_step(p)
+        ap = apply(p)
         curvature = np.vdot(p, ap).real
         if curvature <= 0:
             raise InvariantError(
-                f"{context}: the continue step is not positive: "
-                f"<p, (I - T) p> = {curvature:.3e}",
+                f"{context}: the solved map is not positive: <p, A p> = {curvature:.3e}",
                 curvature,
             )
         alpha = rr / curvature
@@ -386,7 +377,7 @@ def _krylov_solve(channels: ChannelSet, start, context: str) -> np.ndarray:
         r -= alpha * ap
         rr, last = np.vdot(r, r).real, rr
         p = r + (rr / last) * p
-    true = np.linalg.norm(b - x + channels.continue_step(x))
+    true = np.linalg.norm(b - apply(x))
     if true > stop:
         rel = true / size
         raise InvariantError(
@@ -446,26 +437,6 @@ def halting_operator(
     a = _check_id(inst, a)
     ch = channels if channels is not None else build_channels(inst)
     return ch.halting_operators()[a]
-
-
-def halting_operator_resolvent(
-    inst: QlllInstance, a: int, channels: ChannelSet | None = None
-) -> OutcomeOperator:
-    """Same operator via the pseudo-inverse of (identity - continue channel).
-
-    The module's one dense route, a reference for the conjugate-gradient
-    solve within the superoperator budget: the D^2 x D^2 matrix of the
-    continue step is built one matrix unit at a time from the local channel.
-    The pseudo-inverse silently drops the continue channel's fixed space,
-    which the measurement sandwich annihilates anyway.
-    """
-    a = _check_id(inst, a)
-    inst.shape.check_budget(config.SUPEROP_BUDGET_D)
-    ch = channels if channels is not None else build_channels(inst)
-    D = inst.shape.dim
-    core = pseudoinverse(np.eye(D * D) - _channel_matrix(ch.continue_step, inst.shape))
-    x = ch.measure(a, devectorize(core @ vectorize(np.eye(D) / D))) / inst.m
-    return _outcome(x, ("halt-resolvent", a))
 
 
 def _stage_state(ch: ChannelSet, ids, absorbed_sets, context: str) -> np.ndarray:
@@ -564,7 +535,7 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
         default=np.inf,
     )
     parts.append(_report_entry(
-        "sandwich-series-group-bound", passed=slack > -SLACK_TOL, slack_min=slack
+        "sandwich-series-group-bound", passed=slack > -config.SLACK_TOL, slack_min=slack
     ))
 
     # (ii) refresh after measure on the maximally mixed state is a rescaling
@@ -575,7 +546,7 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
         want = rel[a] * eye
         resid = max(resid, np.abs(ch.refresh(a, ch.measure(a, eye)) - want).max())
     parts.append(_report_entry(
-        "refresh-after-measure", passed=resid < EQUALITY_TOL, residual=resid
+        "refresh-after-measure", passed=resid < config.EQUALITY_TOL, residual=resid
     ))
 
     # (iii) measuring twice equals measuring once
@@ -585,7 +556,7 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
             once = ch.measure(a, op)
             resid = max(resid, np.abs(ch.measure(a, once) - once).max())
     parts.append(_report_entry(
-        "measure-idempotent", passed=resid < EQUALITY_TOL, residual=resid,
+        "measure-idempotent", passed=resid < config.EQUALITY_TOL, residual=resid,
         seeds=[seed],
     ))
 
@@ -598,7 +569,7 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
             for op in inputs:
                 resid = max(resid, check(a, b, op))
         return _report_entry(
-            lemma, passed=resid < EQUALITY_TOL, residual=resid, seeds=[seed]
+            lemma, passed=resid < config.EQUALITY_TOL, residual=resid, seeds=[seed]
         )
 
     # pair_part reads every input of one pair in a row: one product per pair
@@ -637,7 +608,7 @@ def verify_cp_identities(inst: QlllInstance, seed: int = 2026) -> dict:
                 - ch.continue_step(ch.measure(a, op))
             ).max())
     parts.append(_report_entry(
-        "measure-continuation-commute", passed=resid < EQUALITY_TOL, residual=resid,
+        "measure-continuation-commute", passed=resid < config.EQUALITY_TOL, residual=resid,
         seeds=[seed], detail="generator-level check",
     ))
 
@@ -657,7 +628,7 @@ def first_violation_gap_bound(
     report = {
         "id": a,
         "probability": halt.probability,
-        "dimension_bound": {"pass": plain > -SLACK_TOL, "slack_min": plain},
+        "dimension_bound": {"pass": plain > -config.SLACK_TOL, "slack_min": plain},
     }
     gap = spectral_report(inst).gap
     if gap < config.GAP_VACUOUS_TOL:
@@ -667,84 +638,100 @@ def first_violation_gap_bound(
     else:
         slack = min_slack(halt.operator, p / (inst.m * gap * D))
         report["gap_bound"] = {
-            "pass": slack > -SLACK_TOL, "slack_min": slack,
+            "pass": slack > -config.SLACK_TOL, "slack_min": slack,
             "vacuous": False, "gap": gap,
         }
     return report
 
 
 def shortclaim_suite(inst: QlllInstance, product_ids) -> dict:
-    """Check the vectorized-operator lemmas behind the first-violation bound.
+    """Check the operator lemmas behind the first-violation bound.
 
     The instance projectors must all commute; ``product_ids`` selects the k
-    projectors whose product plays the distinguished role.
+    projectors whose product Pi plays the distinguished role.  The lemmas
+    read the maps A(X) = q X + X q, for q = sum_i P_i, and
+    B(X) = sum_i P_i X P_i on D x D operators.  A and A - B are
+    self-adjoint and positive semidefinite in the Hilbert-Schmidt inner
+    product, with kernel the operators P0 X P0, so each pseudo-inverse
+    applied to an operator is one :func:`_cg_solve`.  A - B is applied as
+    A(X) - B(X), not as the continue step it equals m (I - T), so
+    halting-route-agreement compares two routes.  q^+ comes from one
+    eigendecomposition of q, cut as the spectral report cuts its kernel.
     """
     ids = tuple(_check_id(inst, i) for i in product_ids)
     if not ids or len(set(ids)) != len(ids):
         raise ValueError("product ids must be a nonempty set without repeats")
     if not inst.is_commuting():
         raise ValueError("the lemma suite needs a verified commuting instance")
-    inst.shape.check_budget(config.SUPEROP_BUDGET_D)
+    ch = build_channels(inst)
     D = inst.shape.dim
     k = len(ids)
-    proj = [inst.embedded(i) for i in range(inst.m)]
-    q = sum(proj)
-    prod = np.eye(D, dtype=complex)
-    for i in ids:
-        prod = prod @ proj[i]
+    eye = np.eye(D, dtype=complex)
+    q = sum(inst.embedded(i) for i in range(inst.m))
+    prod = ch.measure_all(ids, eye)
     if np.abs(prod @ prod - prod).max() > config.IDEMPOTENT_TOL:
         raise RuntimeError("product of the selected projectors is not a projector")
+    ev, vecs = np.linalg.eigh(q)
+    keep = ev >= config.KERNEL_EIG_TOL * max(1.0, float(ev[-1]))
+    q_plus = (vecs[:, keep] / ev[keep]) @ vecs[:, keep].conj().T
 
-    eye2 = np.eye(D)
-    a_mat = np.kron(q.conj(), eye2) + np.kron(eye2, q)
-    b_mat = sum(np.kron(p.conj(), p) for p in proj)
-    bp = np.kron(prod.conj(), prod)
-    vec_id = vectorize(np.eye(D))
-    q_pinv = pseudoinverse(q)
-    a_pinv = pseudoinverse(a_mat)
-    ab_pinv = pseudoinverse(a_mat - b_mat)
+    def a_map(x):
+        return q @ x + x @ q
+
+    def b_map(x):
+        return sum(ch.measure(i, x) for i in range(inst.m))
+
+    def a_solve(y, what):
+        return _cg_solve(ch, a_map, y, f"lemma suite {ids}: A^+ {what}")
 
     lemmas = []
-    slack = min_slack(prod @ q_pinv @ prod, prod / k)
+    slack = min_slack(ch.measure_all(ids, q_plus), prod / k)
     lemmas.append(_report_entry(
-        "sum-pinv-product-bound", passed=slack > -SLACK_TOL, slack_min=slack
+        "sum-pinv-product-bound", passed=slack > -config.SLACK_TOL, slack_min=slack
     ))
 
-    resid = float(np.abs(devectorize(a_pinv @ vec_id) - q_pinv / 2).max())
+    a_eye = a_solve(eye, "I")
+    resid = float(np.abs(a_eye - q_plus / 2).max())
     lemmas.append(_report_entry(
-        "pair-sum-pinv-identity", passed=resid < RESIDUAL_TOL, residual=resid
+        "pair-sum-pinv-identity", passed=resid < config.RESIDUAL_TOL, residual=resid
     ))
 
-    slack = min_slack(devectorize(bp @ a_pinv @ vec_id), prod / (2 * k))
+    slack = min_slack(ch.measure_all(ids, a_eye), prod / (2 * k))
     lemmas.append(_report_entry(
-        "measured-pinv-bound", passed=slack > -SLACK_TOL, slack_min=slack
+        "measured-pinv-bound", passed=slack > -config.SLACK_TOL, slack_min=slack
     ))
 
-    resid = float(np.abs(devectorize(bp @ a_pinv @ b_mat @ vec_id) - prod / 2).max())
+    # B(I) = q
+    resid = float(np.abs(ch.measure_all(ids, a_solve(q, "q")) - prod / 2).max())
     lemmas.append(_report_entry(
-        "measured-pinv-measured-identity", passed=resid < RESIDUAL_TOL, residual=resid
+        "measured-pinv-measured-identity", passed=resid < config.RESIDUAL_TOL,
+        residual=resid,
     ))
 
-    slack = np.inf
-    w = vec_id
+    slack, w = np.inf, b_map(a_eye)
     for t in range(1, 4):
-        w = b_mat @ a_pinv @ w
-        slack = min(slack, min_slack(devectorize(w), q / 2 ** t))
+        if t > 1:
+            w = b_map(a_solve(w, f"decay step {t}"))
+        slack = min(slack, min_slack(w, q / 2 ** t))
     lemmas.append(_report_entry(
-        "repeated-measure-decay", passed=slack > -SLACK_TOL, slack_min=slack
+        "repeated-measure-decay", passed=slack > -config.SLACK_TOL, slack_min=slack
     ))
 
-    main = devectorize(bp @ ab_pinv @ vec_id)
+    main = ch.measure_all(ids, _cg_solve(
+        ch, lambda x: a_map(x) - b_map(x), eye, f"lemma suite {ids}: (A - B)^+ I"
+    ))
     slack = min_slack(main, (0.5 + 0.5 / k) * prod)
     lemmas.append(_report_entry(
-        "first-violation-product-bound", passed=slack > -SLACK_TOL, slack_min=slack
+        "first-violation-product-bound", passed=slack > -config.SLACK_TOL,
+        slack_min=slack,
     ))
 
     if k == 1:
-        halt = halting_operator(inst, ids[0])
+        halt = halting_operator(inst, ids[0], ch)
         resid = float(np.abs(main / D - halt.operator).max())
         lemmas.append(_report_entry(
-            "halting-route-agreement", passed=resid < RESIDUAL_TOL, residual=resid
+            "halting-route-agreement", passed=resid < config.RESIDUAL_TOL,
+            residual=resid,
         ))
 
     overall = all(e["pass"] for e in lemmas)
@@ -797,7 +784,7 @@ def partial_dag_channel_bound(inst: QlllInstance, relevant_ids, irrelevant_sets)
         "probability": prob,
         "dag_weight": weight,
         "bound": bound,
-        "pass": prob <= bound + SLACK_TOL,
+        "pass": prob <= bound + config.SLACK_TOL,
         "margin": bound - prob,
     }
 
@@ -834,5 +821,5 @@ def traced_continuation_bound(inst: QlllInstance, set_ids, gap_ids) -> dict:
         "set": list(ids),
         "gap": list(gap),
         "slack_min": slack,
-        "pass": slack > -1e-10,
+        "pass": slack > -config.EQUALITY_TOL,
     }

@@ -68,8 +68,6 @@ from .instance import QlllInstance, event_table, spectral_report
 from .logs import ExecutionLog
 from .tensor import EventTable, LocalPlan, make_rng
 
-NORM_TOL = 1e-10
-
 
 class _Factor(NamedTuple):
     """An event's range factor V (P = V V^dag) as v = V and vh = V^dag on
@@ -215,7 +213,7 @@ def _check_norm(states: np.ndarray) -> None:
     """Raise when any row of a (B, D) state array is off unit norm."""
     f = states.view(np.float64)
     drift = float(abs(np.vecdot(f, f) - 1.0).max())
-    if not drift <= NORM_TOL:  # NaN fails too
+    if not drift <= config.NORM_TOL:  # NaN fails too
         raise InvariantError(f"state norm drifted by {drift:.3e}", drift)
 
 

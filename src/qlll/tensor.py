@@ -1,11 +1,8 @@
 """Dense tensor-network primitives on a register of n qudits of dimension d.
 
-Conventions, fixed project-wide:
-
-* qudit 0 is the most significant tensor factor, so a basis state
-  |i_0 i_1 ... i_{n-1}> has index  i_0 d^{n-1} + i_1 d^{n-2} + ... + i_{n-1};
-* vectorisation is column-stacking, so vec(A X B) = (B^T kron A) vec(X) and a
-  conjugation X -> P X P turns into the matrix kron(P^T, P) acting on vec(X).
+Convention, fixed project-wide: qudit 0 is the most significant tensor
+factor, so a basis state |i_0 i_1 ... i_{n-1}> has index
+i_0 d^{n-1} + i_1 d^{n-2} + ... + i_{n-1}.
 """
 
 from __future__ import annotations
@@ -302,29 +299,6 @@ def refill_mixed(reduced: np.ndarray, plan: LocalPlan) -> np.ndarray:
     diag = np.arange(plan.dk)
     block[diag, :, :, diag] = np.asarray(reduced).reshape(r, r) / plan.dk
     return plan.op_from_local(block)
-
-
-def vectorize(op: np.ndarray) -> np.ndarray:
-    """Column-stacking vec of a square matrix."""
-    op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {op.shape}")
-    return op.flatten(order="F")
-
-
-def devectorize(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    vec = np.asarray(vec)
-    dim = int(round(np.sqrt(vec.size)))
-    if dim * dim != vec.size:
-        raise ValueError(f"vector of length {vec.size} is not a square matrix")
-    return vec.reshape(dim, dim, order="F")
-
-
-def pseudoinverse(op: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the relative singular-value cutoff
-    config.PINV_RCOND."""
-    return np.linalg.pinv(np.asarray(op, dtype=complex), rcond=config.PINV_RCOND)
 
 
 def is_hermitian(op: np.ndarray) -> bool:

@@ -14,6 +14,7 @@ the uniform leaf-removal process emits sequences earliest-first.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -47,8 +48,9 @@ class WitnessTree:
     parents: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(map(int, self.labels)))
-        object.__setattr__(self, "parents", tuple(map(int, self.parents)))
+        # operator.index refuses 0.5 or 1e400 rather than truncating it
+        object.__setattr__(self, "labels", tuple(map(operator.index, self.labels)))
+        object.__setattr__(self, "parents", tuple(map(operator.index, self.parents)))
         if not self.labels:
             raise ValueError("a witness tree has at least its root")
         if len(self.labels) != len(self.parents):
@@ -143,9 +145,11 @@ class ResampleDag:
     partial: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(l) for l in self.labels))
+        object.__setattr__(self, "labels", tuple(map(operator.index, self.labels)))
         object.__setattr__(
-            self, "edges", frozenset((int(u), int(v)) for u, v in self.edges)
+            self,
+            "edges",
+            frozenset((operator.index(u), operator.index(v)) for u, v in self.edges),
         )
         n = len(self.labels)
         for u, v in self.edges:
@@ -173,10 +177,11 @@ class ResampleDag:
 
 
 def dag_from_dict(data: dict) -> ResampleDag:
+    partial = data.get("partial", False)
+    if not isinstance(partial, bool):
+        raise ValueError(f'"partial" must be true or false, got {partial!r}')
     return ResampleDag(
-        tuple(data["labels"]),
-        frozenset((u, v) for u, v in data["edges"]),
-        bool(data.get("partial", False)),
+        tuple(data["labels"]), frozenset((u, v) for u, v in data["edges"]), partial
     )
 
 

@@ -16,16 +16,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_refresh
+from helpers import dense_refresh, halting_operator_resolvent
 from qlll import bench, oracles
 from qlll.instance import QlllInstance, basis_projector, random_rank_projector
 from qlll.errors import InvariantError
 from qlll.oracles import (
+    _cg_solve,
     _krylov_solve,
     _sandwich_series,
     build_channels,
     halting_operator,
-    halting_operator_resolvent,
 )
 from qlll.tensor import HilbertShape, embed, make_rng, nonzero_states, partial_trace
 
@@ -331,3 +331,12 @@ def test_refresh_set_ignores_id_order():
     first = ch.refresh_set((1, 0), op)
     assert np.abs(ch.refresh_set((0, 1), op) - first).max() == 0.0
     assert np.abs(first - dense_refresh(op, (0, 2, 3), shape)).max() < TOL
+
+
+def test_solve_rejects_a_map_that_is_not_positive():
+    # the loop checks <p, A p> > 0 on every search direction, whatever A is
+    ch = build_channels(QlllInstance.build(1, 2, [((0,), np.diag([0.0, 1.0]))]))
+    with pytest.raises(InvariantError, match="probe: the solved map is not positive") as err:
+        _cg_solve(ch, lambda x: -x, np.eye(2) / 2, "probe")
+    # b = I/2 - P0 (I/2) P0 = diag(0, 1/2), so <b, -b> = -1/4
+    assert err.value.value == pytest.approx(-0.25, abs=1e-15)

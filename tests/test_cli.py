@@ -222,6 +222,22 @@ def test_witness_on_handwritten_log(tmp_path, capsys):
     assert result["galton_watson"] is None  # this family has no certificate
 
 
+@pytest.mark.parametrize("log_text", [
+    '{"entries": [[0.5, 1.7]], "total_steps": 4}',
+    '{"entries": [[0, 1]], "total_steps": 1e400}',
+], ids=["fractional-entry", "overflowing-total-steps"])
+def test_witness_refuses_a_log_number_that_is_not_an_integer(log_text, tmp_path, capsys):
+    # read with operator.index: neither truncated to (0, 1) nor an OverflowError
+    inst_path = write_instance(tmp_path, diag3())
+    log_path = tmp_path / "log.json"
+    log_path.write_text(log_text)
+    code, out, err = run_cli(
+        ["witness", "--instance", inst_path, "--log", str(log_path)], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {log_path}: {NOT_AN_INTEGER}\n"
+
+
 def _cyclic_log(tmp_path, count):
     log_path = tmp_path / "long_log.json"
     entries = [[step, step % 3] for step in range(count)]
@@ -456,8 +472,8 @@ def test_oracle_halting_and_suites(tmp_path, capsys):
 
 
 def test_oracle_halting_past_the_superoperator_budget(tmp_path, capsys):
-    # D = 128: the halting report runs on the local channels; the lemma
-    # suite still stops at the superoperator budget
+    # D = 128: the halting report and the lemma suite run on the local
+    # channels and conjugate-gradient solves, with no D^2 x D^2 matrix
     m = 7
     path = write_instance(tmp_path, QlllInstance.build(m, 2, [((q,), P1) for q in range(m)]))
     code, out, _ = run_cli(["oracle", "--instance", path, "--halting", "0"], capsys)
@@ -468,9 +484,20 @@ def test_oracle_halting_past_the_superoperator_budget(tmp_path, capsys):
     assert halting["dimension_bound"]["pass"]
     assert halting["gap_bound"]["pass"] and not halting["gap_bound"]["vacuous"]
     assert "route_residual" not in halting
-    code, _, err = run_cli(["oracle", "--instance", path, "--shortclaim", "0"], capsys)
-    assert code == 1
-    assert "budget 64" in err
+    code, out, err = run_cli(["oracle", "--instance", path, "--shortclaim", "0"], capsys)
+    assert code == 0, err
+    assert last_json(out)["result"]["shortclaim"]["pass"]
+
+
+def test_oracle_shortclaim_on_an_eight_qubit_chain(tmp_path, capsys):
+    # D = 256: seven |11> events on (i, i + 1)
+    inst = QlllInstance.build(8, 2, [((i, i + 1), basis_projector(4, [3])) for i in range(7)])
+    path = write_instance(tmp_path, inst)
+    code, out, err = run_cli(["oracle", "--instance", path, "--shortclaim", "0"], capsys)
+    assert code == 0, err
+    suite = last_json(out)["result"]["shortclaim"]
+    assert suite["pass"]
+    assert len(suite["lemmas"]) == 7
 
 
 def test_oracle_requires_a_request(tmp_path, capsys):
@@ -508,6 +535,23 @@ def test_conjecture_subcommand(tmp_path, capsys):
     )
     assert code == 0
     assert last_json(out)["result"]["ratio"] > 1.0
+
+
+@pytest.mark.parametrize("tree, message", [
+    ('{"labels": [1e400], "parents": [-1]}', "'float' object cannot be interpreted as an integer"),
+    ('{"labels": [0, 1], "edges": [], "partial": "false"}',
+     "\"partial\" must be true or false, got 'false'"),
+], ids=["overflowing-label", "string-partial-flag"])
+def test_conjecture_refuses_a_tree_that_is_not_strictly_typed(tree, message, tmp_path, capsys):
+    # read strictly: neither an OverflowError nor "false" taken as true
+    inst_path = write_instance(tmp_path, diag3())
+    code, out, err = run_cli(
+        ["conjecture", "--instance", inst_path, "--tree", tree, "--mode", "exact",
+         "--budget", "10"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: --tree: {message}\n"
 
 
 def test_cpmap_json_and_csv(tmp_path, capsys):

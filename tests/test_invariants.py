@@ -9,7 +9,7 @@ import pytest
 from qlll import bench, cli, config, quantum
 from qlll.errors import InvariantError
 from qlll.instance import QlllInstance, instance_to_dict, spectral_report
-from qlll.oracles import build_channels
+from qlll.oracles import build_channels, shortclaim_suite
 from qlll.quantum import (
     ExactSolverConfig,
     _check_norm,
@@ -108,6 +108,14 @@ def test_series_non_convergence(monkeypatch):
     monkeypatch.setattr(config, "SERIES_MAX_TERMS", 2)
     with pytest.raises(InvariantError, match="did not converge") as err:
         build_channels(three_qubits()).halting_operators()
+    assert err.value.value >= config.SERIES_TRACE_TOL
+
+
+def test_lemma_suite_non_convergence(monkeypatch):
+    # the suite's pseudo-inverses run the same conjugate-gradient loop
+    monkeypatch.setattr(config, "SERIES_MAX_TERMS", 1)
+    with pytest.raises(InvariantError, match=r"lemma suite \(0,\): A\^\+ I: conjugate") as err:
+        shortclaim_suite(three_qubits(), [0])
     assert err.value.value >= config.SERIES_TRACE_TOL
 
 

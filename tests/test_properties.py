@@ -5,18 +5,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_refresh
+from helpers import dense_refresh, devectorize, vectorize
 from qlll.instance import QlllInstance, random_rank_projector
 from qlll.oracles import build_channels
-from qlll.tensor import (
-    HilbertShape,
-    LocalPlan,
-    devectorize,
-    embed,
-    make_rng,
-    partial_trace,
-    vectorize,
-)
+from qlll.tensor import HilbertShape, LocalPlan, embed, make_rng, partial_trace
 
 TOL = 1e-12
 

@@ -113,3 +113,13 @@ def test_every_optional_parameter_is_passed():
                 if not any(passes(call, name, position) for call in calls.get(node.name, ())):
                     unpassed.append(f"{path.name}:{node.lineno} {node.name}({name})")
     assert not unpassed, "optional parameters that no call passes: " + ", ".join(unpassed)
+
+
+def test_no_module_calls_pinv():
+    """Every pseudo-inverse in the package is a conjugate-gradient solve or a
+    cut eigendecomposition; the dense pinv references live in tests/."""
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "pinv" in names_of(node)]
+    assert not calls, "pinv in the package: " + ", ".join(calls)

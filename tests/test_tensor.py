@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import kernel_projector
+from helpers import devectorize, kernel_projector, pseudoinverse, vectorize
 from qlll.tensor import (
     HilbertShape,
-    devectorize,
     embed,
     is_hermitian,
     make_rng,
     min_slack,
     partial_trace,
-    pseudoinverse,
-    vectorize,
 )
 
 
