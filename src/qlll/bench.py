@@ -349,7 +349,6 @@ class ConjectureReport:
     of its event weights and the gap-scaled variant.  Evidence only; no
     field asserts that either comparison holds in general."""
 
-    structure: object
     mode: str
     sense: str
     probability: float
@@ -434,7 +433,6 @@ def conjecture_test(
         raise ValueError(f"unknown mode {mode!r}")
 
     return ConjectureReport(
-        structure=structure,
         mode=mode,
         sense=sense,
         probability=float(probability),

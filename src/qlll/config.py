@@ -18,7 +18,7 @@ KERNEL_EIG_TOL = 1e-9          # eigenvalues below this (relative) count as zero
 EIG_DISTINCT_TOL = 1e-9        # eigenvalues closer than this are one level
 NORM_TOL = 1e-10               # drift of a state vector's norm from 1
 
-# operator-series evaluation (geometric sums of the continue channel)
+# outcome-operator solves (CG, GMRES): relative residual stop and step cap
 SERIES_TRACE_TOL = 1e-12
 SERIES_MAX_TERMS = 100_000
 SEQUENCE_MAX_LEN = 4           # exact outcome operators for at most this many ids

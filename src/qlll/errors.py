@@ -5,7 +5,7 @@ from __future__ import annotations
 
 class InvariantError(RuntimeError):
     """An internal invariant failed: norm drift, a falling ground overlap,
-    a series that did not converge, a run that left the kernel, or a
+    a solve that did not converge, a run that left the kernel, or a
     spectral summary that contradicts itself.
 
     ``value`` is the measured quantity that broke the invariant.

@@ -2,33 +2,26 @@
 
 The process measures a uniformly chosen bad-event projector each step.  For a
 fixed instance the unnormalized state reached when the first few violations
-come out in a prescribed order is an exact linear-algebra object: a sum of a
-geometric operator series.  This module computes those operators on dense
-D x D operators and checks every operator identity and inequality the
-analysis rests on.
+come out in a prescribed order is an exact linear-algebra object: the sum of
+a geometric operator series, computed as one linear solve.  This module
+computes those operators on dense D x D operators and checks every operator
+identity and inequality the analysis rests on.
 
 All routes here are exact up to a stated solver tolerance; nothing is
-sampled.  The channels apply each event on its own qudits, so the outcome
-operators are computed on any instance within the density budget (D <= 2048
-by default).
-Where an event sits on the register comes from the instance's event table
-(instance.event_table), which the state-vector step reads too: an event
-whose local matrix is zero off some local basis states is read and written
-only on the register rows and columns of its nonzero states, addressed by
-their positions; an event nonzero on every local state runs as layout
-sandwiches.
+sampled.  The channels apply each event on its own qudits (ChannelSet), so
+the outcome operators are computed on any instance within the density
+budget (D <= 2048 by default).
 
 Conventions: channels, and the maps of the lemma suite, act on D x D
 operators.  The continue channel T averages the complement sandwiches
 (1/m) sum_i (I - P_i) rho (I - P_i); its geometric series diverges on
 states the process never leaves, which is why every sum here is sandwiched
-by a measurement first (the increments then shrink geometrically and the
-sum is the quantity of interest).
+by a measurement first; every such sum is a linear solve.
 
 sequence_operator and partial_dag_channel_bound run one stage loop
 (_stage_state): a stage sums the measured iterates of its start, then
-refreshes its id.  Solve form, for a stage that absorbs nothing: the
-measurement annihilates the common kernel P0 of the events, so
+refreshes its id.  For a stage that absorbs nothing the measurement
+annihilates the common kernel P0 of the events, so
 sum_t measure(a, T^t s) / m = measure(a, X) / m with (I - T) X =
 s - P0 s P0.  T is self-adjoint and positive in the Hilbert-Schmidt inner
 product, so X comes from conjugate gradients (_krylov_solve), one continue
@@ -39,22 +32,19 @@ and stage 0 read one kept solve from I/D.  The lemma suite's
 pseudo-inverses are solves of the same loop (_cg_solve) on other
 Hilbert-Schmidt positive maps with the same kernel.
 
-Series form, only where the step patches absorbed ids and so is not
-self-adjoint (absorbing stages, traced_continuation_bound):
-_sandwich_series keeps one running sum of the iterates, reads only the
-trace of the measured term per term, and measures the running sum once,
-at the stop; a group of disjoint ids is measured one id after another.
-Every continue step runs as m local channels summed into one array.
+Where the step patches absorbed ids (absorbing stages,
+traced_continuation_bound) it is not self-adjoint, and the sum is a GMRES
+solve (_absorbed_solve).  Every continue step runs as m local channels
+summed into one array.
 
-Every series start is built here, so both forms check it Hermitian PSD and
-treat one that is not as an internal fault (InvariantError, carrying the
-measured asymmetry or least eigenvalue).  The process gap the bounds scale
-by is read from the instance's spectral report, spectral_report(inst).gap.
+Both solves check their start Hermitian PSD (_check_series_start).  The
+process gap the bounds scale by is spectral_report(inst).gap.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -287,7 +277,7 @@ def build_channels(inst: QlllInstance) -> ChannelSet:
 
 
 def _check_series_start(start: np.ndarray, context: str) -> None:
-    """Every series start is built in this module, so one that is not
+    """Every solve start is built in this module, so one that is not
     Hermitian PSD is an internal fault: InvariantError with the measured
     asymmetry or least eigenvalue."""
     if not is_hermitian(start):
@@ -389,38 +379,61 @@ def _cg_solve(channels: ChannelSet, apply, start, context: str) -> np.ndarray:
     return x
 
 
-def _sandwich_series(ch: ChannelSet, ids, absorbed, start, context: str) -> np.ndarray:
-    """Sum measure_all(ids, s_t) / m over t >= 0, on one running sum of the
-    iterates s_t = T^t(start), T the continue step with ``absorbed`` patched.
+def _gmres_solve(apply, rhs, context: str) -> np.ndarray:
+    """A^-1 b for the map A = ``apply`` on D x D operators, which need not
+    be self-adjoint, by restarted GMRES from zero (Saad & Schultz 1986):
+    Arnoldi with modified Gram-Schmidt in the Hilbert-Schmidt inner product
+    and a least-squares solve on the Hessenberg matrix per step.  The basis
+    holds at most BATCH_STATE_ENTRIES // D^2 operators; a full basis, or a
+    cycle that meets the stop on its recurrence, restarts from the true
+    residual.  Stop rule: ||b - A x|| <= SERIES_TRACE_TOL ||b||, met on the
+    true operator.  Raises InvariantError, carrying the true relative
+    residual, once SERIES_MAX_TERMS applications of A miss it."""
+    b = np.asarray(rhs, dtype=complex)
+    size = np.linalg.norm(b)
+    stop = config.SERIES_TRACE_TOL * size
+    width = max(1, config.BATCH_STATE_ENTRIES // b.size)
+    x, r, steps = np.zeros_like(b), b, 0
+    while (beta := np.linalg.norm(r)) > stop:
+        if steps >= config.SERIES_MAX_TERMS:
+            raise InvariantError(
+                f"{context}: GMRES did not converge within {steps} steps (relative "
+                f"residual {beta / size:.3e} > {config.SERIES_TRACE_TOL:.0e})", beta / size
+            )
+        basis, h = [r / beta], np.zeros((1, 0), dtype=complex)
+        for j in range(min(width, config.SERIES_MAX_TERMS - steps)):
+            steps += 1
+            w = apply(basis[j])
+            h = np.pad(h, ((0, 1), (0, 1)))
+            for i, v in enumerate(basis):
+                h[i, j] = np.vdot(v, w)
+                w -= h[i, j] * v
+            h[j + 1, j] = np.linalg.norm(w)
+            e = beta * np.eye(j + 2)[0]
+            y = np.linalg.lstsq(h, e, rcond=None)[0]
+            if np.linalg.norm(h @ y - e) <= stop or not h[j + 1, j]:
+                break
+            basis.append(w / h[j + 1, j])
+        x += sum(c * v for c, v in zip(y, basis))
+        r = b - apply(x)
+    return x
 
-    The measurement is linear, so the sum is the measured running sum: a
-    term reads only the trace of its measured term, and the ids are
-    measured once, at the stop.  Measurement and step are CP maps and the
-    start is checked Hermitian PSD, so every term is PSD and its trace is
-    its trace norm: the sum stops at its first term with trace below the
-    series tolerance, that term included.  The measurement annihilates the
-    fixed points of the step, so the terms decay.
-    """
-    s = np.asarray(start, dtype=complex)
-    _check_series_start(s, context)
-    *before, last_id = ids
-    total = np.zeros_like(s)
-    for _ in range(config.SERIES_MAX_TERMS):
-        total += s
-        term = ch.measure_trace(last_id, ch.measure_all(before, s))
-        last = float((term / ch.m).real)
-        if last < config.SERIES_TRACE_TOL:
-            return ch.measure_all(ids, total) / ch.m
-        s = ch.continue_step(s, absorbed)
-    raise InvariantError(
-        f"{context}: operator series did not converge within "
-        f"{config.SERIES_MAX_TERMS} terms (series: last increment trace {last:.3e})",
-        last,
-    )
+
+def _absorbed_solve(ch: ChannelSet, ids, absorbed, start, context: str) -> np.ndarray:
+    """Sum measure_all(ids, S^t start) / m over t >= 0, S the continue step
+    with ``absorbed`` patched, as X / m for (I - S) X = measure_all(ids,
+    start) by :func:`_gmres_solve`.  The callers need a commuting instance
+    and absorbed ids that miss every measured id, so the measurement
+    commutes with S; it kills the measured id's own complement term, so S
+    shrinks a measured operator's trace norm by at least (m - 1) / m and
+    I - S is invertible there.  The start is checked Hermitian PSD."""
+    _check_series_start(start, context)
+    rhs = ch.measure_all(ids, start)
+    return _gmres_solve(lambda y: y - ch.continue_step(y, absorbed), rhs, context) / ch.m
 
 
 def _check_id(inst: QlllInstance, a: int) -> int:
-    a = int(a)
+    a = operator.index(a)
     if not 0 <= a < inst.m:
         raise ValueError(f"projector id {a} outside 0..{inst.m - 1}")
     return a
@@ -445,15 +458,15 @@ def _stage_state(ch: ChannelSet, ids, absorbed_sets, context: str) -> np.ndarray
     absorbed_sets[i], then refreshes ids[i].
 
     A stage that absorbs nothing is one conjugate-gradient solve; stage 0
-    starts from I/D and reads the channel set's kept solve.  Only a stage
-    that absorbs ids runs :func:`_sandwich_series`.
+    starts from I/D and reads the channel set's kept solve.  A stage that
+    absorbs ids is one GMRES solve (:func:`_absorbed_solve`).
     """
     D = ch.shape.dim
     state = np.eye(D, dtype=complex) / D
     for pos, (a, absorbed) in enumerate(zip(ids, absorbed_sets)):
         stage = f"{context} stage {pos}"
         if absorbed:
-            acc = _sandwich_series(ch, (a,), absorbed, state, stage)
+            acc = _absorbed_solve(ch, (a,), absorbed, state, stage)
         else:
             x = ch.mixed_solve() if pos == 0 else _krylov_solve(ch, state, stage)
             acc = ch.measure(a, x) / ch.m
@@ -810,7 +823,7 @@ def traced_continuation_bound(inst: QlllInstance, set_ids, gap_ids) -> dict:
 
     ch = build_channels(inst)
     eye = np.eye(inst.shape.dim) / inst.shape.dim
-    acc = _sandwich_series(ch, ids, frozenset(gap), eye, f"traced bound {ids}")
+    acc = _absorbed_solve(ch, ids, frozenset(gap), eye, f"traced bound {ids}")
     rhs = ch.measure_all(ids, eye) / len(ids)
     qudits = sorted({q for x in gap for q in inst.projectors[x].qudits})
     if qudits:

@@ -291,9 +291,6 @@ class TrajectoryBatch:
     violations: np.ndarray
     first_labels: np.ndarray | None
     horizon_violations: dict
-    seed: int
-    n_traj: int
-    max_steps: int
 
 
 def run_trajectory_batch(
@@ -376,9 +373,6 @@ def run_trajectory_batch(
         violations=violations,
         first_labels=first,
         horizon_violations=snapshots,
-        seed=seed,
-        n_traj=n_traj,
-        max_steps=max_steps,
     )
 
 
@@ -388,9 +382,6 @@ class ConvergerResult:
 
     mean_violation_prob: np.ndarray
     ground_overlap: float
-    samples: int
-    t: int
-    seed: int
 
 
 def _ground_overlap_fn(inst: QlllInstance, events: EventTable):
@@ -438,9 +429,6 @@ def run_converger(
     return ConvergerResult(
         mean_violation_prob=np.clip(acc / samples, 0.0, 1.0),
         ground_overlap=min(max(acc_ground / samples, 0.0), 1.0),
-        samples=samples,
-        t=t,
-        seed=seed,
     )
 
 

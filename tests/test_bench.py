@@ -374,10 +374,9 @@ def test_conjecture_budget_and_mode_errors():
 
 
 def test_conjecture_report_validates_probability():
-    tree = tree_from_nested((0, ()))
     with pytest.raises(ValueError):
         bench.ConjectureReport(
-            structure=tree, mode="exact", sense="first-window", probability=1.5,
+            mode="exact", sense="first-window", probability=1.5,
             sigma=0.0, product_bound=0.5, ratio=3.0, gap_bound=None,
             gap_ratio=None, samples=1, seed=None,
         )

@@ -21,9 +21,9 @@ from qlll import bench, oracles
 from qlll.instance import QlllInstance, basis_projector, random_rank_projector
 from qlll.errors import InvariantError
 from qlll.oracles import (
+    _absorbed_solve,
     _cg_solve,
     _krylov_solve,
-    _sandwich_series,
     build_channels,
     halting_operator,
 )
@@ -313,7 +313,7 @@ def test_series_rejects_start_that_is_not_psd(start, value):
     qubits = len(start).bit_length() - 1
     ch = build_channels(QlllInstance.build(qubits, 2, [((0,), np.diag([0.0, 1.0]))]))
     with pytest.raises(InvariantError, match="probe: series start") as err:
-        _sandwich_series(ch, (0,), frozenset(), start, "probe")
+        _absorbed_solve(ch, (0,), frozenset(), start, "probe")
     assert err.value.value == pytest.approx(value, abs=1e-15)
     # the conjugate-gradient route checks its start the same way
     with pytest.raises(InvariantError, match="probe: series start") as err:

@@ -474,6 +474,22 @@ def test_traced_bound_gap_must_miss_every_set_id():
             traced_continuation_bound(inst, ids, gap)
 
 
+def test_ids_are_read_as_integers_not_truncated():
+    # a float id once truncated: 1.7 read as 1, 0.9 as 0, the gap id 0.5 as 0
+    inst = three_disjoint()
+    with pytest.raises(TypeError):
+        sequence_operator(inst, [1.7])
+    with pytest.raises(TypeError):
+        halting_operator(inst, 0.9)
+    with pytest.raises(TypeError):
+        partial_dag_channel_bound(inst, (2,), [{0.5}])
+    with pytest.raises(TypeError):
+        traced_continuation_bound(inst, (1, 2), (0.5,))
+    # numpy integers are integers
+    assert sequence_operator(inst, [np.int64(1)]).provenance == ("sequence", 1)
+    assert halting_operator(inst, np.int32(0)).provenance == ("halt", 0)
+
+
 def test_halting_matches_trajectory_frequencies():
     inst = counterexample_a1()
     probs = [halting_operator(inst, a).probability for a in range(inst.m)]

@@ -1,15 +1,13 @@
-"""The outcome-operator sums: conjugate-gradient solves and running-sum series.
+"""The outcome-operator sums: conjugate-gradient and GMRES solves.
 
 Sums from the continue step with nothing absorbed come from one
-conjugate-gradient solve each, and the absorbed-set series keep one running
-sum of the iterates; both measure each id once.  The values are checked
+conjugate-gradient solve each, and sums whose step absorbs ids from one
+GMRES solve each; both measure each id once.  The values are checked
 against per-term series (every iterate is summed on its own), kept here as
-a reference.  In place of a solve it runs to a trace stop of 1e-17, so its
-own truncation stays far below the tolerance; in place of a running-sum
-series it measures every term and keeps that series' stop rule, so the two
-are the same sum.  Work counts wrap the channel methods, so the claims
-"one solve per pass" and "one measurement per id per pass" do not rest on
-wall-clock time.
+a reference.  In place of either solve it runs to a trace stop of 1e-17,
+so its own truncation stays far below the tolerance.  Work counts wrap the
+channel methods, so the claims "one solve per pass", "one measurement per
+id per pass" and the step counts do not rest on wall-clock time.
 """
 
 import numpy as np
@@ -61,7 +59,7 @@ def measured_by(channels, ids):
 
 @pytest.fixture
 def per_term(monkeypatch):
-    """Run every solve and series as a per-term reference series."""
+    """Run every solve as a per-term reference series."""
 
     def solve(channels, start, context):
         # the solve's X: the iterates of start less its fixed part, summed
@@ -76,17 +74,17 @@ def per_term(monkeypatch):
             lambda s: sum(np.trace(channels.measure(i, s)) for i in ids) / channels.m,
         )
 
-    def series(channels, ids, absorbed, start, context):
+    def absorbed(channels, ids, absorbed, start, context):
         return per_term_series(
             measured_by(channels, ids),
             lambda s: channels.continue_step(s, absorbed),
             start,
-            config.SERIES_TRACE_TOL,
+            REFERENCE_TRACE_STOP,
         )
 
     def use():
         monkeypatch.setattr(oracles, "_krylov_solve", solve)
-        monkeypatch.setattr(oracles, "_sandwich_series", series)
+        monkeypatch.setattr(oracles, "_absorbed_solve", absorbed)
 
     return use
 
@@ -118,8 +116,26 @@ def chain4():
     )
 
 
+def eight_ones():
+    """|1><1| on each of 8 qubits (D = 256); every pair is disjoint."""
+    return QlllInstance.build(8, 2, [([i], Q1) for i in range(8)])
+
+
+def absorbed_outputs():
+    """The outputs of every sum whose step absorbs ids."""
+    out = {}
+    for inst, seq, gaps in [(three_disjoint(), (2,), [{0}]),
+                            (chain4(), (0, 2), [{1, 3}, {1, 3}])]:
+        report = partial_dag_channel_bound(inst, seq, gaps)
+        out[f"partial {seq}"] = report["probability"]
+    for name, inst, ids, gap in [("three disjoint", three_disjoint(), (1, 2), (0,)),
+                                 ("chain4", chain4(), (1, 2), (3,))]:
+        out[f"traced {name} {ids}"] = traced_continuation_bound(inst, ids, gap)["slack_min"]
+    return out
+
+
 def series_outputs():
-    """Every series caller's outputs, as floats and operators."""
+    """Every solve caller's outputs, as floats and operators."""
     out = {}
     for a in (0.3, 0.7, 0.95):
         out[f"counterexample {a}"] = bench.counterexample_exact(a)
@@ -132,17 +148,10 @@ def series_outputs():
     ch = build_channels(inst)
     for ids in [(0, 1), (1, 0, 2), (2, 2)]:
         out[f"sequence {ids}"] = sequence_operator(inst, ids, ch).operator
-    for inst, seq, gaps in [(three_disjoint(), (2,), [{0}]),
-                            (chain4(), (0, 2), [{1, 3}, {1, 3}])]:
-        report = partial_dag_channel_bound(inst, seq, gaps)
-        out[f"partial {seq}"] = report["probability"]
-    for name, inst, ids, gap in [("three disjoint", three_disjoint(), (1, 2), (0,)),
-                                 ("chain4", chain4(), (1, 2), (3,))]:
-        out[f"traced {name} {ids}"] = traced_continuation_bound(inst, ids, gap)["slack_min"]
-    return out
+    return out | absorbed_outputs()
 
 
-def test_running_sum_matches_per_term_series(per_term):
+def test_solves_match_per_term_series(per_term):
     new = series_outputs()
     per_term()
     old = series_outputs()
@@ -170,17 +179,41 @@ def test_partial_bound_without_gaps_is_the_sequence_operator():
     assert abs(sequence - want) <= 1e-14
 
 
-def test_series_non_convergence_reports_the_last_increment(monkeypatch):
-    monkeypatch.setattr(config, "SERIES_MAX_TERMS", 2)
+def test_absorbed_solve_cap_reports_the_relative_residual(monkeypatch):
+    monkeypatch.setattr(config, "SERIES_MAX_TERMS", 1)
+    inst, ids, gap = chain4(), (1, 2), (3,)
     with pytest.raises(InvariantError) as err:
-        traced_continuation_bound(chain4(), (1, 2), (3,))
+        traced_continuation_bound(inst, ids, gap)
+    # one GMRES step minimizes ||b - c A b|| over c, for b the measured
+    # start and A = I - S, so the relative residual is the sine of the
+    # angle between b and A b
+    ch = build_channels(inst)
+    D = inst.shape.dim
+    b = ch.measure_all(ids, np.eye(D, dtype=complex) / D)
+    ab = b - ch.continue_step(b, frozenset(gap))
+    cos = abs(np.vdot(ab, b)) / (np.linalg.norm(ab) * np.linalg.norm(b))
+    assert err.value.value == pytest.approx(np.sqrt(1 - cos**2), rel=1e-12)
     assert str(err.value) == (
-        "traced bound (1, 2): operator series did not converge within 2 terms"
-        " (series: last increment trace 7.812e-03)"
+        "traced bound (1, 2): GMRES did not converge within 1 steps"
+        f" (relative residual {err.value.value:.3e} > 1e-12)"
     )
-    # the second term: every complement kills p, and only the absorbed id's
-    # patch keeps I/D, so its pick trace is tr(p) / (D m^2) = 2 / (16 * 16)
-    assert err.value.value == 2 ** -7
+
+
+def test_absorbed_solve_restarts_on_a_small_basis(per_term, monkeypatch):
+    # two D x D operators per Arnoldi basis at D = 16, eight at D = 8
+    counts = Counts(monkeypatch)
+    full = absorbed_outputs()
+    steps = counts.calls["continue_step"]
+    monkeypatch.setattr(config, "BATCH_STATE_ENTRIES", 2 * 16 * 16)
+    counts.calls["continue_step"] = 0
+    small = absorbed_outputs()
+    # each restart applies the step once more, to the true residual
+    assert counts.calls["continue_step"] > steps
+    per_term()
+    ref = absorbed_outputs()
+    for key in ref:
+        assert abs(small[key] - ref[key]) < TOL, key
+        assert abs(full[key] - ref[key]) < TOL, key
 
 
 def test_counterexample_still_matches_closed_form():
@@ -191,11 +224,11 @@ def test_counterexample_still_matches_closed_form():
 
 class Counts:
     def __init__(self, monkeypatch):
-        self.calls = {"measure": 0, "continue_step": 0, "solve": 0, "series": 0}
+        self.calls = {"measure": 0, "continue_step": 0, "solve": 0, "absorbed": 0}
         for name in ("measure", "continue_step"):
             self._wrap(monkeypatch, ChannelSet, name)
         self._wrap(monkeypatch, oracles, "_krylov_solve", "solve")
-        self._wrap(monkeypatch, oracles, "_sandwich_series", "series")
+        self._wrap(monkeypatch, oracles, "_absorbed_solve", "absorbed")
 
     def _wrap(self, monkeypatch, owner, attr, key=None):
         inner = getattr(owner, attr)
@@ -213,7 +246,7 @@ def test_halting_pass_measures_each_id_once(monkeypatch):
     counts = Counts(monkeypatch)
     build_channels(inst).halting_operators()
     assert counts.calls["solve"] == 1
-    assert counts.calls["series"] == 0
+    assert counts.calls["absorbed"] == 0
     assert counts.calls["measure"] == inst.m
     # one continue step per iteration plus one for the true residual
     assert counts.calls["continue_step"] <= 40
@@ -225,6 +258,16 @@ def test_counterexample_runs_three_series_passes(monkeypatch):
     # the shared stage-0 solve, then stage 1 of each order; each stage
     # measures its own id
     assert counts.calls["solve"] == 3
-    assert counts.calls["series"] == 0
+    assert counts.calls["absorbed"] == 0
     assert counts.calls["measure"] == 2 + 2
     assert counts.calls["continue_step"] <= 40
+
+
+def test_absorbed_stage_takes_few_steps(monkeypatch):
+    # GMRES takes 15 continue steps here; a running sum of the iterates takes 156
+    counts = Counts(monkeypatch)
+    report = partial_dag_channel_bound(eight_ones(), (0,), [{1}])
+    assert counts.calls["absorbed"] == 1
+    assert counts.calls["continue_step"] <= 20
+    # the exact value: 127 / 896
+    assert abs(report["probability"] - 127 / 896) < 1e-15
