@@ -35,7 +35,7 @@ from .instance import (
 )
 from .oracles import ChannelSet, build_channels, sequence_operator
 from .quantum import run_quantum_solver, run_trajectory_batch
-from .tensor import is_hermitian, make_rng
+from .tensor import is_hermitian, make_rng, psd_violation
 # looked up here by the benchmark's tracer (perfbench/tracing.py)
 from .tensor import embed, partial_trace  # noqa: F401
 from .witness import expected_violations_bound, label_intersection, occurs_in_log
@@ -53,11 +53,12 @@ def _check_density(rho, dim: int) -> np.ndarray:
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix must be {dim} x {dim}")
     if not is_hermitian(rho):
-        raise ValueError("density matrix must be Hermitian")
-    if float(np.linalg.eigvalsh(rho).min()) < -config.PSD_TOL:
-        raise ValueError("density matrix must be positive semidefinite")
-    if abs(np.trace(rho).real - 1.0) > config.DENSITY_TRACE_TOL:
-        raise ValueError("density matrix must have unit trace")
+        asym = float(np.abs(rho - rho.conj().T).max())
+        raise ValueError(f"density matrix must be Hermitian (asymmetry {asym:.3e})")
+    if (lo := psd_violation(rho, config.PSD_TOL)) is not None:
+        raise ValueError(f"density matrix must be positive semidefinite (eigenvalue {lo:.3e})")
+    if (drift := abs(np.trace(rho).real - 1.0)) > config.DENSITY_TRACE_TOL:
+        raise ValueError(f"density matrix must have unit trace (|tr rho - 1| = {drift:.3e})")
     return rho
 
 

@@ -60,6 +60,7 @@ from .tensor import (
     make_rng,
     min_slack,
     partial_trace,
+    psd_violation,
     refill_mixed,
     sandwich_local,
 )
@@ -89,8 +90,7 @@ class OutcomeOperator:
         herm = np.abs(op - op.conj().T).max()
         if not herm <= config.HERMITIAN_TOL * max(1.0, np.abs(op).max()):
             raise ValueError(f"outcome operator is not Hermitian ({herm:.2e})")
-        lo = float(np.linalg.eigvalsh((op + op.conj().T) / 2)[0])
-        if not lo >= -config.OUTCOME_PSD_TOL:
+        if (lo := psd_violation((op + op.conj().T) / 2, config.OUTCOME_PSD_TOL)) is not None:
             raise ValueError(f"outcome operator has eigenvalue {lo:.2e} < 0")
         tr = np.trace(op)
         if not abs(tr - self.probability) <= config.OUTCOME_PSD_TOL:
@@ -282,11 +282,8 @@ def _check_series_start(start: np.ndarray, context: str) -> None:
     asymmetry or least eigenvalue."""
     if not is_hermitian(start):
         asym = float(np.abs(start - start.conj().T).max())
-        raise InvariantError(
-            f"{context}: series start is not Hermitian (asymmetry {asym:.3e})", asym
-        )
-    lo = float(np.linalg.eigvalsh((start + start.conj().T) / 2)[0])
-    if lo < -config.OUTCOME_PSD_TOL:
+        raise InvariantError(f"{context}: series start is not Hermitian (asymmetry {asym:.3e})", asym)
+    if (lo := psd_violation((start + start.conj().T) / 2, config.OUTCOME_PSD_TOL)) is not None:
         raise InvariantError(f"{context}: series start has eigenvalue {lo:.3e} < 0", lo)
 
 

@@ -186,12 +186,12 @@ def _groups(ids: np.ndarray):
 
 
 def _event_weights(states, rows, events: EventTable) -> np.ndarray:
-    """(B, m) array of |P_i psi|^2 for every row psi of states[rows]."""
-    out = np.empty((rows.size, events.m))
+    """(B, m) array of |P_i psi|^2 for every row psi of states[rows] (None: all)."""
+    out = np.empty((len(states) if rows is None else rows.size, events.m))
     for i in range(events.m):
         plan, f = events.plan(i), _range_factor(events, i)
         c = f.vh @ plan.gather(states, rows, f.pos)
-        out[:, i] = _row_weights(c, rows.size, plan.rest_dim)
+        out[:, i] = _row_weights(c, len(out), plan.rest_dim)
     return out
 
 
@@ -203,7 +203,7 @@ def _kernel_weight(states, events: EventTable) -> np.ndarray:
     rows = np.arange(cur.shape[0])
     for i in range(events.m):
         plan, f = events.plan(i), _range_factor(events, i)
-        x = plan.gather(cur, rows, f.pos)  # a copy
+        x = plan.gather(cur, None, f.pos)
         x -= f.v @ (f.vh @ x)
         plan.scatter(cur, rows, x, f.pos)
     return (np.abs(cur) ** 2).sum(axis=1)
@@ -215,11 +215,6 @@ def _check_norm(states: np.ndarray) -> None:
     drift = float(abs(np.vecdot(f, f) - 1.0).max())
     if not drift <= config.NORM_TOL:  # NaN fails too
         raise InvariantError(f"state norm drifted by {drift:.3e}", drift)
-
-
-def _chunk_rows(dim: int) -> int:
-    """Rows per block that keep a (rows, dim) array within the batch budget."""
-    return max(1, config.BATCH_STATE_ENTRIES // dim)
 
 
 @dataclass(frozen=True)
@@ -412,7 +407,7 @@ def run_converger(
 
     rng = make_rng(seed)
     taus = rng.integers(0, t + 1, size=samples)
-    chunk = _chunk_rows(inst.shape.dim)
+    chunk = max(1, config.BATCH_STATE_ENTRIES // inst.shape.dim)  # rows within the batch budget
     acc = np.zeros(m)
     acc_ground = 0.0
     for lo in range(0, samples, chunk):
@@ -424,7 +419,7 @@ def run_converger(
             for i, at in _groups(ids):
                 _measure_rows(states, live[at], events.plan(i), _range_factor(events, i), rng)
         _check_norm(states)
-        acc += _event_weights(states, np.arange(tau.size), events).sum(axis=0)
+        acc += _event_weights(states, None, events).sum(axis=0)
         acc_ground += float(overlap(states).sum())
     return ConvergerResult(
         mean_violation_prob=np.clip(acc / samples, 0.0, 1.0),

@@ -155,15 +155,15 @@ class LocalPlan:
         """(dk, rest) register positions of the front block's entries."""
         return self.to_front(np.arange(self.dim)[None])
 
-    def gather(self, states: np.ndarray, rows: np.ndarray, pos=None) -> np.ndarray:
+    def gather(self, states: np.ndarray, rows, pos=None) -> np.ndarray:
         """The front block of states[rows] on the local basis states whose
         (r, rest) register positions pos holds, (r, B * rest); the whole
-        block when None."""
+        block when None.  rows None is every row, with no row copy."""
         if pos is None:
-            return self.to_front(states[rows])
-        return states[rows[None, :, None], pos[:, None, :]].reshape(
-            pos.shape[0], rows.size * self.rest_dim
-        )
+            return self.to_front(states if rows is None else states[rows])
+        rows = np.arange(len(states)) if rows is None else rows
+        block = states[rows[None, :, None], pos[:, None, :]]
+        return block.reshape(len(pos), rows.size * self.rest_dim)
 
     def scatter(self, states: np.ndarray, rows: np.ndarray, block: np.ndarray, pos=None):
         """Write a front block of gather's shape back into states[rows]."""
@@ -306,6 +306,22 @@ def is_hermitian(op: np.ndarray) -> bool:
     op = np.asarray(op)
     scale = max(1.0, float(np.abs(op).max(initial=0.0)))
     return float(np.abs(op - op.conj().T).max(initial=0.0)) <= config.HERMITIAN_TOL * scale
+
+
+def psd_violation(h: np.ndarray, tol: float) -> float | None:
+    """None when the Hermitian h has no eigenvalue below -tol, else its least
+    eigenvalue.  Gershgorin discs of h's Hermitian part decide in O(D^2), else
+    Cholesky of h + tol I; eigvalsh runs only when that fails, and decides."""
+    a = np.abs(h)
+    np.fill_diagonal(a, 0.0)
+    if (h.diagonal().real - (a.sum(axis=0) + a.sum(axis=1)) / 2).min(initial=np.inf) >= -tol:
+        return None
+    try:
+        np.linalg.cholesky(h + tol * np.eye(len(h)))
+    except np.linalg.LinAlgError:
+        lo = float(np.linalg.eigvalsh(h)[0])
+        return None if lo >= -tol else lo
+    return None
 
 
 def min_slack(x: np.ndarray, y: np.ndarray) -> float:

@@ -125,10 +125,12 @@ def test_iterate_stops_at_the_first_iterate_reaching_the_overlap(monkeypatch):
 
 def test_iterate_rejects_bad_inputs():
     inst = single_event()
-    with pytest.raises(ValueError):
-        bench.cp_map_iterate(inst, np.eye(2), 3)  # trace 2
-    with pytest.raises(ValueError):
-        bench.cp_map_iterate(inst, np.diag([1.5, -0.5]), 3)  # not psd
+    with pytest.raises(ValueError, match=r"unit trace \(\|tr rho - 1\| = 1\.000e\+00\)"):
+        bench.cp_map_iterate(inst, np.eye(2), 3)
+    with pytest.raises(ValueError, match=r"semidefinite \(eigenvalue -5\.000e-01\)"):
+        bench.cp_map_iterate(inst, np.diag([1.5, -0.5]), 3)
+    with pytest.raises(ValueError, match=r"Hermitian \(asymmetry 1\.000e-01\)"):
+        bench.cp_map_iterate(inst, np.array([[0.5, 0.1], [0.0, 0.5]]), 3)
     with pytest.raises(ValueError):
         bench.cp_map_iterate(inst, np.eye(2) / 2.0, -1)
     wide = QlllInstance.build(12, 2, [((0,), P1)])
@@ -438,9 +440,9 @@ def test_metrics_match_dense_trace_reference():
 
 def test_metrics_reject_bad_density():
     inst = single_event()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unit trace \(\|tr rho - 1\| = 1\.000e\+00\)"):
         bench.convergence_metrics(np.eye(2), inst)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"semidefinite \(eigenvalue -5\.000e-01\)"):
         bench.convergence_metrics(np.diag([1.5, -0.5]), inst)
 
 

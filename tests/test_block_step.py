@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import basis_ring, hadamard_ring
 from qlll.instance import QlllInstance, basis_projector, event_table, random_rank_projector
 from qlll.quantum import (
     _event_weights,
@@ -189,3 +190,20 @@ def test_rank_zero_event_reads_nothing():
     states = np.eye(4, dtype=complex)
     weights = _event_weights(states, np.arange(4), event_table(inst))
     assert np.array_equal(weights, [[0, 0], [0, 1], [0, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("make", [hadamard_ring, basis_ring])
+@pytest.mark.parametrize("count", [1, 400])
+def test_gather_of_every_row_is_bit_identical(make, count):
+    """rows None reads every row without copying them first: the same bits
+    as the explicit index, for the dense events of the Hadamard-turned ring
+    (whole front blocks) and the basis ring's (positions)."""
+    rng = np.random.default_rng(count)
+    states = rng.normal(size=(count, 2 ** 8)) + 1j * rng.normal(size=(count, 2 ** 8))
+    every = np.arange(count)
+    table = event_table(make())
+    for i in range(table.m):
+        plan, pos = table.plan(i), table.block(i).pos
+        want = plan.to_front(states[every]) if pos is None else plan.gather(states, every, pos)
+        assert np.array_equal(plan.gather(states, None, pos), want)
+    assert np.array_equal(_event_weights(states, None, table), _event_weights(states, every, table))

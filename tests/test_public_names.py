@@ -123,3 +123,25 @@ def test_no_module_calls_pinv():
              for node in ast.walk(ast.parse(path.read_text()))
              if "pinv" in names_of(node)]
     assert not calls, "pinv in the package: " + ", ".join(calls)
+
+
+def test_eigvalsh_runs_only_to_report_an_eigenvalue():
+    """Every PSD gate decides through tensor.psd_violation, which runs
+    eigvalsh only to report a failure; min_slack reports an eigenvalue.  No
+    other code in the package calls eigvalsh."""
+    allowed = {("tensor.py", "psd_violation"), ("tensor.py", "min_slack")}
+    seen, calls = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) in allowed:
+                inside.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if "eigvalsh" in names_of(node):
+                if id(node) in inside:
+                    seen.add((path.name, inside[id(node)]))
+                else:
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, "eigvalsh outside psd_violation and min_slack: " + ", ".join(calls)
+    assert seen == allowed

@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import devectorize, kernel_projector, pseudoinverse, vectorize
+from qlll import config
+from qlll.instance import random_rank_projector
 from qlll.tensor import (
     HilbertShape,
     embed,
@@ -9,6 +15,7 @@ from qlll.tensor import (
     make_rng,
     min_slack,
     partial_trace,
+    psd_violation,
 )
 
 
@@ -212,6 +219,81 @@ def test_kernel_projector_examples():
 def test_is_hermitian():
     assert is_hermitian(P0)
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
+
+
+PSD_TOL = config.PSD_TOL
+
+
+def decided(h, tol=PSD_TOL):
+    """psd_violation(h, tol) and the step that decided it: 1 for the
+    Gershgorin discs, 2 for the Cholesky factorisation, 3 for eigvalsh."""
+    calls = []
+    cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+    with mock.patch.object(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a)), \
+            mock.patch.object(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a)):
+        got = psd_violation(h, tol)
+    return got, 1 + len(calls)
+
+
+def unitary(dim, rng):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(g)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1), st.sampled_from([-1, 1]))
+def test_psd_violation_agrees_with_eigvalsh_at_the_threshold(dim, seed, side):
+    """Least eigenvalue at -tol (1 + side 1e-3), the rest in [0, 1]: one
+    side of the threshold by a thousandth.  Every rejection runs eigvalsh
+    and reports its value; every acceptance is decided before it."""
+    rng = np.random.default_rng(seed)
+    spectrum = rng.uniform(0.0, 1.0, dim)
+    spectrum[0] = -PSD_TOL * (1 + side * 1e-3)
+    u = unitary(dim, rng)
+    h = (u * spectrum) @ u.conj().T
+    h = (h + h.conj().T) / 2
+    got, step = decided(h)
+    least = np.linalg.eigvalsh(h)[0]
+    assert (got is None) == (least >= -PSD_TOL)
+    if side > 0:
+        assert step == 3 and got == least
+    else:
+        # a 1 x 1 matrix is its own disc
+        assert step == (1 if dim == 1 else 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 64), st.integers(0, 2 ** 32 - 1), st.data())
+def test_psd_violation_accepts_pure_states_and_projectors(dim, seed, data):
+    """Rank-deficient PSD matrices: a random projector of rank below the
+    dimension is not diagonally dominant and goes to Cholesky; a diagonal
+    one is decided by its discs."""
+    rng = np.random.default_rng(seed)
+    rank = data.draw(st.integers(1, dim - 1))
+    assert decided(random_rank_projector(dim, rank, rng)) == (None, 2)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    assert decided(np.outer(psi, psi.conj())) == (None, 2)
+    diagonal = np.diag(rng.permutation(np.arange(dim) < rank).astype(complex))
+    assert decided(diagonal) == (None, 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64, 256])
+def test_psd_violation_decides_the_maximally_mixed_state_by_its_discs(dim):
+    assert decided(np.eye(dim, dtype=complex) / dim) == (None, 1)
+
+
+def test_psd_violation_on_psd_matrices_that_are_not_diagonally_dominant():
+    # |+><+| on 8 states: every disc reaches 1/8 - 7/8 below zero
+    plus = np.full((8, 8), 1 / 8, dtype=complex)
+    assert decided(plus) == (None, 2)
+    g = make_rng(3).normal(size=(16, 4))
+    assert decided((g @ g.T).astype(complex)) == (None, 2)
+    # shifted below the threshold, the same matrices are rejected by eigvalsh
+    for h in (plus, (g @ g.T).astype(complex)):
+        shifted = h - 2 * PSD_TOL * np.eye(len(h))
+        got, step = decided(shifted)
+        assert step == 3 and got == np.linalg.eigvalsh(shifted)[0] < -PSD_TOL
 
 
 def test_rng_streams_are_deterministic_and_independent():
