@@ -23,7 +23,7 @@ import numpy as np
 
 from . import config
 from .errors import InvariantError
-from .tensor import EventTable, HilbertShape, _validate_subset, embed, is_hermitian, make_rng
+from .tensor import EventTable, HilbertShape, _validate_subset, embed, make_rng, psd_violation
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class Projector:
             raise ValueError("negative qudit index")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("local matrix must be square")
-        if not is_hermitian(m):
+        if (bad := psd_violation(m)) is not None and bad.test == "hermitian":
             raise ValueError("local matrix is not Hermitian")
         if np.abs(m @ m - m).max() > config.IDEMPOTENT_TOL:
             raise ValueError("local matrix is not idempotent")

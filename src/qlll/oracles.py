@@ -56,7 +56,6 @@ from .instance import QlllInstance, event_table, intersection_graph, spectral_re
 from .tensor import (
     EventBlock,
     LocalPlan,
-    is_hermitian,
     make_rng,
     min_slack,
     partial_trace,
@@ -87,17 +86,16 @@ class OutcomeOperator:
         object.__setattr__(self, "provenance", tuple(self.provenance))
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError(f"outcome operator must be square, got {op.shape}")
-        herm = np.abs(op - op.conj().T).max()
-        if not herm <= config.HERMITIAN_TOL * max(1.0, np.abs(op).max()):
-            raise ValueError(f"outcome operator is not Hermitian ({herm:.2e})")
-        if (lo := psd_violation((op + op.conj().T) / 2, config.OUTCOME_PSD_TOL)) is not None:
-            raise ValueError(f"outcome operator has eigenvalue {lo:.2e} < 0")
+        if (bad := psd_violation(op)) is not None:
+            if bad.test == "hermitian":
+                raise ValueError(f"outcome operator is not Hermitian ({bad.value:.2e})")
+            raise ValueError(f"outcome operator has eigenvalue {bad.value:.2e} < 0")
         tr = np.trace(op)
-        if not abs(tr - self.probability) <= config.OUTCOME_PSD_TOL:
+        if not abs(tr - self.probability) <= config.DENSITY_TRACE_TOL:
             raise ValueError(
                 f"probability {self.probability} does not match trace {tr}"
             )
-        if not -config.OUTCOME_PSD_TOL <= self.probability <= 1 + config.OUTCOME_PSD_TOL:
+        if not -config.SERIES_VALUE_TOL <= self.probability <= 1 + config.SERIES_VALUE_TOL:
             raise ValueError(f"probability {self.probability} outside [0, 1]")
 
 
@@ -280,11 +278,10 @@ def _check_series_start(start: np.ndarray, context: str) -> None:
     """Every solve start is built in this module, so one that is not
     Hermitian PSD is an internal fault: InvariantError with the measured
     asymmetry or least eigenvalue."""
-    if not is_hermitian(start):
-        asym = float(np.abs(start - start.conj().T).max())
-        raise InvariantError(f"{context}: series start is not Hermitian (asymmetry {asym:.3e})", asym)
-    if (lo := psd_violation((start + start.conj().T) / 2, config.OUTCOME_PSD_TOL)) is not None:
-        raise InvariantError(f"{context}: series start has eigenvalue {lo:.3e} < 0", lo)
+    if (bad := psd_violation(start)) is not None:
+        if bad.test == "hermitian":
+            raise InvariantError(f"{context}: series start is not Hermitian (asymmetry {bad.value:.3e})", bad.value)
+        raise InvariantError(f"{context}: series start has eigenvalue {bad.value:.3e} < 0", bad.value)
 
 
 def _krylov_solve(channels: ChannelSet, start, context: str) -> np.ndarray:

@@ -301,26 +301,41 @@ def refill_mixed(reduced: np.ndarray, plan: LocalPlan) -> np.ndarray:
     return plan.op_from_local(block)
 
 
-def is_hermitian(op: np.ndarray) -> bool:
-    """||op - op^dag||_max <= config.HERMITIAN_TOL * max(1, ||op||_max)."""
-    op = np.asarray(op)
-    scale = max(1.0, float(np.abs(op).max(initial=0.0)))
-    return float(np.abs(op - op.conj().T).max(initial=0.0)) <= config.HERMITIAN_TOL * scale
+class PsdViolation(NamedTuple):
+    """The test psd_violation failed: "hermitian", with the asymmetry
+    max|h - h^dag|, or "psd", with the least eigenvalue of h's Hermitian
+    part."""
+
+    test: str
+    value: float
 
 
-def psd_violation(h: np.ndarray, tol: float) -> float | None:
-    """None when the Hermitian h has no eigenvalue below -tol, else its least
-    eigenvalue.  Gershgorin discs of h's Hermitian part decide in O(D^2), else
-    Cholesky of h + tol I; eigvalsh runs only when that fails, and decides."""
+def psd_violation(h: np.ndarray) -> PsdViolation | None:
+    """None when h is Hermitian PSD, else the test it fails.
+
+    Hermitian: every entry finite and max|h - h^dag| <= config.HERMITIAN_TOL
+    * max(1, max|h|).  PSD: no eigenvalue of the Hermitian part h - skew/2
+    below -config.PSD_TOL.  Gershgorin discs of that part decide first in
+    O(D^2), else Cholesky of the part + tol I; eigvalsh runs only when that
+    fails, and decides."""
+    skew = h - h.conj().T
+    asym = float(np.abs(skew).max(initial=0.0))
     a = np.abs(h)
+    size = float(a.max(initial=0.0))
+    # a NaN or infinite entry makes size NaN or infinite
+    if not (math.isfinite(size) and asym <= config.HERMITIAN_TOL * max(1.0, size)):
+        return PsdViolation("hermitian", asym)
+    tol = config.PSD_TOL
+    # (|h_ij| + |h_ji|) / 2 bounds the Hermitian part's entries
     np.fill_diagonal(a, 0.0)
     if (h.diagonal().real - (a.sum(axis=0) + a.sum(axis=1)) / 2).min(initial=np.inf) >= -tol:
         return None
+    h = h - skew / 2
     try:
         np.linalg.cholesky(h + tol * np.eye(len(h)))
     except np.linalg.LinAlgError:
         lo = float(np.linalg.eigvalsh(h)[0])
-        return None if lo >= -tol else lo
+        return None if lo >= -tol else PsdViolation("psd", lo)
     return None
 
 

@@ -5,7 +5,7 @@ import numpy as np
 from qlll import config
 from qlll.instance import QlllInstance, basis_projector, random_rank_projector
 from qlll.oracles import _outcome, _report_entry, build_channels, halting_operator
-from qlll.tensor import embed, is_hermitian, min_slack
+from qlll.tensor import embed, min_slack, psd_violation
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 # the dense references below build D^2 x D^2 matrices: 256 MiB at D = 64
@@ -16,7 +16,7 @@ PINV_RCOND = 1e-12             # singular values below rcond * sigma_max are zer
 def kernel_projector(op, tol=config.KERNEL_EIG_TOL):
     """Orthogonal projector onto the (near-)zero eigenspace of a Hermitian op."""
     op = np.asarray(op, dtype=complex)
-    if not is_hermitian(op):
+    if (bad := psd_violation(op)) is not None and bad.test == "hermitian":
         raise ValueError("kernel_projector needs a Hermitian operator")
     evals, evecs = np.linalg.eigh((op + op.conj().T) / 2)
     cutoff = tol * max(1.0, float(evals[-1]) if evals.size else 1.0)

@@ -321,6 +321,31 @@ def test_series_rejects_start_that_is_not_psd(start, value):
     assert err.value.value == pytest.approx(value, abs=1e-15)
 
 
+GATE_SITES = {
+    "cp_map_iterate": (ValueError, lambda inst, rho: bench.cp_map_iterate(inst, rho, 1)),
+    "convergence_metrics": (ValueError, lambda inst, rho: bench.convergence_metrics(rho, inst)),
+    "OutcomeOperator": (ValueError, lambda inst, rho: oracles.OutcomeOperator(rho, 1.0, ("nan",))),
+    "_krylov_solve": (InvariantError, lambda inst, rho: _krylov_solve(build_channels(inst), rho, "probe")),
+    "_absorbed_solve": (
+        InvariantError,
+        lambda inst, rho: _absorbed_solve(build_channels(inst), (0,), frozenset(), rho, "probe"),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("site", sorted(GATE_SITES))
+def test_every_gate_rejects_nan_and_inf_with_its_named_error(site, bad):
+    # an infinite entry over a finite one meets inf <= tol * inf, so only the
+    # finiteness test rejects it; the Cholesky step reads one triangle only
+    error, call = GATE_SITES[site]
+    inst = QlllInstance.build(1, 2, [((0,), np.diag([0.0, 1.0]))])
+    for rho in (np.diag([bad, 0.5]), np.array([[0.5, bad], [0.0, 0.5]])):
+        with pytest.raises(error, match="Hermitian"):
+            call(inst, rho.astype(complex))
+
+
 def test_refresh_set_ignores_id_order():
     shape = HilbertShape(4, 2)
     inst = QlllInstance.build(

@@ -60,6 +60,14 @@ def test_counterexample_at_one(capsys):
     assert "0.1111111" in out
 
 
+def test_report_tolerances_are_every_config_constant(capsys):
+    from qlll import config
+    expected = {name.lower(): getattr(config, name) for name in dir(config) if name.isupper()}
+    assert config.tolerance_snapshot() == expected
+    _, out, _ = run_cli(["counterexample", "--a", "1.0", "--seed", "3"], capsys)
+    assert last_json(out)["tolerances"] == expected
+
+
 def test_counterexample_audit_exit_codes(capsys):
     code, out, _ = run_cli(
         ["counterexample", "--a", "0.5", "--trajectories", "2000", "--seed", "9"],

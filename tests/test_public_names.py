@@ -145,3 +145,17 @@ def test_eigvalsh_runs_only_to_report_an_eigenvalue():
                     calls.append(f"{path.name}:{node.lineno}")
     assert not calls, "eigvalsh outside psd_violation and min_slack: " + ", ".join(calls)
     assert seen == allowed
+
+
+def test_hermitian_tol_is_read_in_one_function():
+    """The Hermitian rule lives in tensor.psd_violation; every other check
+    of it calls that gate."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Attribute) and node.attr == "HERMITIAN_TOL"
+                for node in ast.walk(func)
+            ):
+                readers.append((path.name, func.name))
+    assert readers == [("tensor.py", "psd_violation")]

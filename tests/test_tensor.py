@@ -11,7 +11,6 @@ from qlll.instance import random_rank_projector
 from qlll.tensor import (
     HilbertShape,
     embed,
-    is_hermitian,
     make_rng,
     min_slack,
     partial_trace,
@@ -216,22 +215,40 @@ def test_kernel_projector_examples():
     assert np.allclose(p, np.diag([1, 1, 0, 0]))
 
 
-def test_is_hermitian():
-    assert is_hermitian(P0)
-    assert not is_hermitian(np.array([[0, 1], [0, 0]]))
+def test_psd_violation_tests_hermitian_first():
+    assert psd_violation(P0) is None
+    assert psd_violation(np.array([[0, 1], [0, 0]])) == ("hermitian", 1.0)
+    # the tolerance scales with the largest entry
+    assert psd_violation(np.array([[1e3, 1e-8], [0.0, 1e3]])) is None
+    assert psd_violation(np.array([[1.0, 1e-8], [0.0, 1.0]])) == ("hermitian", 1e-8)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "one side", "both sides"])
+def test_psd_violation_rejects_nan_and_inf(bad, where):
+    h = np.eye(2, dtype=complex) / 2
+    if where == "diagonal":
+        h[0, 0] = bad
+    else:
+        h[0, 1] = bad
+        if where == "both sides":
+            h[1, 0] = bad
+    got = psd_violation(h)
+    assert got is not None and got.test == "hermitian"
 
 
 PSD_TOL = config.PSD_TOL
 
 
-def decided(h, tol=PSD_TOL):
-    """psd_violation(h, tol) and the step that decided it: 1 for the
-    Gershgorin discs, 2 for the Cholesky factorisation, 3 for eigvalsh."""
+def decided(h):
+    """psd_violation(h) and the step that decided it: 1 for the Gershgorin
+    discs, 2 for the Cholesky factorisation, 3 for eigvalsh."""
     calls = []
     cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
     with mock.patch.object(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a)), \
             mock.patch.object(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a)):
-        got = psd_violation(h, tol)
+        got = psd_violation(h)
     return got, 1 + len(calls)
 
 
@@ -256,7 +273,7 @@ def test_psd_violation_agrees_with_eigvalsh_at_the_threshold(dim, seed, side):
     least = np.linalg.eigvalsh(h)[0]
     assert (got is None) == (least >= -PSD_TOL)
     if side > 0:
-        assert step == 3 and got == least
+        assert step == 3 and got == ("psd", least)
     else:
         # a 1 x 1 matrix is its own disc
         assert step == (1 if dim == 1 else 2)
@@ -293,7 +310,8 @@ def test_psd_violation_on_psd_matrices_that_are_not_diagonally_dominant():
     for h in (plus, (g @ g.T).astype(complex)):
         shifted = h - 2 * PSD_TOL * np.eye(len(h))
         got, step = decided(shifted)
-        assert step == 3 and got == np.linalg.eigvalsh(shifted)[0] < -PSD_TOL
+        assert step == 3 and got.test == "psd"
+        assert got.value == np.linalg.eigvalsh(shifted)[0] < -PSD_TOL
 
 
 def test_rng_streams_are_deterministic_and_independent():
