@@ -309,6 +309,13 @@ def _krylov_solve(channels: ChannelSet, start, context: str) -> np.ndarray:
     return _cg_solve(channels, lambda y: y - channels.continue_step(y), start, context)
 
 
+def _finite(value, what: str, context: str):
+    """value, or InvariantError carrying it when it is NaN or infinite."""
+    if not np.isfinite(value):
+        raise InvariantError(f"{context}: {what} is {value} (not finite)", value)
+    return value
+
+
 def _cg_solve(channels: ChannelSet, apply, start, context: str) -> np.ndarray:
     """A^+ b for b = start - P0 start P0, by conjugate gradients from zero.
 
@@ -323,10 +330,10 @@ def _cg_solve(channels: ChannelSet, apply, start, context: str) -> np.ndarray:
     for r = b - A x, checked again on the true operator after the loop
     (one more application of A).
 
-    Raises InvariantError, carrying the measured value, when
-    <p, A p> <= 0 for a search direction p (A is not positive), when
-    SERIES_MAX_TERMS iterations pass without meeting the stop, or when the
-    true residual misses it.
+    Raises InvariantError, carrying the measured value, when <p, A p> or
+    ||r||^2 is NaN or infinite, when <p, A p> <= 0 for a search direction p
+    (A is not positive), when SERIES_MAX_TERMS iterations pass without
+    meeting the stop, or when the true residual misses it.
     """
     s = np.asarray(start, dtype=complex)
     _check_series_start(s, context)
@@ -350,7 +357,7 @@ def _cg_solve(channels: ChannelSet, apply, start, context: str) -> np.ndarray:
                 rel,
             )
         ap = apply(p)
-        curvature = np.vdot(p, ap).real
+        curvature = _finite(np.vdot(p, ap).real, "conjugate gradients: <p, A p>", context)
         if curvature <= 0:
             raise InvariantError(
                 f"{context}: the solved map is not positive: <p, A p> = {curvature:.3e}",
@@ -359,10 +366,10 @@ def _cg_solve(channels: ChannelSet, apply, start, context: str) -> np.ndarray:
         alpha = rr / curvature
         x += alpha * p
         r -= alpha * ap
-        rr, last = np.vdot(r, r).real, rr
+        rr, last = _finite(np.vdot(r, r).real, "conjugate gradients: ||r||^2", context), rr
         p = r + (rr / last) * p
     true = np.linalg.norm(b - apply(x))
-    if true > stop:
+    if not true <= stop:  # NaN fails too
         rel = true / size
         raise InvariantError(
             f"{context}: conjugate gradients met the stop on the recurrence, "
@@ -382,13 +389,14 @@ def _gmres_solve(apply, rhs, context: str) -> np.ndarray:
     cycle that meets the stop on its recurrence, restarts from the true
     residual.  Stop rule: ||b - A x|| <= SERIES_TRACE_TOL ||b||, met on the
     true operator.  Raises InvariantError, carrying the true relative
-    residual, once SERIES_MAX_TERMS applications of A miss it."""
+    residual, once SERIES_MAX_TERMS applications of A miss it, and carrying
+    the value, at the first NaN or infinite residual or Arnoldi norm."""
     b = np.asarray(rhs, dtype=complex)
     size = np.linalg.norm(b)
     stop = config.SERIES_TRACE_TOL * size
     width = max(1, config.BATCH_STATE_ENTRIES // b.size)
     x, r, steps = np.zeros_like(b), b, 0
-    while (beta := np.linalg.norm(r)) > stop:
+    while _finite(beta := np.linalg.norm(r), "GMRES: ||b - A x||", context) > stop:
         if steps >= config.SERIES_MAX_TERMS:
             raise InvariantError(
                 f"{context}: GMRES did not converge within {steps} steps (relative "
@@ -402,7 +410,7 @@ def _gmres_solve(apply, rhs, context: str) -> np.ndarray:
             for i, v in enumerate(basis):
                 h[i, j] = np.vdot(v, w)
                 w -= h[i, j] * v
-            h[j + 1, j] = np.linalg.norm(w)
+            h[j + 1, j] = _finite(np.linalg.norm(w), "GMRES: the Arnoldi norm", context)
             e = beta * np.eye(j + 2)[0]
             y = np.linalg.lstsq(h, e, rcond=None)[0]
             if np.linalg.norm(h @ y - e) <= stop or not h[j + 1, j]:

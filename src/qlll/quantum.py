@@ -28,7 +28,9 @@ The step costs what its rows need:
   too; the factors are kept on that table, so every run shares them.
 - live rows: run_trajectory_batch keeps an index of the rows still running,
   draws one id per live row each step and groups the rows by id with one
-  stable argsort; rows leave the index when they reach
+  stable argsort, a radix sort on ids cast to the narrowest unsigned type;
+  the groups' hits fill one mask, from which the step's counts and first
+  labels are updated once; rows leave the index when they reach
   stop_after_violations or when the freeze sweep finds their total
   bad-event weight, read through the same range factors, negligible.
 
@@ -119,7 +121,7 @@ def _refill_rows(states, rows, post: np.ndarray, plan: LocalPlan, rng) -> None:
     """
     B, rest = rows.size, plan.rest_dim
     f = post.view(np.float64)
-    probs = (f * f).sum(axis=2)
+    probs = np.vecdot(f, f)
     cum = np.cumsum(probs, axis=0)
     draws = rng.random(B) * cum[-1]
     s = np.minimum((cum <= draws).sum(axis=0), post.shape[0] - 1)
@@ -131,9 +133,10 @@ def _refill_rows(states, rows, post: np.ndarray, plan: LocalPlan, rng) -> None:
 
 
 def _row_weights(c: np.ndarray, B: int, rest: int) -> np.ndarray:
-    """Squared norm per row of a (r, B * rest) block."""
-    f = c.view(np.float64)
-    return (f * f).reshape(c.shape[0], B, 2 * rest).sum(axis=(0, 2))
+    """Squared norm per row of a (r, B * rest) block, by one vecdot on its
+    rows laid out as (B, r * rest); that layout copies only when r > 1."""
+    f = c.view(np.float64).reshape(c.shape[0], B, 2 * rest).transpose(1, 0, 2).reshape(B, -1)
+    return np.vecdot(f, f)
 
 
 def _measure_rows(states, rows, plan: LocalPlan, factor: _Factor, rng) -> np.ndarray:
@@ -177,7 +180,8 @@ def _measure_rows(states, rows, plan: LocalPlan, factor: _Factor, rng) -> np.nda
 
 def _groups(ids: np.ndarray):
     """(id, positions) for each distinct id in increasing id order, from one
-    stable argsort; the positions of one id stay in increasing order."""
+    stable argsort (a radix sort on ids of 16 bits or fewer); the positions
+    of one id stay in increasing order."""
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     cuts = (np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1).tolist()
@@ -206,7 +210,8 @@ def _kernel_weight(states, events: EventTable) -> np.ndarray:
         x = plan.gather(cur, None, f.pos)
         x -= f.v @ (f.vh @ x)
         plan.scatter(cur, rows, x, f.pos)
-    return (np.abs(cur) ** 2).sum(axis=1)
+    f = cur.view(np.float64)
+    return np.vecdot(f, f)
 
 
 def _check_norm(states: np.ndarray) -> None:
@@ -338,19 +343,21 @@ def run_trajectory_batch(
     states = _basis_states(rng, n_traj, shape.n, shape.d)
     events = event_table(inst)
     live = np.arange(n_traj if m > 0 else 0)
+    id_type = np.min_scalar_type(m - 1)  # unsigned for m >= 1: _groups radix-sorts it
 
     for step in range(max_steps):
         if live.size == 0:
             break
-        ids = rng.integers(0, m, size=live.size)
+        ids = rng.integers(0, m, size=live.size).astype(id_type)
+        hit = np.empty(live.size, dtype=bool)
         for i, at in _groups(ids):
-            rows = live[at]
-            vrows = rows[_measure_rows(states, rows, events.plan(i), _range_factor(events, i), rng)]
-            if first is not None:
-                slot = violations[vrows]
-                fill = slot < record_first
-                first[vrows[fill], slot[fill]] = i
-            violations[vrows] += 1
+            hit[at] = _measure_rows(states, live[at], events.plan(i), _range_factor(events, i), rng)
+        vrows = live[hit]
+        if first is not None:
+            slot = violations[vrows]
+            fill = slot < record_first
+            first[vrows[fill], slot[fill]] = ids[hit][fill]
+        violations[vrows] += 1
         if stop_after_violations is not None:
             live = live[violations[live] < stop_after_violations]
         if (step + 1) % config.BATCH_FREEZE_EVERY == 0 and live.size:
@@ -410,12 +417,13 @@ def run_converger(
     chunk = max(1, config.BATCH_STATE_ENTRIES // inst.shape.dim)  # rows within the batch budget
     acc = np.zeros(m)
     acc_ground = 0.0
+    id_type = np.min_scalar_type(m - 1)  # unsigned for m >= 1: _groups radix-sorts it
     for lo in range(0, samples, chunk):
         tau = taus[lo:lo + chunk]
         states = _basis_states(rng, tau.size, inst.shape.n, inst.shape.d)
         for step in range(int(tau.max()) if m else 0):
             live = np.flatnonzero(tau > step)
-            ids = rng.integers(0, m, size=live.size)
+            ids = rng.integers(0, m, size=live.size).astype(id_type)
             for i, at in _groups(ids):
                 _measure_rows(states, live[at], events.plan(i), _range_factor(events, i), rng)
         _check_norm(states)

@@ -303,8 +303,8 @@ def refill_mixed(reduced: np.ndarray, plan: LocalPlan) -> np.ndarray:
 
 class PsdViolation(NamedTuple):
     """The test psd_violation failed: "hermitian", with the asymmetry
-    max|h - h^dag|, or "psd", with the least eigenvalue of h's Hermitian
-    part."""
+    max|h - h^dag| (max|h|, NaN or infinite, when an entry is), or "psd",
+    with the least eigenvalue of h's Hermitian part."""
 
     test: str
     value: float
@@ -318,12 +318,15 @@ def psd_violation(h: np.ndarray) -> PsdViolation | None:
     below -config.PSD_TOL.  Gershgorin discs of that part decide first in
     O(D^2), else Cholesky of the part + tol I; eigvalsh runs only when that
     fails, and decides."""
-    skew = h - h.conj().T
-    asym = float(np.abs(skew).max(initial=0.0))
     a = np.abs(h)
     size = float(a.max(initial=0.0))
-    # a NaN or infinite entry makes size NaN or infinite
-    if not (math.isfinite(size) and asym <= config.HERMITIAN_TOL * max(1.0, size)):
+    # a NaN or infinite entry makes size NaN or infinite; h - h^dag would
+    # then form inf - inf
+    if not math.isfinite(size):
+        return PsdViolation("hermitian", size)
+    skew = h - h.conj().T
+    asym = float(np.abs(skew).max(initial=0.0))
+    if not asym <= config.HERMITIAN_TOL * max(1.0, size):
         return PsdViolation("hermitian", asym)
     tol = config.PSD_TOL
     # (|h_ij| + |h_ji|) / 2 bounds the Hermitian part's entries

@@ -65,6 +65,14 @@ def random_qubit_pair():
     )
 
 
+def two_qubit_chain():
+    """Non-commuting: a Bell-type event on (0, 1), |++> on (1, 2), |+> on 2."""
+    s = 1 / np.sqrt(2)
+    bell = np.outer([0, s, s, 0], [0, s, s, 0])
+    plus = np.full((2, 2), 0.5)
+    return QlllInstance.build(3, 2, [((0, 1), bell), ((1, 2), np.kron(plus, plus)), ((2,), plus)])
+
+
 def vectorize(op):
     """Column-stacking vec of a square matrix, so vec(A X B) = (B^T kron A) vec(X)."""
     op = np.asarray(op)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import basis_ring, hadamard_ring
+from helpers import basis_ring, hadamard_ring, two_qubit_chain
 from qlll.instance import QlllInstance, basis_projector, event_table, random_rank_projector
 from qlll.quantum import (
     _event_weights,
@@ -127,13 +127,6 @@ def test_range_factor_rejects_inexact_projector():
     inst = QlllInstance.build(1, 2, [((0,), np.diag([1.0 + 1e-11, 0.0]))])
     with pytest.raises(ValueError, match="range factor misses"):
         _range_factor(event_table(inst), 0)
-
-
-def two_qubit_chain():
-    s = 1 / np.sqrt(2)
-    bell = np.outer([0, s, s, 0], [0, s, s, 0])
-    plus = np.full((2, 2), 0.5)
-    return QlllInstance.build(3, 2, [((0, 1), bell), ((1, 2), np.kron(plus, plus)), ((2,), plus)])
 
 
 def basis_chain():

@@ -23,6 +23,7 @@ from qlll.errors import InvariantError
 from qlll.oracles import (
     _absorbed_solve,
     _cg_solve,
+    _gmres_solve,
     _krylov_solve,
     build_channels,
     halting_operator,
@@ -333,7 +334,7 @@ GATE_SITES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("site", sorted(GATE_SITES))
 def test_every_gate_rejects_nan_and_inf_with_its_named_error(site, bad):
@@ -365,3 +366,46 @@ def test_solve_rejects_a_map_that_is_not_positive():
         _cg_solve(ch, lambda x: -x, np.eye(2) / 2, "probe")
     # b = I/2 - P0 (I/2) P0 = diag(0, 1/2), so <b, -b> = -1/4
     assert err.value.value == pytest.approx(-0.25, abs=1e-15)
+
+
+def nan_from_second_call(apply):
+    """apply, counting its calls, returning NaN from the second call on."""
+    calls = []
+
+    def counted(y):
+        calls.append(1)
+        return apply(y) if len(calls) < 2 else np.full_like(y, np.nan)
+
+    return counted, calls
+
+
+def two_qubit_channels():
+    # an entangled event across both qubits and a |+> event: CG and GMRES
+    # both need more than one step
+    s = 1 / np.sqrt(2)
+    bell = np.outer([0, s, s, 0], [0, s, s, 0])
+    return build_channels(QlllInstance.build(2, 2, [((0, 1), bell), ((1,), np.full((2, 2), 0.5))]))
+
+
+def test_cg_stops_at_the_first_non_finite_value():
+    ch = two_qubit_channels()
+    apply, calls = nan_from_second_call(lambda y: y - ch.continue_step(y))
+    with pytest.raises(InvariantError, match="probe: conjugate gradients: <p, A p> is nan") as err:
+        _cg_solve(ch, apply, np.eye(4) / 4, "probe")
+    assert len(calls) == 2
+    assert np.isnan(err.value.value)
+
+
+def test_gmres_stops_at_the_first_non_finite_value():
+    ch = two_qubit_channels()
+    # within the Arnoldi cycle: the second basis vector's image is NaN
+    apply, calls = nan_from_second_call(lambda y: y - ch.continue_step(y, frozenset()))
+    with pytest.raises(InvariantError, match="probe: GMRES: the Arnoldi norm is nan") as err:
+        _gmres_solve(apply, np.eye(4) / 4, "probe")
+    assert len(calls) == 2 and np.isnan(err.value.value)
+    # on the true residual: the identity solves in one step, and its recheck
+    # reads NaN
+    apply, calls = nan_from_second_call(lambda y: y)
+    with pytest.raises(InvariantError, match=r"probe: GMRES: \|\|b - A x\|\| is nan") as err:
+        _gmres_solve(apply, np.eye(4) / 4, "probe")
+    assert len(calls) == 2 and np.isnan(err.value.value)

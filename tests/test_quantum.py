@@ -18,7 +18,7 @@ from qlll.quantum import (
     run_trajectory_batch,
 )
 
-from helpers import basis_ring, hadamard_chain, hadamard_ring, random_qubit_pair
+from helpers import basis_ring, hadamard_chain, hadamard_ring, random_qubit_pair, two_qubit_chain
 
 Q1 = np.array([[0, 0], [0, 1]], dtype=complex)
 Q0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -136,6 +136,74 @@ def test_scalar_outcome_stream_is_pinned(seed):
     ids = "".join(str(i) for i, _ in traj.outcome_trace)
     hits = "".join("x" if hit else "." for _, hit in traj.outcome_trace)
     assert (ids, hits) == PINNED_TRACES[seed]
+
+
+def small_ints(a) -> str:
+    """One character per entry: 0-9 then a-z, and "." for the -1 padding."""
+    return "".join("." if v < 0 else "0123456789abcdefghijklmnopqrstuvwxyz"[v] for v in np.ravel(a))
+
+
+BATCH_RUNS = {
+    "chain": (two_qubit_chain, dict(max_steps=30, record_first=3, horizons=(0, 7, 30))),
+    "pair": (lambda: bench.make_counterexample(0.95).instance, dict(max_steps=4096, record_first=2, horizons=(3, 4096))),
+}
+
+# batch streams of 20 rows, recorded before the step's norms ran on vecdot and
+# its ids on a radix sort: (violations, first_labels by row, horizon counts)
+PINNED_BATCHES = {
+    ("chain", None, 5): (
+        "63100021510100001210",
+        "122 100 2.. ... ... ... 00. 1.. 020 1.. ... 2.. ... ... ... ... 2.. 20. 0.. ...",
+        {0: "00000000000000000000", 7: "33100001410100001210", 30: "63100021510100001210"}),
+    ("chain", None, 13): (
+        "11101200604001040200",
+        "1.. 0.. 1.. ... 2.. 21. ... ... 222 ... 200 ... ... 2.. ... 122 ... 02. ... ...",
+        {0: "00000000000000000000", 7: "11101200202001040000", 30: "11101200604001040200"}),
+    ("chain", 2, 5): (
+        "22110011120100011110",
+        "12. 10. 2.. 0.. ... ... 0.. 1.. 0.. 11. ... 2.. ... ... ... 0.. 2.. 2.. 0.. ...",
+        {0: "00000000000000000000", 7: "22110011120100011110", 30: "22110011120100011110"}),
+    ("chain", 2, 13): (
+        "21201100002001020000",
+        "12. 0.. 12. ... 2.. 2.. ... ... ... ... 20. ... ... 2.. ... 12. ... ... ... ...",
+        {0: "00000000000000000000", 7: "21101100002001020000", 30: "21201100002001020000"}),
+    ("pair", 2, 5): (
+        "22222222222222222222",
+        "10 11 00 00 12 10 22 01 01 11 00 00 11 10 20 01 10 01 00 11",
+        {3: "20121112210010001211", 4096: "22222222222222222222"}),
+    ("pair", 2, 13): (
+        "22222222222222222222",
+        "21 12 11 12 22 10 12 00 11 01 21 01 11 10 01 00 20 12 22 02",
+        {3: "00122021122010110011", 4096: "22222222222222222222"}),
+}
+
+
+@pytest.mark.parametrize("run, stop, seed", sorted(PINNED_BATCHES, key=str))
+def test_batch_stream_is_pinned(run, stop, seed):
+    make, kwargs = BATCH_RUNS[run]
+    batch = run_trajectory_batch(make(), seed, 20, stop_after_violations=stop, **kwargs)
+    got = (
+        small_ints(batch.violations),
+        " ".join(small_ints(row) for row in batch.first_labels),
+        {h: small_ints(v) for h, v in batch.horizon_violations.items()},
+    )
+    assert got == PINNED_BATCHES[run, stop, seed]
+
+
+# converger averages (t = 12, 50 samples) from the same recording, to 12 digits
+PINNED_CONVERGER = {
+    ("chain", 5): ((0.086245421245, 0.072066666667, 0.222987545788), 0.721179120879),
+    ("chain", 13): ((0.128032547699, 0.05012345679, 0.15810325477), 0.74739674523),
+    ("pair", 5): ((0.13, 0.25, 0.062), 0.0),
+    ("pair", 13): ((0.23, 0.15, 0.062), 0.0),
+}
+
+
+@pytest.mark.parametrize("run, seed", sorted(PINNED_CONVERGER))
+def test_converger_stream_is_pinned(run, seed):
+    res = run_converger(BATCH_RUNS[run][0](), seed, 12, 50)
+    got = (tuple(round(float(p), 12) for p in res.mean_violation_prob), round(res.ground_overlap, 12))
+    assert got == PINNED_CONVERGER[run, seed]
 
 
 # exact-solver logs recorded before the exact solver ran on the block step

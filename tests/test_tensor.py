@@ -223,7 +223,7 @@ def test_psd_violation_tests_hermitian_first():
     assert psd_violation(np.array([[1.0, 1e-8], [0.0, 1.0]])) == ("hermitian", 1e-8)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["diagonal", "one side", "both sides"])
 def test_psd_violation_rejects_nan_and_inf(bad, where):
