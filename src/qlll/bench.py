@@ -53,6 +53,8 @@ def _check_density(rho, dim: int) -> np.ndarray:
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix must be {dim} x {dim}")
     if (bad := psd_violation(rho)) is not None:
+        if bad.test == "finite":
+            raise ValueError("density matrix has a NaN or infinite entry")
         if bad.test == "hermitian":
             raise ValueError(f"density matrix must be Hermitian (asymmetry {bad.value:.3e})")
         raise ValueError(f"density matrix must be positive semidefinite (eigenvalue {bad.value:.3e})")
@@ -463,10 +465,8 @@ def convergence_metrics(rho, inst: QlllInstance) -> dict:
     if gap >= config.GAP_VACUOUS_TOL:
         ceiling = float(viols.mean()) / gap
         if strong > ceiling + config.SLACK_TOL:
-            raise RuntimeError(
-                "weight outside the kernel exceeds its energy ceiling: "
-                f"{strong} > {ceiling}"
-            )
+            raise InvariantError("weight outside the kernel exceeds its energy ceiling: "
+                                 f"{strong} > {ceiling}", strong - ceiling)
     return {"weak": weak, "strong": strong}
 
 
@@ -499,9 +499,9 @@ def certified_commuting_corpus(
     out = []
     attempts = 0
     while len(out) < count:
+        if attempts == 200 * count:
+            raise InvariantError(f"corpus generation keeps failing certification ({attempts} attempts)", attempts)
         attempts += 1
-        if attempts > 200 * count:
-            raise RuntimeError("corpus generation keeps failing certification")
         n = int(rng.integers(2, 4))
         m = int(rng.integers(2, max_events + 1))
         inst = QlllInstance.build(n, 2, [_random_event(rng, n) for _ in range(m)])

@@ -5,9 +5,9 @@ the qudits it acts on.  This module owns the intersection structure between
 events, relative dimensions, Lovasz-condition checking with the epsilon
 strengthening, certificate search, and the spectral summary (gap, kernel
 projector) used by the convergence analyses.  event_table is the one stored
-form of every event and its register layout; spectral_report, the only place
-the averaged Hamiltonian and its kernel projector are built, reads the events
-through it.  Each is built once per instance and shared read-only.
+form of every event, one EventBlock each; spectral_report, the only place
+the averaged Hamiltonian and its kernel projector are built, reads the
+events through it.  Each is built once per instance and shared read-only.
 """
 
 from __future__ import annotations
@@ -46,7 +46,9 @@ class Projector:
             raise ValueError("negative qudit index")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("local matrix must be square")
-        if (bad := psd_violation(m)) is not None and bad.test == "hermitian":
+        if (bad := psd_violation(m)) is not None and bad.test == "finite":
+            raise ValueError("local matrix has a NaN or infinite entry")
+        if bad is not None and bad.test == "hermitian":
             raise ValueError("local matrix is not Hermitian")
         if np.abs(m @ m - m).max() > config.IDEMPOTENT_TOL:
             raise ValueError("local matrix is not idempotent")
@@ -327,7 +329,7 @@ def event_table(inst: QlllInstance) -> EventTable:
 
     Built on first use and kept on the instance, like its spectral report,
     so every run and every channel set shares one layout per support and
-    one nonzero block per event.
+    one EventBlock per event, the one record of all derived from it.
     """
     if inst._events is None:
         inst._events = EventTable(inst.projectors, inst.shape.n, inst.shape.d)

@@ -87,6 +87,8 @@ class OutcomeOperator:
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError(f"outcome operator must be square, got {op.shape}")
         if (bad := psd_violation(op)) is not None:
+            if bad.test == "finite":
+                raise ValueError("outcome operator has a NaN or infinite entry")
             if bad.test == "hermitian":
                 raise ValueError(f"outcome operator is not Hermitian ({bad.value:.2e})")
             raise ValueError(f"outcome operator has eigenvalue {bad.value:.2e} < 0")
@@ -109,9 +111,10 @@ class ChannelSet:
 
     Every sandwich and refresh acts on its event's qudits only, at
     O(D^2 d^k) per application for a k-local event; no dense embedded
-    projector is kept.  Each event's layout, its nonzero local basis states
-    K and their register positions come from the instance's event table
-    (instance.event_table), shared with the state-vector step.  An event
+    projector is kept.  Each event's layout, nonzero local basis states K,
+    their register positions, complement and trace read are on its one
+    record, its EventBlock in the instance's event table (event_table),
+    shared with the state-vector step and every other channel set.  An event
     whose local matrix P is zero off some local states reads and writes only
     the register rows and columns of K, addressed by position: P op on the
     rows op[pos], op P on the columns (at their flat positions) and P op P
@@ -132,12 +135,9 @@ class ChannelSet:
         self.m = inst.m
         self._events = event_table(inst)
         self._blocks = [self._events.block(i) for i in range(self.m)]
-        self._local = [p.local_matrix for p in inst.projectors]
-        self._local_comp = [np.eye(len(p)) - p for p in self._local]
         self._block_count = sum(b.pos is not None for b in self._blocks)
         self._mixed = None
         self._halting = None
-        self._trace_reads = {}
 
     def _block_terms(self, b: EventBlock, op: np.ndarray):
         """cols, the flat positions of op's entries in the columns of K,
@@ -165,16 +165,7 @@ class ChannelSet:
         """tr(P_i op) = sum_{a,b,r} P_i[b, a] op[(a, r), (b, r)], read from
         the at most D d^k entries of op that meet a nonzero of P_i; equal
         to tr(measure(i, op))."""
-        read = self._trace_reads.get(i)
-        if read is None:
-            weights = self._local[i].T
-            nonzero = weights != 0
-            at = self._blocks[i].plan.reduce_index[nonzero]
-            read = self._trace_reads[i] = (
-                at.ravel(),
-                np.repeat(weights[nonzero], at.shape[1]),
-            )
-        at, weights = read
+        at, weights = self._blocks[i].trace_read
         return op.take(at) @ weights
 
     def measure_all(self, ids, op: np.ndarray) -> np.ndarray:
@@ -187,8 +178,7 @@ class ChannelSet:
     def complement(self, i: int, op: np.ndarray) -> np.ndarray:
         b = self._blocks[i]
         if b.pos is None:
-            c = self._local_comp[i]
-            return sandwich_local(c, op, c, b.plan)
+            return sandwich_local(b.comp, op, b.comp, b.plan)
         op = np.asarray(op)
         out = op.astype(complex, order="C")
         self._add_block_changes(b, op, out, False)
@@ -276,9 +266,11 @@ def build_channels(inst: QlllInstance) -> ChannelSet:
 
 def _check_series_start(start: np.ndarray, context: str) -> None:
     """Every solve start is built in this module, so one that is not
-    Hermitian PSD is an internal fault: InvariantError with the measured
-    asymmetry or least eigenvalue."""
+    finite Hermitian PSD is an internal fault: InvariantError with max|start|,
+    the measured asymmetry or the least eigenvalue."""
     if (bad := psd_violation(start)) is not None:
+        if bad.test == "finite":
+            raise InvariantError(f"{context}: series start has a NaN or infinite entry", bad.value)
         if bad.test == "hermitian":
             raise InvariantError(f"{context}: series start is not Hermitian (asymmetry {bad.value:.3e})", bad.value)
         raise InvariantError(f"{context}: series start has eigenvalue {bad.value:.3e} < 0", bad.value)
@@ -684,8 +676,8 @@ def shortclaim_suite(inst: QlllInstance, product_ids) -> dict:
     eye = np.eye(D, dtype=complex)
     q = sum(inst.embedded(i) for i in range(inst.m))
     prod = ch.measure_all(ids, eye)
-    if np.abs(prod @ prod - prod).max() > config.IDEMPOTENT_TOL:
-        raise RuntimeError("product of the selected projectors is not a projector")
+    if (drift := float(np.abs(prod @ prod - prod).max())) > config.IDEMPOTENT_TOL:
+        raise InvariantError(f"product of the selected projectors is not a projector ({drift:.3e})", drift)
     ev, vecs = np.linalg.eigh(q)
     keep = ev >= config.KERNEL_EIG_TOL * max(1.0, float(ev[-1]))
     q_plus = (vecs[:, keep] / ev[keep]) @ vecs[:, keep].conj().T

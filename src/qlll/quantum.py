@@ -23,9 +23,9 @@ The step costs what its rows need:
   written there only, for rows that change.
 - zero-weight rule: a satisfied row of weight exactly 0 already equals
   (I - P) psi / sqrt(1 - 0) and is not written back.
-- per instance: layouts, K and its positions come from the instance's event
-  table (instance.event_table), which the density channels (oracles) read
-  too; the factors are kept on that table, so every run shares them.
+- per instance: each event's layout, K, positions and range factor are on
+  its one record, an EventBlock of the instance's event table (event_table),
+  which every run and the density channels (oracles) share.
 - live rows: run_trajectory_batch keeps an index of the rows still running,
   draws one id per live row each step and groups the rows by id with one
   stable argsort, a radix sort on ids cast to the narrowest unsigned type;
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,38 +67,7 @@ from . import config
 from .errors import InvariantError
 from .instance import QlllInstance, event_table, spectral_report
 from .logs import ExecutionLog
-from .tensor import EventTable, LocalPlan, make_rng
-
-
-class _Factor(NamedTuple):
-    """An event's range factor V (P = V V^dag) as v = V and vh = V^dag on
-    the local basis states where P is nonzero, and pos, their register
-    positions (tensor.EventBlock; None when that is every local state)."""
-
-    v: np.ndarray
-    vh: np.ndarray
-    pos: np.ndarray | None
-
-
-def _range_factor(events: EventTable, i: int) -> _Factor:
-    """Event i's range factor, from the table's P on its nonzero states and
-    checked against it at 1e-12; built on first use and kept on the table.
-    P is zero off those states, so a state with no amplitude on them has
-    weight exactly 0."""
-    f = events.factors.get(i)
-    if f is None:
-        b = events.block(i)
-        evals, evecs = np.linalg.eigh(b.p)
-        v = evecs[:, evals > 0.5]
-        drift = float(np.abs(v @ v.conj().T - b.p).max(initial=0.0))
-        if drift > 1e-12:
-            raise ValueError(
-                f"projector {i}: range factor misses the matrix by {drift:.3e}"
-            )
-        f = events.factors[i] = _Factor(
-            np.ascontiguousarray(v), np.ascontiguousarray(v.conj().T), b.pos
-        )
-    return f
+from .tensor import EventBlock, EventTable, LocalPlan, make_rng
 
 
 def _basis_states(rng, B: int, n: int, d: int) -> np.ndarray:
@@ -139,8 +107,9 @@ def _row_weights(c: np.ndarray, B: int, rest: int) -> np.ndarray:
     return np.vecdot(f, f)
 
 
-def _measure_rows(states, rows, plan: LocalPlan, factor: _Factor, rng) -> np.ndarray:
-    """Measure one event on states[rows] in place; returns the violated mask.
+def _measure_rows(states, rows, block: EventBlock, rng) -> np.ndarray:
+    """Measure one event, given by its block, on states[rows] in place;
+    returns the violated mask.
 
     A row's weight is w = |V^dag psi|^2 with P = V V^dag, read from the
     amplitudes on the states where V is nonzero.  Satisfied rows become
@@ -149,9 +118,10 @@ def _measure_rows(states, rows, plan: LocalPlan, factor: _Factor, rng) -> np.nda
     P psi / sqrt(w), built from V^dag psi, and are collapsed and refilled on
     the event's qudits.
     """
+    plan, (v, vh) = block.plan, block.factor
     B, rest = rows.size, plan.rest_dim
-    x = plan.gather(states, rows, factor.pos)
-    c = factor.vh @ x
+    x = block.gather(states, rows)
+    c = vh @ x
     w = _row_weights(c, B, rest)
     hit = rng.random(B) < w
     if not w.any():  # no row changes
@@ -163,16 +133,16 @@ def _measure_rows(states, rows, plan: LocalPlan, factor: _Factor, rng) -> np.nda
     if sat.size:
         # satisfied: w <= draw <= 1 - 2^-53, so 1 - w >= 2^-53 and never vanishes
         root = np.sqrt(1.0 - w[sat])[:, None]
-        block = x.reshape(-1, B, rest).take(sat, axis=1)
-        block -= (factor.v @ c.take(sat, axis=1).reshape(r, -1)).reshape(block.shape)
-        block /= root
-        if factor.pos is not None:
+        kept = x.reshape(-1, B, rest).take(sat, axis=1)
+        kept -= (v @ c.take(sat, axis=1).reshape(r, -1)).reshape(kept.shape)
+        kept /= root
+        if block.pos is not None:
             # V is zero off the gathered states: the rest of a row only rescales
             states[rows[sat]] /= root
-        plan.scatter(states, rows[sat], block, factor.pos)
+        block.scatter(states, rows[sat], kept)
     vio = hit.nonzero()[0]
     if vio.size:
-        post = (factor.v @ c.take(vio, axis=1).reshape(r, -1)).reshape(-1, vio.size, rest)
+        post = (v @ c.take(vio, axis=1).reshape(r, -1)).reshape(-1, vio.size, rest)
         post /= np.sqrt(w[vio])[:, None]
         _refill_rows(states, rows[vio], post, plan, rng)
     return hit
@@ -193,9 +163,9 @@ def _event_weights(states, rows, events: EventTable) -> np.ndarray:
     """(B, m) array of |P_i psi|^2 for every row psi of states[rows] (None: all)."""
     out = np.empty((len(states) if rows is None else rows.size, events.m))
     for i in range(events.m):
-        plan, f = events.plan(i), _range_factor(events, i)
-        c = f.vh @ plan.gather(states, rows, f.pos)
-        out[:, i] = _row_weights(c, len(out), plan.rest_dim)
+        b = events.block(i)
+        c = b.factor[1] @ b.gather(states, rows)
+        out[:, i] = _row_weights(c, len(out), b.plan.rest_dim)
     return out
 
 
@@ -206,10 +176,11 @@ def _kernel_weight(states, events: EventTable) -> np.ndarray:
     cur = states.copy()
     rows = np.arange(cur.shape[0])
     for i in range(events.m):
-        plan, f = events.plan(i), _range_factor(events, i)
-        x = plan.gather(cur, None, f.pos)
-        x -= f.v @ (f.vh @ x)
-        plan.scatter(cur, rows, x, f.pos)
+        b = events.block(i)
+        v, vh = b.factor
+        x = b.gather(cur, None)
+        x -= v @ (vh @ x)
+        b.scatter(cur, rows, x)
     f = cur.view(np.float64)
     return np.vecdot(f, f)
 
@@ -266,7 +237,7 @@ def run_quantum_solver(
     steps = max_steps if m > 0 else 0
     for step in range(steps):
         i = int(rng.integers(0, m))
-        violated = bool(_measure_rows(states, row, events.plan(i), _range_factor(events, i), rng)[0])
+        violated = bool(_measure_rows(states, row, events.block(i), rng)[0])
         _check_norm(states)
         if violated:
             entries.append((step, i))
@@ -351,7 +322,7 @@ def run_trajectory_batch(
         ids = rng.integers(0, m, size=live.size).astype(id_type)
         hit = np.empty(live.size, dtype=bool)
         for i, at in _groups(ids):
-            hit[at] = _measure_rows(states, live[at], events.plan(i), _range_factor(events, i), rng)
+            hit[at] = _measure_rows(states, live[at], events.block(i), rng)
         vrows = live[hit]
         if first is not None:
             slot = violations[vrows]
@@ -425,7 +396,7 @@ def run_converger(
             live = np.flatnonzero(tau > step)
             ids = rng.integers(0, m, size=live.size).astype(id_type)
             for i, at in _groups(ids):
-                _measure_rows(states, live[at], events.plan(i), _range_factor(events, i), rng)
+                _measure_rows(states, live[at], events.block(i), rng)
         _check_norm(states)
         acc += _event_weights(states, None, events).sum(axis=0)
         acc_ground += float(overlap(states).sum())
@@ -488,7 +459,7 @@ def run_exact_solver(
     it = 0
     while it < cap and consecutive < m:
         i = it % m
-        violated = _measure_rows(states, row, events.plan(i), _range_factor(events, i), rng)[0]
+        violated = _measure_rows(states, row, events.block(i), rng)[0]
         _check_norm(states)
         if violated:
             entries.append((it, i))

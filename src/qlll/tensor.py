@@ -115,9 +115,9 @@ class LocalPlan:
 
     index gives the register position of every (local state, rest) entry, so
     the rows and columns of a few local basis states are addressed by
-    position alone: gather and scatter for state rows, op[pos] and the flat
-    positions of op[:, pos] for operators (EventTable keeps each event's
-    positions).
+    position alone: state rows and op[pos] and the flat positions of
+    op[:, pos] for operators.  The plan holds no event data; each event's
+    positions, and all else derived from it, live on its EventBlock.
     """
 
     def __init__(self, n: int, d: int, qudits: tuple):
@@ -155,25 +155,6 @@ class LocalPlan:
         """(dk, rest) register positions of the front block's entries."""
         return self.to_front(np.arange(self.dim)[None])
 
-    def gather(self, states: np.ndarray, rows, pos=None) -> np.ndarray:
-        """The front block of states[rows] on the local basis states whose
-        (r, rest) register positions pos holds, (r, B * rest); the whole
-        block when None.  rows None is every row, with no row copy."""
-        if pos is None:
-            return self.to_front(states if rows is None else states[rows])
-        rows = np.arange(len(states)) if rows is None else rows
-        block = states[rows[None, :, None], pos[:, None, :]]
-        return block.reshape(len(pos), rows.size * self.rest_dim)
-
-    def scatter(self, states: np.ndarray, rows: np.ndarray, block: np.ndarray, pos=None):
-        """Write a front block of gather's shape back into states[rows]."""
-        if pos is None:
-            states[rows] = self.from_front(block)
-        else:
-            states[rows[None, :, None], pos[:, None, :]] = block.reshape(
-                pos.shape[0], rows.size, self.rest_dim
-            )
-
     # operator layout, built on first use: state-only plans stay cheap
     @cached_property
     def _op_perms(self):
@@ -202,31 +183,86 @@ class LocalPlan:
         return idx[:, None, :] * self.dim + idx[None, :, :]
 
 
-class EventBlock(NamedTuple):
-    """Where one event sits on the register.  plan is its support's layout;
-    p the local matrix on the local basis states K where it is nonzero
-    (nonzero_states; the whole matrix when that is all of them); pos the
-    (|K|, rest) register positions of K's states, from plan.index (None
-    when K is every local state).  Arrays are read-only."""
+class EventBlock:
+    """The one record of an event, shared by the state-vector step and the
+    density channels.  plan is its support's layout; p the local matrix on
+    the local basis states K where it is nonzero (nonzero_states; the whole
+    matrix when that is all of them); pos the (|K|, rest) register positions
+    of K's states, from plan.index (None when K is every local state); both
+    read-only.  factor, comp and trace_read are built on first use; gather
+    and scatter read and write state rows at K's positions."""
 
-    plan: LocalPlan
-    p: np.ndarray
-    pos: np.ndarray | None
+    def __init__(self, event, plan: LocalPlan):
+        self.event = event
+        self.plan = plan
+        a = event.local_matrix
+        keep = nonzero_states(a)
+        self.p = a.copy() if keep is None else a[np.ix_(keep, keep)]
+        self.pos = None if keep is None else plan.index[keep]
+        for arr in (self.p, self.pos):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    @cached_property
+    def factor(self) -> tuple:
+        """(V, V^dag), the range factor of P = V V^dag on K, checked against
+        p at 1e-12.  P is zero off K, so a state with no amplitude there has
+        weight exactly 0."""
+        evals, evecs = np.linalg.eigh(self.p)
+        v = evecs[:, evals > 0.5]
+        drift = float(np.abs(v @ v.conj().T - self.p).max(initial=0.0))
+        if drift > 1e-12:
+            raise ValueError(
+                f"projector {self.event.id}: range factor misses the matrix by {drift:.3e}"
+            )
+        return np.ascontiguousarray(v), np.ascontiguousarray(v.conj().T)
+
+    @cached_property
+    def comp(self) -> np.ndarray:
+        """I - p: the complement's local matrix when pos is None."""
+        return np.eye(len(self.p)) - self.p
+
+    @cached_property
+    def trace_read(self) -> tuple:
+        """(at, weights) with tr(P op) = op.take(at) @ weights for a D x D
+        op: the flat positions of the at most D d^k entries op[(a, r), (b, r)]
+        that meet a nonzero P[b, a], and those entries of P."""
+        weights = self.event.local_matrix.T
+        nonzero = weights != 0
+        at = self.plan.reduce_index[nonzero]
+        return at.ravel(), np.repeat(weights[nonzero], at.shape[1])
+
+    def gather(self, states: np.ndarray, rows) -> np.ndarray:
+        """The front block of states[rows] on K, (|K|, B * rest); rows None
+        is every row, with no row copy."""
+        plan, pos = self.plan, self.pos
+        if pos is None:
+            return plan.to_front(states if rows is None else states[rows])
+        rows = np.arange(len(states)) if rows is None else rows
+        block = states[rows[None, :, None], pos[:, None, :]]
+        return block.reshape(len(pos), rows.size * plan.rest_dim)
+
+    def scatter(self, states: np.ndarray, rows: np.ndarray, block: np.ndarray):
+        """Write a block of gather's shape back into states[rows]."""
+        pos = self.pos
+        if pos is None:
+            states[rows] = self.plan.from_front(block)
+        else:
+            states[rows[None, :, None], pos[:, None, :]] = block.reshape(len(pos), rows.size, self.plan.rest_dim)
 
 
 class EventTable:
     """The register layout of an instance's events, shared by the
     state-vector step and the density channels: one LocalPlan per distinct
-    support and one EventBlock per id, each built on first use.  events
-    are the instance's projectors (each with qudits and local_matrix);
-    factors keeps the state-vector step's range factors by id."""
+    support and one EventBlock per id, each built on first use.  The block
+    is the one record of what is derived from an event.  events are the
+    instance's projectors (each with id, qudits and local_matrix)."""
 
     def __init__(self, events, n: int, d: int):
         self.events = tuple(events)
         self.m = len(self.events)
         self.n = n
         self.d = d
-        self.factors = {}
         self._layouts = {}
         self._blocks = {}
 
@@ -237,28 +273,12 @@ class EventTable:
             plan = self._layouts[qudits] = LocalPlan(self.n, self.d, qudits)
         return plan
 
-    def plan(self, i: int) -> LocalPlan:
-        return self.block(i).plan
-
     def block(self, i: int) -> EventBlock:
         b = self._blocks.get(i)
         if b is None:
             event = self.events[i]
-            b = self._blocks[i] = _restricted(self.layout(event.qudits), event.local_matrix)
+            b = self._blocks[i] = EventBlock(event, self.layout(event.qudits))
         return b
-
-
-def _restricted(plan: LocalPlan, a: np.ndarray) -> EventBlock:
-    """The EventBlock of local matrix a on the plan's qudits."""
-    keep = nonzero_states(a)
-    if keep is None:
-        b = EventBlock(plan, a.copy(), None)
-    else:
-        b = EventBlock(plan, a[np.ix_(keep, keep)], plan.index[keep])
-    for arr in b[1:]:
-        if arr is not None:
-            arr.setflags(write=False)
-    return b
 
 
 def _merged_transpose(perm, sizes):
@@ -302,8 +322,8 @@ def refill_mixed(reduced: np.ndarray, plan: LocalPlan) -> np.ndarray:
 
 
 class PsdViolation(NamedTuple):
-    """The test psd_violation failed: "hermitian", with the asymmetry
-    max|h - h^dag| (max|h|, NaN or infinite, when an entry is), or "psd",
+    """The test psd_violation failed: "finite", with max|h| (NaN or
+    infinite); "hermitian", with the asymmetry max|h - h^dag|; or "psd",
     with the least eigenvalue of h's Hermitian part."""
 
     test: str
@@ -313,17 +333,17 @@ class PsdViolation(NamedTuple):
 def psd_violation(h: np.ndarray) -> PsdViolation | None:
     """None when h is Hermitian PSD, else the test it fails.
 
-    Hermitian: every entry finite and max|h - h^dag| <= config.HERMITIAN_TOL
-    * max(1, max|h|).  PSD: no eigenvalue of the Hermitian part h - skew/2
-    below -config.PSD_TOL.  Gershgorin discs of that part decide first in
-    O(D^2), else Cholesky of the part + tol I; eigvalsh runs only when that
-    fails, and decides."""
+    Finite: no entry NaN or infinite.  Hermitian: max|h - h^dag| <=
+    config.HERMITIAN_TOL * max(1, max|h|).  PSD: no eigenvalue of the
+    Hermitian part h - skew/2 below -config.PSD_TOL.  Gershgorin discs of
+    that part decide first in O(D^2), else Cholesky of the part + tol I;
+    eigvalsh runs only when that fails, and decides."""
     a = np.abs(h)
     size = float(a.max(initial=0.0))
     # a NaN or infinite entry makes size NaN or infinite; h - h^dag would
     # then form inf - inf
     if not math.isfinite(size):
-        return PsdViolation("hermitian", size)
+        return PsdViolation("finite", size)
     skew = h - h.conj().T
     asym = float(np.abs(skew).max(initial=0.0))
     if not asym <= config.HERMITIAN_TOL * max(1.0, size):

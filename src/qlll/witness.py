@@ -17,7 +17,7 @@ import itertools
 import operator
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import config
@@ -207,12 +207,7 @@ def build_partial_resample_dag(seq, intersects):
             kept.append(i)
     kept.reverse()
     relevant = tuple(seq[i] for i in kept)
-    edges = frozenset(
-        (b, a)
-        for a, b in itertools.combinations(range(len(kept)), 2)
-        if intersects(relevant[a], relevant[b])
-    )
-    return ResampleDag(relevant, edges, partial=True), relevant
+    return replace(build_resample_dag(relevant, intersects), partial=True), relevant
 
 
 def _leaf_removal(dag: ResampleDag, empty, step):

@@ -16,8 +16,8 @@ PINV_RCOND = 1e-12             # singular values below rcond * sigma_max are zer
 def kernel_projector(op, tol=config.KERNEL_EIG_TOL):
     """Orthogonal projector onto the (near-)zero eigenspace of a Hermitian op."""
     op = np.asarray(op, dtype=complex)
-    if (bad := psd_violation(op)) is not None and bad.test == "hermitian":
-        raise ValueError("kernel_projector needs a Hermitian operator")
+    if (bad := psd_violation(op)) is not None and bad.test != "psd":
+        raise ValueError("kernel_projector needs a finite Hermitian operator")
     evals, evecs = np.linalg.eigh((op + op.conj().T) / 2)
     cutoff = tol * max(1.0, float(evals[-1]) if evals.size else 1.0)
     cols = evecs[:, evals < cutoff]

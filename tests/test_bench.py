@@ -2,6 +2,7 @@
 bound-violating family, violation audits, occurrence-probability reports,
 and the weak/strong convergence metrics."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from qlll import bench, config
+from qlll.errors import InvariantError
 from qlll.classical import (
     event_probability,
     expected_resamples_bound,
@@ -446,6 +448,17 @@ def test_metrics_reject_bad_density():
         bench.convergence_metrics(np.diag([1.5, -0.5]), inst)
 
 
+def test_energy_ceiling_breach_carries_its_excess(monkeypatch):
+    # a gap far above the true one pushes the ceiling to 0, so the whole
+    # weight outside the kernel, 1 - 2/8, is the excess
+    inst = diag3()
+    rep = spectral_report(inst)
+    monkeypatch.setattr(bench, "spectral_report", lambda _: dataclasses.replace(rep, delta=1e300))
+    with pytest.raises(InvariantError, match="exceeds its energy ceiling") as err:
+        bench.convergence_metrics(np.eye(8) / 8.0, inst)
+    assert err.value.value == pytest.approx(0.75, abs=1e-12)
+
+
 # corpora
 
 
@@ -460,6 +473,13 @@ def test_certified_commuting_corpus():
     assert [instance_digest(i) for i, _ in corpus] == [
         instance_digest(i) for i, _ in again
     ]
+
+
+def test_corpus_retry_cap_carries_the_attempt_count(monkeypatch):
+    monkeypatch.setattr(bench, "find_certificate", lambda inst, epsilon: None)
+    with pytest.raises(InvariantError, match=r"failing certification \(400 attempts\)") as err:
+        bench.certified_commuting_corpus(2, seed=1)
+    assert err.value.value == 400
 
 
 def test_certified_corpus_with_epsilon():

@@ -17,7 +17,6 @@ from qlll.instance import QlllInstance, basis_projector, event_table, random_ran
 from qlll.quantum import (
     _event_weights,
     _measure_rows,
-    _range_factor,
     run_trajectory_batch,
 )
 from qlll.tensor import embed, make_rng, nonzero_states
@@ -47,11 +46,11 @@ def all_ones_on(qudits) -> np.ndarray:
 def full_factor(inst, i) -> np.ndarray:
     """The range factor V of event i on every local basis state, zero off
     its nonzero states."""
-    f = _range_factor(event_table(inst), i)
+    on_k, _ = event_table(inst).block(i).factor
     local = inst.projectors[i].local_matrix
     keep = nonzero_states(local)
-    v = np.zeros((local.shape[0], f.v.shape[1]), dtype=complex)
-    v[slice(None) if keep is None else keep] = f.v
+    v = np.zeros((local.shape[0], on_k.shape[1]), dtype=complex)
+    v[slice(None) if keep is None else keep] = on_k
     return v
 
 
@@ -109,13 +108,13 @@ def test_block_step_matches_dense(seed, rank, which, off_ones):
     assert (weights[20:24] > 0).all() and (weights[20:24] < 1e-6).all()
 
     out = states.copy()
-    hit = _measure_rows(out, every, events.plan(which), _range_factor(events, which), rng)
+    hit = _measure_rows(out, every, events.block(which), rng)
     assert not hit[flat].any()
     assert np.array_equal(out[flat], states[flat])
     sat = ~hit
     expect = (states[sat] - states[sat] @ p.T) / np.sqrt(1.0 - weights[sat])[:, None]
     assert np.abs(out[sat] - expect).max() <= TOL
-    plan = events.plan(which)
+    plan = events.block(which).plan
     for row in out[hit]:
         assert abs(np.linalg.norm(row) - 1.0) <= TOL
         block = plan.to_front(row[None])
@@ -126,7 +125,7 @@ def test_range_factor_rejects_inexact_projector():
     # idempotent within the instance tolerance, but 1e-11 off a projector
     inst = QlllInstance.build(1, 2, [((0,), np.diag([1.0 + 1e-11, 0.0]))])
     with pytest.raises(ValueError, match="range factor misses"):
-        _range_factor(event_table(inst), 0)
+        event_table(inst).block(0).factor
 
 
 def basis_chain():
@@ -196,7 +195,7 @@ def test_gather_of_every_row_is_bit_identical(make, count):
     every = np.arange(count)
     table = event_table(make())
     for i in range(table.m):
-        plan, pos = table.plan(i), table.block(i).pos
-        want = plan.to_front(states[every]) if pos is None else plan.gather(states, every, pos)
-        assert np.array_equal(plan.gather(states, None, pos), want)
+        b = table.block(i)
+        want = b.plan.to_front(states[every]) if b.pos is None else b.gather(states, every)
+        assert np.array_equal(b.gather(states, None), want)
     assert np.array_equal(_event_weights(states, None, table), _event_weights(states, every, table))

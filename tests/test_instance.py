@@ -80,6 +80,16 @@ def test_projector_validation():
         QlllInstance(HilbertShape(1, 2), (Projector(0, (0,), np.eye(3)),))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_projector_and_kernel_projector_reject_nan_and_inf(bad):
+    # a NaN passes the idempotence test (nan > tol is False), so the gate's
+    # own verdict must reject it
+    with pytest.raises(ValueError, match="local matrix has a NaN or infinite entry"):
+        Projector(0, (0,), np.diag([bad, 0.0]))
+    with pytest.raises(ValueError, match="needs a finite Hermitian operator"):
+        kernel_projector(np.diag([bad, 0.0]))
+
+
 def test_projector_rank():
     assert Projector(0, (0,), Q1).rank == 1
     assert Projector(0, (0, 1), rank3_satisfied_space(0.3)).rank == 3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qlll import bench, oracles
+from qlll.errors import InvariantError
 from qlll.instance import (
     QlllInstance,
     basis_projector,
@@ -189,9 +190,9 @@ def test_outcome_operator_validation():
 def test_outcome_operator_rejects_nan():
     off = np.eye(2) * 0.5
     off[0, 1] = np.nan
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="has a NaN or infinite entry"):
         OutcomeOperator(off, 1.0, ("bad",))
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="has a NaN or infinite entry"):
         OutcomeOperator(np.diag([np.nan, 0.5]), 0.5, ("bad",))
 
 
@@ -398,6 +399,15 @@ def test_shortclaim_products_on_diag3():
                 assert e["residual"] < 1e-9
             if e["slack_min"] is not None:
                 assert e["slack_min"] > -1e-9
+
+
+def test_shortclaim_rejects_a_product_that_is_not_a_projector(monkeypatch):
+    # commuting projectors always multiply to a projector, so the fault is
+    # injected: a "product" I/2 misses its square by |I/4 - I/2| = 1/4
+    monkeypatch.setattr(oracles.ChannelSet, "measure_all", lambda self, ids, op: op / 2)
+    with pytest.raises(InvariantError, match="is not a projector") as err:
+        shortclaim_suite(diag3(), [0])
+    assert err.value.value == 0.25
 
 
 def test_shortclaim_matches_the_dense_reference():

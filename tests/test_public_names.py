@@ -10,7 +10,8 @@ name.  A method is reached only as an attribute, so only attributes and
 strings count for it: a local variable of the same name does not.  A
 method that overrides one of a base class counts as used, since
 the base class's callers reach it.  Tests do not count: a function that
-only its tests call is dead code.
+only its tests call is dead code.  The same holds for the private
+module-level functions and classes, which only code in src/qlll may use.
 
 An optional parameter that no call passes is a knob nothing turns.  A call
 passes a parameter by its keyword, by reaching its position, or through
@@ -78,6 +79,18 @@ def test_every_public_definition_is_referenced():
                 if not used(method, True) and not overrides(path.stem, node.name, method.name):
                     unused.append(f"{path.name}:{method.lineno} {node.name}.{method.name}")
     assert not unused, "public definitions that nothing uses: " + ", ".join(unused)
+
+
+def test_every_private_definition_is_referenced_by_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        and everywhere[node.name] <= references(node)[node.name]
+    ]
+    assert not unused, "private definitions that only tests use: " + ", ".join(unused)
 
 
 def passes(call: ast.Call, name: str, position) -> bool:

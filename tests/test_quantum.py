@@ -414,6 +414,34 @@ def test_channels_reuse_the_state_vector_layouts(monkeypatch):
     assert built == []
 
 
+def test_each_event_has_one_record(monkeypatch):
+    # the range factor, the complement and the trace read are built once per
+    # event, on its block, and every run and every channel set reads that
+    # one; |++> is nonzero on every local state, the others are position blocks
+    events = [((0, 1), np.full((4, 4), 0.25)), ((2, 0), basis_projector(4, [3])), ((1,), Q1)]
+    inst = QlllInstance.build(3, 2, events)
+    read = []
+    measure = quantum._measure_rows
+    monkeypatch.setattr(quantum, "_measure_rows", lambda states, rows, block, rng: (
+        read.append(block.factor) or measure(states, rows, block, rng)))
+    run_quantum_solver(inst, seed=1, max_steps=40, record_outcomes=True)
+    first = {id(f) for f in read}
+    read.clear()
+    run_quantum_solver(inst, seed=2, max_steps=40, record_outcomes=True)
+    assert {id(f) for f in read} == first and len(first) == inst.m
+    table = event_table(inst)
+    assert first == {id(table.block(i).factor) for i in range(inst.m)}
+
+    one, two = oracles.build_channels(inst), oracles.build_channels(inst)
+    op = np.eye(8, dtype=complex) / 8
+    for i in range(inst.m):
+        assert one.measure_trace(i, op) == two.measure_trace(i, op)
+        assert one._blocks[i] is two._blocks[i] is table.block(i)
+        assert np.array_equal(one.complement(i, op), two.complement(i, op))
+        assert one._blocks[i].trace_read is two._blocks[i].trace_read
+        assert one._blocks[i].comp is two._blocks[i].comp
+
+
 def test_batch_norm_check_covers_every_row():
     states = np.zeros((100, 4), dtype=complex)
     states[:, 0] = 1.0

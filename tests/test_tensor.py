@@ -235,7 +235,8 @@ def test_psd_violation_rejects_nan_and_inf(bad, where):
         if where == "both sides":
             h[1, 0] = bad
     got = psd_violation(h)
-    assert got is not None and got.test == "hermitian"
+    assert got is not None and got.test == "finite"
+    assert not np.isfinite(got.value)
 
 
 PSD_TOL = config.PSD_TOL
